@@ -1,11 +1,13 @@
 // E9 — Ablations of the implementation's design decisions (DESIGN.md §4):
-//   (1) union-size memoization across sample() calls,
-//   (2) membership-oracle amortization via stored reach profiles,
-//   (3) sample-list recycling under calibrated constants,
-//   (4) the support-perturbation branch (Alg. 3 lines 16-19).
-// Each row flips exactly one flag on the same instance and seed.
+//   (1) the descent cache of (level, frontier) union sizes and predecessor
+//       rows, shared across sample() calls (no_cache: capacity 0),
+//   (2) sample-list recycling under calibrated constants,
+//   (3) the support-perturbation branch (Alg. 3 lines 16-19).
+// Each row flips exactly one knob on the same instance and seed; all_off
+// flips all three.
 
 #include <cmath>
+#include <cstdint>
 
 #include "automata/generators.hpp"
 #include "bench_common.hpp"
@@ -17,8 +19,7 @@ namespace {
 
 struct Config {
   const char* name;
-  bool memoize;
-  bool amortize;
+  bool cache;
   bool recycle;
   bool perturb;
 };
@@ -29,17 +30,16 @@ void AblationTable(const Nfa& nfa, int n, const char* label) {
   Row({"config", "seconds", "relerr", "au_trials", "memb_checks", "starved"},
       16);
   const Config configs[] = {
-      {"baseline", true, true, true, true},
-      {"no_memoize", false, true, true, true},
-      {"no_amortize", true, false, true, true},
-      {"no_recycle", true, true, false, true},
-      {"no_perturb", true, true, true, false},
-      {"all_off", false, false, false, false},
+      {"baseline", true, true, true},
+      {"no_cache", false, true, true},
+      {"no_recycle", true, false, true},
+      {"no_perturb", true, true, false},
+      {"all_off", false, false, false},
   };
   for (const Config& c : configs) {
     CountOptions options = DefaultOptions(4242);
-    options.memoize_unions = c.memoize;
-    options.amortize_oracle = c.amortize;
+    options.descent_cache_capacity =
+        c.cache ? FprasParams::kDefaultDescentCacheCapacity : int64_t{0};
     options.recycle_samples = c.recycle;
     options.perturb_support = c.perturb;
     TimedRun run = RunFpras(nfa, n, options);
@@ -55,9 +55,9 @@ void AblationTable(const Nfa& nfa, int n, const char* label) {
 }  // namespace
 
 int main() {
-  std::printf("E9 — design-choice ablations (one flag per row)\n");
+  std::printf("E9 — design-choice ablations (one knob per row)\n");
 
-  // Sized so the unmemoized configurations stay under ~30 s.
+  // Sized so the uncached configurations stay under ~30 s.
   Rng rng(9);
   Nfa random_nfa = RandomNfa(6, 0.3, 0.25, rng);
   AblationTable(random_nfa, 8, "random m=6 n=8");
@@ -66,10 +66,11 @@ int main() {
   AblationTable(substring, 12, "substring('1011') n=12");
 
   std::printf(
-      "\nReading guide: no_memoize multiplies AppUnion trials (the n^10 term\n"
-      "without sharing); no_amortize multiplies membership cost; no_recycle\n"
-      "exposes starvation bias whenever trial demand exceeds list length;\n"
-      "no_perturb is statistically invisible at these sizes (the branch fires\n"
-      "w.p. eta/2n) — it exists for the coupling analysis, not performance.\n");
+      "\nReading guide: no_cache multiplies AppUnion trials (every descent\n"
+      "step re-estimates its union sizes) but never moves the estimate;\n"
+      "no_recycle exposes starvation bias whenever trial demand exceeds list\n"
+      "length; no_perturb is statistically invisible at these sizes (the\n"
+      "branch fires w.p. eta/2n) — it exists for the coupling analysis, not\n"
+      "performance.\n");
   return 0;
 }

@@ -18,7 +18,8 @@
 //   --no-simd          force the scalar bitset kernels (process-wide) and
 //                      pin the sampling plane to them; identical results
 //   --descent-cache <e> cross-batch descent-cache entry budget for
-//                      count/lengths/sample (0 disables; default = engine
+//                      count/lengths/sample (0 disables: the uncached
+//                      engine, roughly 100x slower; default = engine
 //                      default; bit-identical results at every value —
 //                      NFACOUNT_DESCENT_CACHE=<e> overrides process-wide)
 //   --no-symbol-classes disable symbol-class alphabet compression (run the

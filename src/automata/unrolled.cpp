@@ -224,14 +224,6 @@ Bitset UnrolledNfa::PredSet(const Bitset& states, Symbol symbol,
   return out;
 }
 
-Bitset UnrolledNfa::PredSetLegacy(const Bitset& states, Symbol symbol,
-                                  int level) const {
-  assert(level >= 1 && level <= n_);
-  Bitset preds = nfa_->StepBack(states, symbol);
-  preds &= reachable_[level - 1];
-  return preds;
-}
-
 void UnrolledNfa::SuccSetInto(const Bitset& states, Symbol symbol,
                               Bitset* out) const {
   forward_.StepInto(states, symbol, out);
@@ -285,15 +277,6 @@ std::optional<Word> UnrolledNfa::WitnessWord(StateId q, int level) const {
 StoredSample UnrolledNfa::MakeSample(Word word) const {
   Bitset reach = ReachProfile(word);
   return StoredSample{std::move(word), std::move(reach)};
-}
-
-StoredSample UnrolledNfa::MakeSampleLegacy(Word word) const {
-  Bitset reach = nfa_->Reach(word);
-  return StoredSample{std::move(word), std::move(reach)};
-}
-
-bool UnrolledNfa::MemberSlow(const Word& word, StateId q) const {
-  return ReachProfile(word).Test(q);
 }
 
 }  // namespace nfacount

@@ -53,7 +53,7 @@ struct SampleRef {
     return (profile[static_cast<size_t>(q) >> 6] >>
             (static_cast<size_t>(q) & 63)) & 1;
   }
-  /// Materializes the word (allocates — for ablation paths and accessors).
+  /// Materializes the word (allocates — for accessors, not the hot path).
   Word ToWord() const { return Word(symbols, symbols + length); }
 };
 
@@ -264,10 +264,6 @@ class UnrolledNfa {
   void SuccSetWordsInto(const uint64_t* from, Symbol symbol, uint64_t* out,
                         const simd::BitsetKernels& kern) const;
 
-  /// PredSet computed on the legacy pointer-walk adjacency (Nfa::StepBack).
-  /// Kept as the E11 old-layout baseline and the equivalence-test oracle.
-  Bitset PredSetLegacy(const Bitset& states, Symbol symbol, int level) const;
-
   /// One forward step clipped to nothing (plain successor image), CSR-backed.
   void SuccSetInto(const Bitset& states, Symbol symbol, Bitset* out) const;
 
@@ -281,14 +277,6 @@ class UnrolledNfa {
   /// Builds a StoredSample for `word` (computes its reach set on the
   /// forward CSR).
   StoredSample MakeSample(Word word) const;
-
-  /// MakeSample on the legacy pointer-walk adjacency (Nfa::Reach). Same
-  /// profile, legacy cost — the E11 old-layout baseline for sample storage.
-  StoredSample MakeSampleLegacy(Word word) const;
-
-  /// True iff word ∈ L(q^{|word|}); recomputes reachability (the
-  /// non-amortized oracle used by the E9 ablation).
-  bool MemberSlow(const Word& word, StateId q) const;
 
  private:
   const Nfa* nfa_;

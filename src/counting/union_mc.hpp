@@ -222,8 +222,8 @@ inline size_t ProfileWordsCount(const S& s) {
 ///
 /// `scratch` is caller-owned so repeated calls (one per (q, ℓ, b) in
 /// Algorithm 3) reuse the prefix-mask and draw-table storage.
-/// `membership_checks` counts answered probes (i per trial) to stay
-/// comparable with the legacy loop's upper bound.
+/// `membership_checks` counts answered probes (i per trial): an upper bound
+/// on AppUnion's probe-until-first-hit count for the same trials.
 template <typename Input>
 AppUnionOutcome AppUnionBatched(const std::vector<const Input*>& inputs,
                                 const AppUnionParams& params,

@@ -40,6 +40,13 @@ uint64_t Fnv1a64(const char* data, size_t size) {
 // the serve-mode wire protocol — identical byte semantics to the original
 // in-file classes, so existing checkpoints load unchanged.
 
+// Reserved parameter-block fields: three flag bytes and one I64 that once
+// held engine knobs which never changed a result. Writers emit the values
+// those knobs defaulted to, so files stay byte-identical to earlier writers'
+// at default knobs; readers skip them, whatever an older file stored there.
+constexpr uint8_t kReservedFlag = 1;
+constexpr int64_t kReservedCapacity = int64_t{1} << 20;
+
 void WriteParams(const FprasParams& p, ByteWriter* w) {
   w->U32(static_cast<uint32_t>(p.schedule));
   w->I32(p.m);
@@ -59,14 +66,14 @@ void WriteParams(const FprasParams& p, ByteWriter* w) {
   w->I64(p.calibration.trial_floor);
   w->F64(p.calibration.xns_multiplier_floor);
   w->U8(p.perturb_support ? 1 : 0);
-  w->U8(p.memoize_unions ? 1 : 0);
-  w->U8(p.amortize_oracle ? 1 : 0);
+  w->U8(kReservedFlag);
+  w->U8(kReservedFlag);
   w->U8(p.recycle_samples ? 1 : 0);
-  w->U8(p.csr_hot_path ? 1 : 0);
+  w->U8(kReservedFlag);
   w->U8(p.simd_kernels ? 1 : 0);
   w->I32(p.num_threads);
   w->I32(p.batch_width);
-  w->I64(p.memo_capacity);
+  w->I64(kReservedCapacity);
   // v2 extension: the symbol-class knob changes which RNG substreams a run
   // consumes, so a resumed session must keep the saved setting by default.
   w->U8(p.symbol_classes ? 1 : 0);
@@ -94,21 +101,19 @@ Status ReadParams(ByteReader* r, uint32_t version, FprasParams* p) {
   NFA_RETURN_NOT_OK(r->I64(&p->calibration.trial_floor));
   NFA_RETURN_NOT_OK(r->F64(&p->calibration.xns_multiplier_floor));
   uint8_t flag = 0;
+  int64_t reserved = 0;
   NFA_RETURN_NOT_OK(r->U8(&flag));
   p->perturb_support = flag != 0;
-  NFA_RETURN_NOT_OK(r->U8(&flag));
-  p->memoize_unions = flag != 0;
-  NFA_RETURN_NOT_OK(r->U8(&flag));
-  p->amortize_oracle = flag != 0;
+  NFA_RETURN_NOT_OK(r->U8(&flag));  // reserved
+  NFA_RETURN_NOT_OK(r->U8(&flag));  // reserved
   NFA_RETURN_NOT_OK(r->U8(&flag));
   p->recycle_samples = flag != 0;
-  NFA_RETURN_NOT_OK(r->U8(&flag));
-  p->csr_hot_path = flag != 0;
+  NFA_RETURN_NOT_OK(r->U8(&flag));  // reserved
   NFA_RETURN_NOT_OK(r->U8(&flag));
   p->simd_kernels = flag != 0;
   NFA_RETURN_NOT_OK(r->I32(&p->num_threads));
   NFA_RETURN_NOT_OK(r->I32(&p->batch_width));
-  NFA_RETURN_NOT_OK(r->I64(&p->memo_capacity));
+  NFA_RETURN_NOT_OK(r->I64(&reserved));
   if (version >= 2) {
     NFA_RETURN_NOT_OK(r->U8(&flag));
     p->symbol_classes = flag != 0;
@@ -287,7 +292,6 @@ Result<EngineSession> DeserializeSessionCheckpoint(const std::string& bytes,
     params.num_threads = knobs->num_threads;
     params.batch_width = knobs->batch_width;
     params.simd_kernels = knobs->simd_kernels;
-    params.csr_hot_path = knobs->csr_hot_path;
     if (knobs->descent_cache_capacity >= 0) {
       params.descent_cache_capacity = knobs->descent_cache_capacity;
     }

@@ -14,12 +14,11 @@
 //                    non-canonical byte order / inconsistent dimensions
 //   DataLoss         truncated file or checksum mismatch (bit corruption)
 //
-// Deliberately NOT serialized: the union-size memo and the descent cache
-// (pure caches whose entries are content-keyed — recomputation reproduces
-// them exactly, so a resumed session is merely cache-cold, never different;
-// the descent-cache capacity is a runtime knob carried by SessionKnobs, not
-// by the format) and the diagnostics counters (a resumed session restarts
-// them at zero).
+// Deliberately NOT serialized: the descent cache (a pure cache whose
+// entries are content-keyed — recomputation reproduces them exactly, so a
+// resumed session is merely cache-cold, never different; the descent-cache
+// capacity is a runtime knob carried by SessionKnobs, not by the format) and
+// the diagnostics counters (a resumed session restarts them at zero).
 
 #ifndef NFACOUNT_FPRAS_CHECKPOINT_HPP_
 #define NFACOUNT_FPRAS_CHECKPOINT_HPP_

@@ -74,54 +74,6 @@ void AccumulateDiag(const FprasDiagnostics& from, FprasDiagnostics* into) {
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// UnionSizeMemo
-// ---------------------------------------------------------------------------
-
-void UnionSizeMemo::Reset(int64_t capacity) {
-  for (Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    shard.map.clear();
-  }
-  capacity_ = capacity;
-  entries_.store(0, std::memory_order_relaxed);
-  hits_.store(0, std::memory_order_relaxed);
-  misses_.store(0, std::memory_order_relaxed);
-}
-
-bool UnionSizeMemo::Lookup(int level, const Bitset& set,
-                           std::vector<double>* out) {
-  Shard& shard = ShardFor(level, set);
-  {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    auto it = shard.map.find(Key{level, set});
-    if (it != shard.map.end()) {
-      *out = it->second;
-      hits_.fetch_add(1, std::memory_order_relaxed);
-      return true;
-    }
-  }
-  misses_.fetch_add(1, std::memory_order_relaxed);
-  return false;
-}
-
-void UnionSizeMemo::Insert(int level, const Bitset& set,
-                           const std::vector<double>& sizes) {
-  Shard& shard = ShardFor(level, set);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  if (shard.map.find(Key{level, set}) != shard.map.end()) return;
-  // Reserve one entry of the shared budget before emplacing: a CAS loop on
-  // the counter cannot overshoot capacity_, unlike the old pre-lock
-  // `entries_ >= capacity_` check, where every concurrent inserter passed
-  // the gate and then all of them emplaced.
-  int64_t current = entries_.load(std::memory_order_relaxed);
-  do {
-    if (current >= capacity_) return;
-  } while (!entries_.compare_exchange_weak(current, current + 1,
-                                           std::memory_order_relaxed));
-  shard.map.emplace(Key{level, set}, sizes);
-}
-
-// ---------------------------------------------------------------------------
 // DescentCache
 // ---------------------------------------------------------------------------
 
@@ -136,8 +88,10 @@ void DescentCache::Reset(int64_t capacity, size_t row_words,
   symbol_rows_ = symbol_rows;
   entries_.store(0, std::memory_order_relaxed);
   bytes_.store(0, std::memory_order_relaxed);
-  hits_.store(0, std::memory_order_relaxed);
-  misses_.store(0, std::memory_order_relaxed);
+  size_hits_.store(0, std::memory_order_relaxed);
+  size_misses_.store(0, std::memory_order_relaxed);
+  row_hits_.store(0, std::memory_order_relaxed);
+  row_misses_.store(0, std::memory_order_relaxed);
 }
 
 bool DescentCache::LookupSizes(int level, const Bitset& set,
@@ -153,11 +107,11 @@ bool DescentCache::LookupSizes(int level, const Bitset& set,
     auto it = shard.map.find(probe);
     if (it != shard.map.end()) {
       *out = it->second.sizes;
-      hits_.fetch_add(1, std::memory_order_relaxed);
+      size_hits_.fetch_add(1, std::memory_order_relaxed);
       return true;
     }
   }
-  misses_.fetch_add(1, std::memory_order_relaxed);
+  size_misses_.fetch_add(1, std::memory_order_relaxed);
   return false;
 }
 
@@ -167,8 +121,10 @@ void DescentCache::InsertSizes(int level, const Bitset& set,
   Shard& shard = ShardFor(level, set);
   std::lock_guard<std::mutex> lock(shard.mu);
   if (shard.map.find(Key{level, set}) != shard.map.end()) return;
-  // Same no-overshoot discipline as UnionSizeMemo::Insert: reserve one entry
-  // of the shared budget via CAS before emplacing.
+  // Reserve one entry of the shared budget before emplacing: a CAS loop on
+  // the counter cannot overshoot capacity_, unlike a pre-lock
+  // `entries_ >= capacity_` check, where every concurrent inserter passes
+  // the gate and then all of them emplace.
   int64_t current = entries_.load(std::memory_order_relaxed);
   do {
     if (current >= capacity_) return;
@@ -198,11 +154,11 @@ bool DescentCache::LookupRow(int level, const Bitset& set, int symbol_class,
       const uint64_t* src = it->second.rows.data() +
                             static_cast<size_t>(symbol_class) * row_words_;
       std::copy(src, src + row_words_, out_row);
-      hits_.fetch_add(1, std::memory_order_relaxed);
+      row_hits_.fetch_add(1, std::memory_order_relaxed);
       return true;
     }
   }
-  misses_.fetch_add(1, std::memory_order_relaxed);
+  row_misses_.fetch_add(1, std::memory_order_relaxed);
   return false;
 }
 
@@ -257,10 +213,10 @@ const FprasDiagnostics& FprasEngine::diagnostics() const {
   AccumulateDiag(draw_.diag, &diag_);
   diag_.arena_bytes_reserved += draw_.arena.bytes_reserved();
   diag_.arena_alloc_events += draw_.arena.alloc_events();
-  // The memo's and descent cache's counters are authoritative (shared across
-  // workers); they are the only scheduling-dependent diagnostics.
-  diag_.memo_hits = memo_.hits();
-  diag_.memo_misses = memo_.misses();
+  // The descent cache's counters are authoritative (shared across workers);
+  // they are the only scheduling-dependent diagnostics.
+  diag_.memo_hits = descent_.size_hits();
+  diag_.memo_misses = descent_.size_misses();
   diag_.descent_hits = descent_.hits();
   diag_.descent_misses = descent_.misses();
   diag_.descent_entries = descent_.entries();
@@ -316,11 +272,7 @@ void FprasEngine::UnionSizesInto(int level, const Bitset& state_set,
                                  double delta_param, UnionPurpose purpose,
                                  WorkerScratch& ws, std::vector<double>* out) {
   assert(level >= 1 && level <= params_.n);
-  const bool use_memo =
-      purpose == UnionPurpose::kSample && params_.memoize_unions;
   std::vector<double>& sizes = *out;
-  if (use_memo && memo_.Lookup(level, state_set, &sizes)) return;
-
   const uint64_t family =
       purpose == UnionPurpose::kCount ? kCountUnionTag : kSampleUnionTag;
   const SymbolClassIndex& classes = unrolled_.symbol_classes();
@@ -331,22 +283,16 @@ void FprasEngine::UnionSizesInto(int level, const Bitset& state_set,
   for (int c = 0; c < num_classes; ++c) {
     // One predecessor expansion per class: every member of a class has
     // identical reverse rows, so Pred(P, b) is the same set for all of them.
-    // The flat layout (or the legacy pointer walk when ablated) expands the
-    // representative; `ws.pred_scratch` avoids a per-(class, call) allocation.
-    const Symbol rep = classes.Representative(c);
+    // The flat layout expands the representative; `ws.pred_scratch` avoids a
+    // per-(class, call) allocation.
     Bitset& preds = ws.pred_scratch;
-    if (params_.csr_hot_path) {
-      unrolled_.PredSetInto(state_set, rep, level, &preds);
-    } else {
-      preds = unrolled_.PredSetLegacy(state_set, rep, level);
-    }
+    unrolled_.PredSetInto(state_set, classes.Representative(c), level, &preds);
     if (preds.None()) continue;
     std::vector<PredecessorInput>& inputs = ws.union_inputs;
     inputs.clear();
     preds.ForEachSet([&](int p) {
       inputs.push_back(PredecessorInput{&levels_[level - 1].cells[p],
-                                        static_cast<StateId>(p), nfa_,
-                                        params_.amortize_oracle});
+                                        static_cast<StateId>(p), nfa_});
     });
     std::vector<const PredecessorInput*>& ptrs = ws.union_ptrs;
     ptrs.clear();
@@ -354,21 +300,15 @@ void FprasEngine::UnionSizesInto(int level, const Bitset& state_set,
 
     // Content-keyed substream: the draws depend only on (seed, purpose,
     // level, predecessor-set content) — never on the calling cell, the
-    // worker thread, the memo state, or which class produced the set.
+    // worker thread, the cache state, or which class produced the set.
     // Recomputing an uncached entry therefore reproduces byte-for-byte what
-    // a cache hit would have returned (the shared memo and the parallel
+    // a cache hit would have returned (the descent cache and the parallel
     // sweep stay result-invariant), and classes whose predecessor sets
     // coincide reuse the exact same draw stream — a duplicate class costs
     // AppUnion work but no fresh randomness.
     Rng rng = Rng::ForSubstream(seed_, HashCombine(family, preds.Hash()),
                                 static_cast<uint64_t>(level));
-
-    // Batched membership needs reach profiles, which only exist when the
-    // oracle is amortized; the E9 ablation path keeps the per-probe loop.
-    AppUnionOutcome outcome =
-        (params_.csr_hot_path && params_.amortize_oracle)
-            ? AppUnionBatched(ptrs, au, ws.union_scratch, rng)
-            : AppUnion(ptrs, au, rng);
+    AppUnionOutcome outcome = AppUnionBatched(ptrs, au, ws.union_scratch, rng);
     ++ws.diag.appunion_calls;
     ws.diag.appunion_trials += outcome.completed_trials;
     ws.diag.membership_checks += outcome.membership_checks;
@@ -380,8 +320,6 @@ void FprasEngine::UnionSizesInto(int level, const Bitset& state_set,
     sizes[static_cast<size_t>(c)] =
         static_cast<double>(classes.Weight(c)) * outcome.estimate;
   }
-
-  if (use_memo) memo_.Insert(level, state_set, sizes);
 }
 
 void FprasEngine::RunWalkBatch(int level, const Bitset& state_set, double phi0,
@@ -485,15 +423,8 @@ void FprasEngine::RunWalkBatch(int level, const Bitset& state_set, double phi0,
           row_cached = descent_.LookupRow(i, ar.descent_scratch, c, out_row);
         }
         if (!row_cached) {
-          if (params_.csr_hot_path) {
-            unrolled_.PredSetWordsInto(ar.cur.Row(g), rep, i, out_row,
-                                       *kernels_);
-          } else {
-            ar.expand_scratch.AssignWords(ar.cur.Row(g), row_words);
-            Bitset preds = unrolled_.PredSetLegacy(ar.expand_scratch, rep, i);
-            std::copy(preds.words().data(), preds.words().data() + row_words,
-                      out_row);
-          }
+          unrolled_.PredSetWordsInto(ar.cur.Row(g), rep, i, out_row,
+                                     *kernels_);
           if (use_descent) {
             descent_.InsertRow(i, ar.descent_scratch, c, out_row);
           }
@@ -561,23 +492,16 @@ void FprasEngine::AppendAcceptedWalk(int level, int walk, WorkerScratch& ws,
                                      SampleBlock* block) {
   SampleArena& ar = ws.arena;
   const Symbol* word = ar.WordOf(walk);
-  if (params_.csr_hot_path) {
-    // Fused profile pass: forward over the arena scratch, no allocation and
-    // no second simulation through MakeSample.
-    ar.profile_cur.Clear();
-    ar.profile_cur.Set(static_cast<size_t>(nfa_->initial()));
-    for (int j = 0; j < level; ++j) {
-      unrolled_.SuccSetWordsInto(ar.profile_cur.words().data(), word[j],
-                                 ar.profile_next.mutable_words(), *kernels_);
-      std::swap(ar.profile_cur, ar.profile_next);
-    }
-    block->Append(word, ar.profile_cur.words().data());
-  } else {
-    // Legacy layout: profile via the pointer-walk oracle (the E11 baseline
-    // cost), same bits.
-    Bitset reach = nfa_->Reach(Word(word, word + level));
-    block->Append(word, reach.words().data());
+  // Fused profile pass: forward over the arena scratch, no allocation and no
+  // second simulation through MakeSample.
+  ar.profile_cur.Clear();
+  ar.profile_cur.Set(static_cast<size_t>(nfa_->initial()));
+  for (int j = 0; j < level; ++j) {
+    unrolled_.SuccSetWordsInto(ar.profile_cur.words().data(), word[j],
+                               ar.profile_next.mutable_words(), *kernels_);
+    std::swap(ar.profile_cur, ar.profile_next);
   }
+  block->Append(word, ar.profile_cur.words().data());
 }
 
 double FprasEngine::PerturbedCount(int level, Rng& rng) {
@@ -639,8 +563,7 @@ void FprasEngine::RefillSamples(StateId q, int level, WorkerScratch& ws) {
   if (shortfall > 0) {
     std::optional<Word> witness = unrolled_.WitnessWord(q, level);
     assert(witness.has_value());  // q is reachable at this level
-    const Bitset reach = params_.csr_hot_path ? unrolled_.ReachProfile(*witness)
-                                              : nfa_->Reach(*witness);
+    const Bitset reach = unrolled_.ReachProfile(*witness);
     ws.diag.padded_words += shortfall;
     slot.samples.AppendRepeat(witness->data(), reach.words().data(),
                               shortfall);
@@ -657,7 +580,8 @@ void FprasEngine::ProcessCell(StateId q, int level, WorkerScratch& ws) {
   singleton.Clear();
   singleton.Set(static_cast<size_t>(q));
   // N(q^ℓ) = Σ_b sz_b (lines 12-17). This union-size computation uses its
-  // own δ and its own substream family — it is not memo-shared with sample().
+  // own δ and its own substream family — it is not cached or shared with
+  // sample().
   std::vector<double> sizes;
   UnionSizesInto(level, singleton, params_.DeltaForCountUnion(),
                  UnionPurpose::kCount, ws, &sizes);
@@ -755,12 +679,11 @@ Status FprasEngine::Prepare() {
   for (LevelState& state : levels_) {
     state.cells.resize(static_cast<size_t>(m));
   }
-  memo_.Reset(params_.memo_capacity);
   // Descent cache: process-wide env override first (CI runs the whole tier-1
-  // suite with NFACOUNT_DESCENT_CACHE=0 to keep the cache-off fallback
-  // covered, same idiom as NFACOUNT_FORCE_SCALAR), then the params knob.
-  // Results are bit-identical at every capacity, so the override can never
-  // change what a test asserts about estimates, tables, or draws.
+  // suite with NFACOUNT_DESCENT_CACHE=0 to keep the uncached engine covered,
+  // same idiom as NFACOUNT_FORCE_SCALAR), then the params knob. Results are
+  // bit-identical at every capacity, so the override can never change what a
+  // test asserts about estimates, tables, or draws.
   int64_t descent_capacity = params_.descent_cache_capacity;
   if (const char* env = std::getenv("NFACOUNT_DESCENT_CACHE")) {
     char* end = nullptr;
@@ -886,8 +809,7 @@ double FprasEngine::EstimateUnionOfStates(const Bitset& targets, int level,
   inputs.clear();
   alive.ForEachSet([&](int q) {
     inputs.push_back(PredecessorInput{&levels_[level].cells[q],
-                                      static_cast<StateId>(q), nfa_,
-                                      params_.amortize_oracle});
+                                      static_cast<StateId>(q), nfa_});
   });
   std::vector<const PredecessorInput*>& ptrs = ws.union_ptrs;
   ptrs.clear();
@@ -897,10 +819,7 @@ double FprasEngine::EstimateUnionOfStates(const Bitset& targets, int level,
   // union agree exactly (e.g. the all-lengths slice at n equals Estimate()).
   Rng rng = Rng::ForSubstream(seed_, HashCombine(kFinalUnionTag, alive.Hash()),
                               static_cast<uint64_t>(level));
-  AppUnionOutcome outcome =
-      (params_.csr_hot_path && params_.amortize_oracle)
-          ? AppUnionBatched(ptrs, au, ws.union_scratch, rng)
-          : AppUnion(ptrs, au, rng);
+  AppUnionOutcome outcome = AppUnionBatched(ptrs, au, ws.union_scratch, rng);
   ++ws.diag.appunion_calls;
   ws.diag.appunion_trials += outcome.completed_trials;
   ws.diag.membership_checks += outcome.membership_checks;
@@ -922,8 +841,8 @@ double FprasEngine::EstimateAtLength(int level) {
 
 FprasEngine::CacheCounters FprasEngine::cache_counters() const {
   CacheCounters c;
-  c.memo_hits = memo_.hits();
-  c.memo_misses = memo_.misses();
+  c.memo_hits = descent_.size_hits();
+  c.memo_misses = descent_.size_misses();
   c.descent_hits = descent_.hits();
   c.descent_misses = descent_.misses();
   c.descent_entries = descent_.entries();
@@ -1030,49 +949,38 @@ std::optional<Word> FprasEngine::SampleAcceptedWord() {
 // Facade
 // ---------------------------------------------------------------------------
 
-namespace {
-
-/// Copies the CountOptions behavior flags onto derived params.
-void ApplyOptionFlags(const CountOptions& options, FprasParams* params) {
-  params->perturb_support = options.perturb_support;
-  params->memoize_unions = options.memoize_unions;
-  params->amortize_oracle = options.amortize_oracle;
-  params->recycle_samples = options.recycle_samples;
-  params->csr_hot_path = options.csr_hot_path;
-  params->num_threads = options.num_threads;
-  params->batch_width = options.batch_width;
-  params->simd_kernels = options.simd_kernels;
+Result<FprasParams> ParamsFromOptions(const CountOptions& options, int m,
+                                      int n) {
+  FprasParams params;
+  NFA_ASSIGN_OR_RETURN(params,
+                       FprasParams::Make(options.schedule, m, n, options.eps,
+                                         options.delta, options.calibration));
+  params.perturb_support = options.perturb_support;
+  params.recycle_samples = options.recycle_samples;
+  params.num_threads = options.num_threads;
+  params.batch_width = options.batch_width;
+  params.simd_kernels = options.simd_kernels;
   if (options.descent_cache_capacity >= 0) {
-    params->descent_cache_capacity = options.descent_cache_capacity;
+    params.descent_cache_capacity = options.descent_cache_capacity;
   }
-  params->symbol_classes = options.symbol_classes;
+  params.symbol_classes = options.symbol_classes;
+  return params;
 }
-
-}  // namespace
 
 Result<CountEstimate> ApproxCount(const Nfa& nfa, int n,
                                   const CountOptions& options) {
   NFA_RETURN_NOT_OK(nfa.Validate());
   if (n < 0) return Status::Invalid("n must be >= 0");
 
+  FprasParams params;
+  NFA_ASSIGN_OR_RETURN(params, ParamsFromOptions(options, nfa.num_states(), n));
   CountEstimate out;
   if (n == 0) {
     // L(A_0) = {λ} iff the initial state accepts.
     out.estimate = nfa.IsAccepting(nfa.initial()) ? 1.0 : 0.0;
-    FprasParams p;
-    NFA_ASSIGN_OR_RETURN(p, FprasParams::Make(options.schedule, nfa.num_states(), 0,
-                                              options.eps, options.delta,
-                                              options.calibration));
-    out.params = p;
+    out.params = params;
     return out;
   }
-
-  FprasParams params;
-  NFA_ASSIGN_OR_RETURN(params,
-                       FprasParams::Make(options.schedule, nfa.num_states(), n,
-                                         options.eps, options.delta,
-                                         options.calibration));
-  ApplyOptionFlags(options, &params);
 
   FprasEngine engine(&nfa, params, options.seed);
   NFA_RETURN_NOT_OK(engine.Run());
@@ -1093,12 +1001,7 @@ Result<std::vector<double>> ApproxCountAllLengths(const Nfa& nfa, int n,
   }
 
   FprasParams params;
-  NFA_ASSIGN_OR_RETURN(params,
-                       FprasParams::Make(options.schedule, nfa.num_states(), n,
-                                         options.eps, options.delta,
-                                         options.calibration));
-  ApplyOptionFlags(options, &params);
-
+  NFA_ASSIGN_OR_RETURN(params, ParamsFromOptions(options, nfa.num_states(), n));
   FprasEngine engine(&nfa, params, options.seed);
   NFA_RETURN_NOT_OK(engine.Run());
   for (int level = 0; level <= n; ++level) {

@@ -38,7 +38,7 @@
 // (Rng::ForSubstream(seed, q, ℓ)), and every union-size estimation draws from
 // a substream keyed by its *content* (purpose, level, P-set). Estimates,
 // samples, and per-(q,ℓ) tables are therefore bit-identical for every
-// num_threads value, including 1; only scheduling-dependent counters (memo
+// num_threads value, including 1; only scheduling-dependent counters (cache
 // hits/misses, appunion_calls) may differ between thread counts.
 //
 // Resumable pipeline (docs/ARCHITECTURE.md "Engine lifecycle & incremental
@@ -57,9 +57,9 @@
 // workers, and computed_level_ is an atomic, so ONE extending thread
 // (RunToLevel) may run concurrently with draw/read threads as long as the
 // readers only touch levels the extender has already finished: frozen
-// LevelStates are immutable, the union memo and descent cache are internally
-// locked, and every estimate is content-keyed, so the interleaving is
-// invisible in all results. Callers provide the level-visibility fence (the
+// LevelStates are immutable, the descent cache is internally locked, and
+// every estimate is content-keyed, so the interleaving is invisible in all
+// results. Callers provide the level-visibility fence (the
 // EngineSession read plane publishes levels with release/acquire ordering)
 // and must serialize draws among themselves (post_attempt_counter_ is a
 // plain cursor); diagnostics() still requires quiescence.
@@ -91,19 +91,21 @@ namespace nfacount {
 struct FprasDiagnostics {
   int64_t appunion_calls = 0;   ///< AppUnion invocations (Alg. 1 entries)
   int64_t appunion_trials = 0;  ///< completed AppUnion trials across calls
-  /// Membership probes answered. On the batched hot path each trial counts
-  /// its full prefix length i (the probes one mask intersection answers);
-  /// the legacy loop counts probes until the first hit, so the batched
-  /// number is an upper bound of the legacy one on the same run.
+  /// Membership probes answered: each AppUnion trial drawn from input i
+  /// counts its full prefix length i (the probes one batched prefix-mask
+  /// intersection answers).
   int64_t membership_checks = 0;
   int64_t starvations = 0;      ///< AppUnion Line-8 events
+  /// Union-size probes of the descent cache (DescentCache::LookupSizes):
+  /// sample-path (level, frontier) union-size vectors found in the cache vs
+  /// estimated fresh. Both stay 0 when the cache is disabled (capacity 0).
+  /// Scheduling-dependent: two threads can both miss on a key a sequential
+  /// run would hit once; results never move (the cache is pure).
   int64_t memo_hits = 0;
   int64_t memo_misses = 0;
-  /// DescentCache probes answered from the cache (sizes and predecessor
-  /// rows combined) vs computed fresh. Scheduling-dependent like the memo
-  /// counters; additionally, a descent hit bypasses the union memo entirely,
-  /// so memo traffic shrinks when the descent cache is enabled (results
-  /// never move — both are pure caches of content-keyed computations).
+  /// All DescentCache probes answered from the cache vs computed fresh:
+  /// union-size vectors and predecessor rows combined (so descent_hits ≥
+  /// memo_hits). Scheduling-dependent like memo_hits/memo_misses.
   int64_t descent_hits = 0;
   int64_t descent_misses = 0;
   int64_t descent_entries = 0;  ///< admitted (level, frontier) cache entries
@@ -145,26 +147,20 @@ struct StateLevelData {
   SampleBlock samples;         ///< S(q^ℓ), count() == ns once filled
 };
 
-/// AppUnion input adapter over one predecessor's (S, N) pair. Samples come
-/// out of the cell's flat SampleBlock as SampleRef spans; membership of a
-/// stored word σ in L(p^{|σ|}) is a bit probe on its reach-profile span, or
-/// a full re-simulation when oracle amortization is ablated.
-/// owner()/universe() additionally satisfy the AppUnionBatched concept
-/// (prefix-mask coverage over the state-id universe). Engine-internal; lives
-/// here only so WorkerScratch can hold reusable vectors of it.
+/// AppUnionBatched input adapter over one predecessor's (S, N) pair. Samples
+/// come out of the cell's flat SampleBlock as SampleRef spans, and
+/// membership of a stored word σ in L(p^{|σ|}) is bit p of its reach-profile
+/// span — owner()/universe() give the prefix-mask coverage over the state-id
+/// universe. Engine-internal; lives here only so WorkerScratch can hold
+/// reusable vectors of it.
 struct PredecessorInput {
   const StateLevelData* data;
   StateId state;
   const Nfa* nfa;
-  bool amortized;
 
   double size_estimate() const { return data->count_estimate; }
   int64_t num_samples() const { return data->samples.count(); }
   SampleRef Sample(int64_t idx) const { return data->samples.At(idx); }
-  bool Contains(const SampleRef& sample) const {
-    if (amortized) return sample.ProfileTest(state);
-    return nfa->Reach(sample.ToWord()).Test(state);
-  }
   int owner() const { return static_cast<int>(state); }
   size_t universe() const { return static_cast<size_t>(nfa->num_states()); }
 };
@@ -183,64 +179,6 @@ struct LevelState {
   bool computed() const { return level >= 0; }
 };
 
-/// Sharded, thread-safe cache of sample-context union-size vectors keyed by
-/// (level, P-set). Because UnionSizes draws from a content-keyed RNG
-/// substream, a cached vector is exactly what recomputation would produce —
-/// the memo is a pure cache shared freely across worker threads without
-/// affecting any estimate. Only the atomic hit/miss counters are
-/// scheduling-dependent (two threads can both miss on a key a sequential run
-/// would hit once).
-class UnionSizeMemo {
- public:
-  /// Clears all shards and counters; caps the total entry count.
-  void Reset(int64_t capacity);
-
-  /// If (level, set) is cached, copies the sizes into *out and returns true.
-  /// Counts one hit or miss.
-  bool Lookup(int level, const Bitset& set, std::vector<double>* out);
-
-  /// Caches (level, set) → sizes unless capacity is reached (first writer
-  /// wins; concurrent inserts of the same key carry identical values).
-  void Insert(int level, const Bitset& set, const std::vector<double>& sizes);
-
-  int64_t hits() const { return hits_.load(std::memory_order_relaxed); }
-  int64_t misses() const { return misses_.load(std::memory_order_relaxed); }
-  int64_t entries() const { return entries_.load(std::memory_order_relaxed); }
-
- private:
-  struct Key {
-    int level;
-    Bitset set;
-    bool operator==(const Key& other) const {
-      return level == other.level && set == other.set;
-    }
-  };
-  struct KeyHash {
-    size_t operator()(const Key& key) const {
-      return static_cast<size_t>(
-          HashCombine(static_cast<uint64_t>(key.level), key.set.Hash()));
-    }
-  };
-  struct Shard {
-    std::mutex mu;
-    std::unordered_map<Key, std::vector<double>, KeyHash> map;
-  };
-
-  static constexpr int kNumShards = 16;
-
-  Shard& ShardFor(int level, const Bitset& set) {
-    return shards_[static_cast<size_t>(
-        HashCombine(static_cast<uint64_t>(level), set.Hash()) %
-        kNumShards)];
-  }
-
-  std::array<Shard, kNumShards> shards_;
-  int64_t capacity_ = 0;
-  std::atomic<int64_t> entries_{0};
-  std::atomic<int64_t> hits_{0};
-  std::atomic<int64_t> misses_{0};
-};
-
 /// Sharded, capacity-bounded cache of the per-(level, frontier-set) descent
 /// work the lockstep sampling plane repeats across refill batches, cells, and
 /// post-run draws: the per-symbol-class union-size vector (what Alg. 2 lines
@@ -256,11 +194,16 @@ class UnionSizeMemo {
 /// therefore bit-identical with the cache on, off, or at any capacity; only
 /// the atomic hit/miss counters are scheduling-dependent.
 ///
+/// This is the engine's only (level, frontier) cache: the sample-path union
+/// sizes are looked up here before UnionSizesInto runs, so a capacity of 0
+/// is the truly uncached reference (every descent step re-estimates its
+/// union sizes and re-expands its predecessor rows).
+///
 /// Capacity discipline: entries are admitted by InsertSizes under the shard
-/// lock against a shared budget (a CAS reservation on entries_, the fix the
-/// union memo also received — no overshoot under concurrency). Predecessor
-/// rows piggyback on already-admitted entries only (InsertRow never creates
-/// an entry), so one budget bounds both. A capacity of 0 disables the cache.
+/// lock against a shared budget (a CAS reservation on entries_ — no
+/// overshoot under concurrency). Predecessor rows piggyback on
+/// already-admitted entries only (InsertRow never creates an entry), so one
+/// budget bounds both. A capacity of 0 disables the cache.
 class DescentCache {
  public:
   /// Clears all shards and counters and fixes the geometry: row_words words
@@ -272,7 +215,7 @@ class DescentCache {
   bool enabled() const { return capacity_ > 0; }
 
   /// If (level, set) is cached, copies its per-class sizes into *out and
-  /// returns true. Counts one hit or miss.
+  /// returns true. Counts one size-probe hit or miss.
   bool LookupSizes(int level, const Bitset& set, std::vector<double>* out);
 
   /// Admits (level, set) → sizes unless the budget is exhausted (first
@@ -283,7 +226,7 @@ class DescentCache {
 
   /// If the expanded row of symbol class `symbol_class` at `level` is
   /// cached, copies its row_words words into out_row and returns true.
-  /// Counts one hit or miss.
+  /// Counts one row-probe hit or miss.
   bool LookupRow(int level, const Bitset& set, int symbol_class,
                  uint64_t* out_row);
 
@@ -293,8 +236,20 @@ class DescentCache {
   void InsertRow(int level, const Bitset& set, int symbol_class,
                  const uint64_t* row);
 
-  int64_t hits() const { return hits_.load(std::memory_order_relaxed); }
-  int64_t misses() const { return misses_.load(std::memory_order_relaxed); }
+  /// All probes, sizes and rows combined.
+  int64_t hits() const {
+    return size_hits() + row_hits_.load(std::memory_order_relaxed);
+  }
+  int64_t misses() const {
+    return size_misses() + row_misses_.load(std::memory_order_relaxed);
+  }
+  /// The LookupSizes share of hits()/misses().
+  int64_t size_hits() const {
+    return size_hits_.load(std::memory_order_relaxed);
+  }
+  int64_t size_misses() const {
+    return size_misses_.load(std::memory_order_relaxed);
+  }
   int64_t entries() const { return entries_.load(std::memory_order_relaxed); }
   int64_t bytes() const { return bytes_.load(std::memory_order_relaxed); }
 
@@ -339,8 +294,10 @@ class DescentCache {
   int symbol_rows_ = 0;
   std::atomic<int64_t> entries_{0};
   std::atomic<int64_t> bytes_{0};
-  std::atomic<int64_t> hits_{0};
-  std::atomic<int64_t> misses_{0};
+  std::atomic<int64_t> size_hits_{0};
+  std::atomic<int64_t> size_misses_{0};
+  std::atomic<int64_t> row_hits_{0};
+  std::atomic<int64_t> row_misses_{0};
 };
 
 /// The FPRAS over a fixed (NFA, horizon n), organized as a resumable
@@ -472,18 +429,18 @@ class FprasEngine {
 
   const FprasParams& params() const { return params_; }
 
-  /// Merged snapshot of the per-worker counters plus the memo's atomic
-  /// hit/miss counts; includes post-Run() sampling activity.
+  /// Merged snapshot of the per-worker counters plus the descent cache's
+  /// atomic hit/miss counts; includes post-Run() sampling activity.
   const FprasDiagnostics& diagnostics() const;
 
   const UnrolledNfa& unrolled() const { return unrolled_; }
 
-  /// Snapshot of the shared caches' atomic counters (union memo + descent
-  /// cache). Unlike diagnostics(), this reads only atomics and is safe to
-  /// call from any thread at any time — it is the serve-mode stats surface.
+  /// Snapshot of the descent cache's atomic counters. Unlike diagnostics(),
+  /// this reads only atomics and is safe to call from any thread at any
+  /// time — it is the serve-mode stats surface.
   struct CacheCounters {
-    int64_t memo_hits = 0;       ///< UnionSizeMemo hits
-    int64_t memo_misses = 0;     ///< UnionSizeMemo misses
+    int64_t memo_hits = 0;       ///< DescentCache union-size probe hits
+    int64_t memo_misses = 0;     ///< DescentCache union-size probe misses
     int64_t descent_hits = 0;    ///< DescentCache hits (sizes + rows)
     int64_t descent_misses = 0;  ///< DescentCache misses
     int64_t descent_entries = 0; ///< admitted DescentCache entries
@@ -519,7 +476,7 @@ class FprasEngine {
   /// Which substream family a union-size estimation draws from. The count
   /// path (Alg. 3 line 15) and the sample path (Alg. 2 lines 8-11) use
   /// distinct δ parameters and must not share randomness; only the sample
-  /// path is memo-shared.
+  /// path is cached (by RunWalkBatch, in the descent cache).
   enum class UnionPurpose { kCount, kSample };
 
   /// The per-symbol-class decomposition of ∪_{q∈P} L(q^level) (Alg. 2 lines
@@ -531,7 +488,7 @@ class FprasEngine {
   /// of *out is reused across calls. Each class draws from a substream keyed
   /// by (purpose, level, predecessor-set content), so the result is a
   /// deterministic function of the engine seed and the arguments —
-  /// independent of caller, thread, and memo state — and classes that share
+  /// independent of caller, thread, and cache state — and classes that share
   /// a predecessor set share the draws (duplicate content costs no fresh
   /// randomness).
   void UnionSizesInto(int level, const Bitset& state_set, double delta_param,
@@ -623,10 +580,9 @@ class FprasEngine {
   /// serve-mode readers can poll it against a concurrently extending writer;
   /// AdvanceLevel stores with release ordering after freezing the level.
   std::atomic<int> computed_level_{-1};
-  UnionSizeMemo memo_;  ///< sample-context union sizes, shared across workers
   /// Cross-batch descent cache (sizes + predecessor rows per (level,
-  /// frontier)), shared across workers like the memo. Reset by Prepare()
-  /// from params_.descent_cache_capacity.
+  /// frontier)), shared across workers. Reset by Prepare() from
+  /// params_.descent_cache_capacity.
   DescentCache descent_;
   double final_estimate_ = 0.0;
   double run_wall_seconds_ = 0.0;
@@ -648,10 +604,7 @@ struct CountOptions {
   Calibration calibration = Calibration::Practical();
   uint64_t seed = 0x5eedf00dULL;  ///< seed of the whole randomized run
   bool perturb_support = true;  ///< see FprasParams::perturb_support
-  bool memoize_unions = true;   ///< see FprasParams::memoize_unions
-  bool amortize_oracle = true;  ///< see FprasParams::amortize_oracle
   bool recycle_samples = true;  ///< see FprasParams::recycle_samples
-  bool csr_hot_path = true;     ///< see FprasParams::csr_hot_path
   /// Level-sweep worker threads (1 = sequential, 0 = all hardware threads).
   /// Bit-identical results for every value; see FprasParams::num_threads.
   int num_threads = 1;
@@ -679,6 +632,13 @@ struct CountEstimate {
   FprasParams params;           ///< fully derived parameters of the run
   FprasDiagnostics diagnostics; ///< counters accumulated over the run
 };
+
+/// Derives the parameters of a run at horizon `n` over an `m`-state automaton
+/// (FprasParams::Make) and copies every behavior and runtime knob of
+/// `options` onto them — the one CountOptions → FprasParams mapping shared by
+/// ApproxCount, ApproxCountAllLengths, and EngineSession::Create.
+Result<FprasParams> ParamsFromOptions(const CountOptions& options, int m,
+                                      int n);
 
 /// The headline API: (ε,δ)-approximation of |L(A_n)| (Theorem 3).
 Result<CountEstimate> ApproxCount(const Nfa& nfa, int n,

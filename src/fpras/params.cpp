@@ -120,9 +120,6 @@ std::string FprasParams::ToString() const {
      << ", eps=" << eps << ", delta=" << delta << ", beta=" << beta
      << ", eta=" << eta << ", ns=" << ns << ", xns=" << xns
      << ", perturb=" << (perturb_support ? 1 : 0)
-     << ", memoize=" << (memoize_unions ? 1 : 0)
-     << ", amortize=" << (amortize_oracle ? 1 : 0)
-     << ", csr=" << (csr_hot_path ? 1 : 0)
      << ", classes=" << (symbol_classes ? 1 : 0)
      << ", threads=" << num_threads
      << ", batch=" << ResolvedBatchWidth()

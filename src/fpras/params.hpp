@@ -68,24 +68,13 @@ struct FprasParams {
 
   Calibration calibration;
 
-  // Behavior flags (DESIGN.md §4; each ablated in E9).
+  // Behavior flags (DESIGN.md §4; each ablated in E9). Both change results.
   bool perturb_support = true; ///< Alg. 3 lines 16-19 resampling branch
-  bool memoize_unions = true;  ///< cache sz_b by (level, P-set) across samples
-  bool amortize_oracle = true; ///< reach-profile membership (vs recompute)
   /// Under calibration, AppUnion trial counts can exceed sample-list lengths,
   /// which would make the paper's Line-8 starvation systematic; recycling the
   /// lists keeps the Y/t estimator unbiased (see union_mc.hpp). Set false to
   /// get the paper's literal break-out behavior.
   bool recycle_samples = true;
-  /// Run the per-operation hot path on the flat layout: CSR/mask predecessor
-  /// expansion (UnrolledNfa::PredSetInto), batched membership + prefix-sum
-  /// trial draws in AppUnion (AppUnionBatched), and CSR reach profiles for
-  /// stored samples. Set false for the legacy pointer-walk versions of those
-  /// operations — the E11 old-vs-new baseline. One-time work (CSR
-  /// construction, level reachability, witness extraction) always uses the
-  /// flat layout. Both settings consume identical RNG streams, so flipping
-  /// this never changes an estimate, only its cost.
-  bool csr_hot_path = true;
   /// Worker threads of the level-sweep executor (Algorithm 3's per-level
   /// (q,ℓ) fan-out). 1 = sequential in the calling thread; 0 = all hardware
   /// threads. Estimates, samples, and per-(q,ℓ) tables are bit-identical for
@@ -121,17 +110,16 @@ struct FprasParams {
     return batch_width == 0 ? kDefaultBatchWidth : batch_width;
   }
 
-  int64_t memo_capacity = int64_t{1} << 20;  ///< max cached (level, P) entries
-
   /// Default entry budget of the cross-batch descent cache.
   static constexpr int64_t kDefaultDescentCacheCapacity = int64_t{1} << 20;
 
   /// Max (level, frontier-set) entries of the cross-batch descent cache
-  /// (fpras/estimator.hpp DescentCache): memoized per-symbol union sizes and
-  /// predecessor-row expansions shared across refill batches, cells, and
-  /// post-run draws. 0 disables the cache. Like the union memo, the cache is
-  /// pure — estimates, tables, and draws are bit-identical at every
-  /// capacity; the knob only trades memory for repeated descent work.
+  /// (fpras/estimator.hpp DescentCache), the engine's only union-size cache:
+  /// memoized per-symbol union sizes and predecessor-row expansions shared
+  /// across refill batches, cells, and post-run draws. 0 caches nothing —
+  /// the uncached reference, roughly 100x slower. The cache is pure —
+  /// estimates, tables, and draws are bit-identical at every capacity; the
+  /// knob only trades memory for repeated descent work.
   /// Runtime-only (not serialized into checkpoints — carried by
   /// SessionKnobs on restore); NFACOUNT_DESCENT_CACHE overrides it
   /// process-wide.
@@ -144,7 +132,7 @@ struct FprasParams {
   /// (ε,δ) envelope at either setting — each class's size estimate is
   /// mathematically the per-symbol value every member would get — but the
   /// two settings consume different content-keyed RNG substreams, so
-  /// per-seed results are NOT bit-identical across the flip (unlike
+  /// per-seed results are NOT bit-identical across the flip (unlike the
   /// threads/batch/simd/cache knobs; at a FIXED setting all of those remain
   /// bit-identical). Serialized into checkpoints (v2); overridable on
   /// resume via SessionKnobs::symbol_classes and process-wide via

@@ -41,7 +41,6 @@ void SampleArena::PrepareRun(int max_batch, int max_word_len, size_t bits,
   if (frontier_scratch.size() != bits) {
     frontier_scratch = Bitset(bits);
     descent_scratch = Bitset(bits);
-    expand_scratch = Bitset(bits);
     profile_cur = Bitset(bits);
     profile_next = Bitset(bits);
   }

@@ -133,12 +133,11 @@ class SampleArena {
   std::vector<int32_t> child_of;  ///< group × C → next-level group id
 
   // Scratch bitsets bridging plane rows into Bitset-taking APIs.
-  Bitset frontier_scratch;  ///< group frontier view (UnionSizes, memo key)
+  Bitset frontier_scratch;  ///< group frontier view (UnionSizes, cache key)
   /// Descent-cache row-probe key. Separate from frontier_scratch because a
   /// group's symbol expansions can run after later groups have already
   /// overwritten frontier_scratch with their own size-estimation keys.
   Bitset descent_scratch;
-  Bitset expand_scratch;    ///< legacy-layout expansion input
   Bitset profile_cur;       ///< fused forward reach-profile pass
   Bitset profile_next;
 

@@ -13,7 +13,6 @@ Result<WordSampler> WordSampler::Build(const Nfa& nfa, int n,
                                          std::max(n, 1), options.eps,
                                          options.delta, options.calibration));
   params.n = n == 0 ? 0 : params.n;
-  params.csr_hot_path = options.csr_hot_path;
   params.num_threads = options.num_threads;
   params.batch_width = options.batch_width;
   params.simd_kernels = options.simd_kernels;

@@ -4,9 +4,7 @@
 // retries Algorithm 2 until it returns a word (Theorem 2(2): each attempt
 // succeeds with probability ≥ 2/(3e²) given accurate tables).
 //
-// Draws run on the engine's flat CSR hot path (see automata/unrolled.hpp) by
-// default; SamplerOptions::csr_hot_path re-enables the legacy pointer-walk
-// layout for the E11 old-vs-new benchmark.
+// Draws run on the engine's flat CSR hot path (see automata/unrolled.hpp).
 
 #ifndef NFACOUNT_FPRAS_SAMPLER_HPP_
 #define NFACOUNT_FPRAS_SAMPLER_HPP_
@@ -32,9 +30,6 @@ struct SamplerOptions {
   /// Give up after this many rejected attempts per draw (well beyond the
   /// Theorem 2(2) bound; exceeding it indicates inaccurate tables).
   int max_attempts_per_draw = 4096;
-  /// Run draws on the CSR/batched-membership hot path (false = legacy
-  /// layout; identical distribution, only slower — see FprasParams).
-  bool csr_hot_path = true;
   /// Worker threads of the table-building FPRAS run (1 = sequential, 0 = all
   /// hardware threads). Tables, estimates, and every subsequent draw are
   /// bit-identical for any value — see FprasParams::num_threads.

@@ -46,22 +46,8 @@ Result<EngineSession> EngineSession::Create(const Nfa& nfa, int horizon,
   if (horizon < 0) return Status::Invalid("horizon must be >= 0");
 
   FprasParams params;
-  NFA_ASSIGN_OR_RETURN(
-      params, FprasParams::Make(options.schedule, nfa.num_states(), horizon,
-                                options.eps, options.delta,
-                                options.calibration));
-  params.perturb_support = options.perturb_support;
-  params.memoize_unions = options.memoize_unions;
-  params.amortize_oracle = options.amortize_oracle;
-  params.recycle_samples = options.recycle_samples;
-  params.csr_hot_path = options.csr_hot_path;
-  params.num_threads = options.num_threads;
-  params.batch_width = options.batch_width;
-  params.simd_kernels = options.simd_kernels;
-  if (options.descent_cache_capacity >= 0) {
-    params.descent_cache_capacity = options.descent_cache_capacity;
-  }
-  params.symbol_classes = options.symbol_classes;
+  NFA_ASSIGN_OR_RETURN(params,
+                       ParamsFromOptions(options, nfa.num_states(), horizon));
 
   auto owned = std::make_unique<Nfa>(nfa);
   auto engine =

@@ -21,10 +21,11 @@
 //
 // Determinism contract (inherited from the engine's content-keyed RNG
 // substreams): a session extended incrementally, resumed from a checkpoint —
-// even on different num_threads / batch_width / SIMD / layout knobs — and a
-// fresh uninterrupted run at the same (nfa, horizon, eps, delta, schedule,
-// calibration, seed) produce bit-identical estimates, per-(q,ℓ) tables, and
-// draw sequences (tests/test_session.cpp, tests/test_checkpoint.cpp).
+// even on different num_threads / batch_width / SIMD / descent-cache knobs —
+// and a fresh uninterrupted run at the same (nfa, horizon, eps, delta,
+// schedule, calibration, seed) produce bit-identical estimates, per-(q,ℓ)
+// tables, and draw sequences (tests/test_session.cpp,
+// tests/test_checkpoint.cpp).
 //
 // Concurrent-read seam (serve mode, docs/ARCHITECTURE.md "Serve mode"): the
 // Shared* accessors answer queries from the published prefix of computed
@@ -53,7 +54,7 @@
 namespace nfacount {
 
 /// Runtime knobs that may be changed when resuming a session: worker
-/// threads, lockstep batch width, kernel table, transition layout, and the
+/// threads, lockstep batch width, kernel table, descent-cache budget, and the
 /// symbol-class layer. All except `symbol_classes` can never change a result
 /// — only wall-clock time; `symbol_classes` is envelope-preserving rather
 /// than bit-preserving (see FprasParams::symbol_classes).
@@ -61,7 +62,6 @@ struct SessionKnobs {
   int num_threads = 1;       ///< see FprasParams::num_threads
   int batch_width = 0;       ///< see FprasParams::batch_width (0 = default)
   bool simd_kernels = true;  ///< see FprasParams::simd_kernels
-  bool csr_hot_path = true;  ///< see FprasParams::csr_hot_path
   /// Descent-cache entry budget for the resumed session (-1 keeps the
   /// built-in default). Runtime-only like the other knobs: checkpoints do
   /// not serialize it, and results are bit-identical at every value. See

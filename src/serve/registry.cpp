@@ -12,6 +12,27 @@
 namespace nfacount {
 namespace serve {
 
+namespace {
+
+/// CountOptions of a session the registry creates or rebuilds: the session's
+/// own accuracy, seed, and symbol-class setting plus the registry-wide
+/// runtime knobs.
+CountOptions SessionOptions(const SessionKnobs& knobs, double eps,
+                            double delta, uint64_t seed, bool symbol_classes) {
+  CountOptions co;
+  co.eps = eps;
+  co.delta = delta;
+  co.seed = seed;
+  co.num_threads = knobs.num_threads;
+  co.batch_width = knobs.batch_width;
+  co.simd_kernels = knobs.simd_kernels;
+  co.descent_cache_capacity = knobs.descent_cache_capacity;
+  co.symbol_classes = symbol_classes;
+  return co;
+}
+
+}  // namespace
+
 SessionRegistry::SessionRegistry(RegistryOptions options)
     : options_(std::move(options)) {
   SweepOrphanedTmps();
@@ -77,20 +98,12 @@ Status SessionRegistry::Register(const std::string& name,
     }
   }
 
-  CountOptions co;
-  co.eps = eps;
-  co.delta = delta;
-  co.seed = seed;
-  co.num_threads = options_.knobs.num_threads;
-  co.batch_width = options_.knobs.batch_width;
-  co.simd_kernels = options_.knobs.simd_kernels;
-  co.csr_hot_path = options_.knobs.csr_hot_path;
-  co.descent_cache_capacity = options_.knobs.descent_cache_capacity;
-  if (options_.knobs.symbol_classes >= 0) {
-    co.symbol_classes = options_.knobs.symbol_classes != 0;
-  }
-  Result<EngineSession> created =
-      EngineSession::Create(std::move(parsed).value(), horizon, co);
+  // A new session keeps the class layer on unless the knobs override it.
+  const bool symbol_classes = options_.knobs.symbol_classes < 0 ||
+                              options_.knobs.symbol_classes != 0;
+  Result<EngineSession> created = EngineSession::Create(
+      std::move(parsed).value(), horizon,
+      SessionOptions(options_.knobs, eps, delta, seed, symbol_classes));
   if (!created.ok()) return created.status();
 
   auto slot = std::make_unique<Slot>();
@@ -248,17 +261,10 @@ Result<EngineSession> SessionRegistry::CreateFromTuple(
     const Slot& slot) const {
   Result<Nfa> parsed = ParseNfaText(slot.nfa_text);
   if (!parsed.ok()) return parsed.status();
-  CountOptions co;
-  co.eps = slot.eps;
-  co.delta = slot.delta;
-  co.seed = slot.seed;
-  co.num_threads = options_.knobs.num_threads;
-  co.batch_width = options_.knobs.batch_width;
-  co.simd_kernels = options_.knobs.simd_kernels;
-  co.csr_hot_path = options_.knobs.csr_hot_path;
-  co.descent_cache_capacity = options_.knobs.descent_cache_capacity;
-  co.symbol_classes = slot.symbol_classes;
-  return EngineSession::Create(std::move(parsed).value(), slot.horizon, co);
+  return EngineSession::Create(
+      std::move(parsed).value(), slot.horizon,
+      SessionOptions(options_.knobs, slot.eps, slot.delta, slot.seed,
+                     slot.symbol_classes));
 }
 
 void SessionRegistry::QuarantineCheckpointLocked(Slot* slot) {

@@ -77,7 +77,7 @@ class Bitset {
 
   /// Overwrites the contents from a raw word array of exactly words().size()
   /// words (tail bits must be clear). Never reallocates — the bridge from
-  /// FrontierPlane rows back into Bitset-taking APIs (memo keys, AppUnion).
+  /// FrontierPlane rows back into Bitset-taking APIs (cache keys, AppUnion).
   void AssignWords(const uint64_t* words, size_t nwords);
 
   bool operator==(const Bitset& other) const {
@@ -110,7 +110,7 @@ class Bitset {
   /// 64-bit mixing hash of the contents (size-sensitive).
   uint64_t Hash() const;
 
-  /// Raw words, little-endian bit order (for memo-cache keys).
+  /// Raw words, little-endian bit order (for cache keys).
   const std::vector<uint64_t>& words() const { return words_; }
 
   /// Mutable raw word pointer for span-kernel interop (plane sweeps). The

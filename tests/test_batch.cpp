@@ -153,14 +153,13 @@ TEST(Batch, ForcedScalarDispatchIdenticalEstimates) {
   EXPECT_EQ(active->estimate, scalar->estimate);
 }
 
-TEST(Batch, BatchWidthComposesWithThreadsAndLayout) {
-  // The three determinism contracts must hold jointly: (threads, batch,
-  // layout) all flip at once, results stay put.
+TEST(Batch, BatchWidthComposesWithThreads) {
+  // The two determinism contracts must hold jointly: (threads, batch) both
+  // flip at once, results stay put.
   Nfa nfa = SubstringNfa(Word{1, 0, 1});
   CountOptions base = BatchOpts(TestSeed(741), 1);
   CountOptions flipped = BatchOpts(TestSeed(741), 32);
   flipped.num_threads = 4;
-  flipped.csr_hot_path = false;
   Result<CountEstimate> a = ApproxCount(nfa, 8, base);
   Result<CountEstimate> b = ApproxCount(nfa, 8, flipped);
   ASSERT_TRUE(a.ok() && b.ok());

@@ -1,6 +1,6 @@
 // Binary session checkpoints: save→load→extend must be bit-identical to an
 // uninterrupted run at the same (seed, knob) point — across every
-// num_threads × batch_width × simd × csr_hot_path combination — and every
+// num_threads × batch_width × simd combination — and every
 // defective file (truncated, corrupted, wrong magic/version/endianness) must
 // be rejected with a precise Status, never loaded partially. A committed
 // golden file pins the on-disk format against accidental layout changes.
@@ -81,7 +81,7 @@ TEST(Checkpoint, RoundTripRestoresFullState) {
 
 TEST(Checkpoint, SaveLoadExtendBitIdenticalToFreshAcrossKnobGrid) {
   // The acceptance matrix: a session saved at n/2 and resumed under every
-  // (threads, batch, simd, csr) combination, then extended to n, must equal
+  // (threads, batch, simd) combination, then extended to n, must equal
   // a fresh uninterrupted run — estimates, tables, and draws.
   Rng rng(TestSeed(911));
   Nfa nfa = RandomNfa(6, 0.3, 0.35, rng);
@@ -105,37 +105,33 @@ TEST(Checkpoint, SaveLoadExtendBitIdenticalToFreshAcrossKnobGrid) {
   const int threads_grid[] = {1, 4};
   const int batch_grid[] = {1, 32};
   const bool simd_grid[] = {true, false};
-  const bool csr_grid[] = {true, false};
   for (int threads : threads_grid) {
     for (int batch : batch_grid) {
       for (bool simd : simd_grid) {
-        for (bool csr : csr_grid) {
-          SessionKnobs knobs;
-          knobs.num_threads = threads;
-          knobs.batch_width = batch;
-          knobs.simd_kernels = simd;
-          knobs.csr_hot_path = csr;
-          Result<EngineSession> resumed = EngineSession::Load(path, &knobs);
-          ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
-          ASSERT_TRUE(resumed->ExtendTo(n).ok());
-          SCOPED_TRACE(::testing::Message()
-                       << "threads=" << threads << " batch=" << batch
-                       << " simd=" << simd << " csr=" << csr);
-          for (int level = 0; level <= n; ++level) {
-            Result<double> a = fresh->CountAtLength(level);
-            Result<double> b = resumed->CountAtLength(level);
-            ASSERT_TRUE(a.ok() && b.ok());
-            EXPECT_EQ(*a, *b) << "level=" << level;
-          }
-          ExpectTablesIdentical(fresh->engine(), resumed->engine(), nfa, n);
-          // The draw stream must track the fresh session's across repeated
-          // calls — the cursor advances exactly, never batch-rounded.
-          Result<std::vector<Word>> words = resumed->SampleWords(n, 6);
-          Result<std::vector<Word>> words2 = resumed->SampleWords(n, 4);
-          ASSERT_TRUE(words.ok() && words2.ok());
-          EXPECT_EQ(*fresh_words, *words);
-          EXPECT_EQ(*fresh_words2, *words2);
+        SessionKnobs knobs;
+        knobs.num_threads = threads;
+        knobs.batch_width = batch;
+        knobs.simd_kernels = simd;
+        Result<EngineSession> resumed = EngineSession::Load(path, &knobs);
+        ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
+        ASSERT_TRUE(resumed->ExtendTo(n).ok());
+        SCOPED_TRACE(::testing::Message() << "threads=" << threads
+                                          << " batch=" << batch
+                                          << " simd=" << simd);
+        for (int level = 0; level <= n; ++level) {
+          Result<double> a = fresh->CountAtLength(level);
+          Result<double> b = resumed->CountAtLength(level);
+          ASSERT_TRUE(a.ok() && b.ok());
+          EXPECT_EQ(*a, *b) << "level=" << level;
         }
+        ExpectTablesIdentical(fresh->engine(), resumed->engine(), nfa, n);
+        // The draw stream must track the fresh session's across repeated
+        // calls — the cursor advances exactly, never batch-rounded.
+        Result<std::vector<Word>> words = resumed->SampleWords(n, 6);
+        Result<std::vector<Word>> words2 = resumed->SampleWords(n, 4);
+        ASSERT_TRUE(words.ok() && words2.ok());
+        EXPECT_EQ(*fresh_words, *words);
+        EXPECT_EQ(*fresh_words2, *words2);
       }
     }
   }
@@ -244,6 +240,71 @@ TEST(Checkpoint, PreambleDefectsGetPreciseDiagnostics) {
   ASSERT_FALSE(r3.ok());
   EXPECT_EQ(r3.status().code(), StatusCode::kInvalidArgument);
   EXPECT_NE(r3.status().message().find("endian"), std::string::npos);
+}
+
+TEST(Checkpoint, RetiredFlagBytesAreIgnored) {
+  // The parameter block keeps three reserved flag bytes and one reserved
+  // I64 where engine knobs that never changed a result used to live. Writers
+  // emit 1, 1, 1 and 2^20 there; older files may hold anything (e.g. the
+  // knobs switched off). Zero them, re-seal the FNV-1a trailer, and the
+  // resumed run must be bit-identical to the unpatched one.
+  Rng rng(TestSeed(961));
+  Nfa nfa = RandomNfa(6, 0.3, 0.35, rng);
+  const int n = 7;
+  Result<EngineSession> session =
+      EngineSession::Create(nfa, n, SessionTestOptions(TestSeed(962)));
+  ASSERT_TRUE(session.ok());
+  ASSERT_TRUE(session->ExtendTo(4).ok());
+  const std::string bytes = SerializeSessionCheckpoint(*session);
+
+  // Byte offsets (docs/FILE_FORMATS.md): 12-byte preamble, u64 seed, then
+  // the parameter block — 108 bytes of schedule/dimensions/derived values/
+  // calibration before the six flag bytes, then two I32 knobs.
+  constexpr size_t kFlags = 12 + 8 + 108;
+  constexpr size_t kReservedFlags[] = {kFlags + 1, kFlags + 2, kFlags + 4};
+  constexpr size_t kReservedI64 = kFlags + 6 + 4 + 4;
+  ASSERT_GT(bytes.size(), kReservedI64 + 8 + 8);
+  std::string patched = bytes;
+  for (size_t at : kReservedFlags) {
+    ASSERT_EQ(patched[at], 1) << "offset " << at;
+    patched[at] = 0;
+  }
+  const std::string default_capacity("\x00\x00\x10\x00\x00\x00\x00\x00", 8);
+  ASSERT_EQ(patched.substr(kReservedI64, 8), default_capacity);
+  patched.replace(kReservedI64, 8, std::string(8, '\0'));
+  // Re-seal: FNV-1a-64 over everything before the 8-byte trailer, stored
+  // little-endian.
+  const size_t body = patched.size() - 8;
+  uint64_t h = 14695981039346656037ULL;
+  for (size_t i = 0; i < body; ++i) {
+    h ^= static_cast<unsigned char>(patched[i]);
+    h *= 1099511628211ULL;
+  }
+  for (size_t i = 0; i < 8; ++i) {
+    patched[body + i] = static_cast<char>((h >> (8 * i)) & 0xff);
+  }
+  ASSERT_NE(patched, bytes);
+
+  Result<EngineSession> plain = DeserializeSessionCheckpoint(bytes);
+  Result<EngineSession> retired = DeserializeSessionCheckpoint(patched);
+  ASSERT_TRUE(plain.ok()) << plain.status().ToString();
+  ASSERT_TRUE(retired.ok()) << retired.status().ToString();
+  ASSERT_TRUE(plain->ExtendTo(n).ok());
+  ASSERT_TRUE(retired->ExtendTo(n).ok());
+  for (int level = 0; level <= n; ++level) {
+    Result<double> a = plain->CountAtLength(level);
+    Result<double> b = retired->CountAtLength(level);
+    ASSERT_TRUE(a.ok() && b.ok());
+    EXPECT_EQ(*a, *b) << "level=" << level;
+  }
+  ExpectTablesIdentical(plain->engine(), retired->engine(), nfa, n);
+  Result<std::vector<Word>> words_a = plain->SampleWords(n, 8);
+  Result<std::vector<Word>> words_b = retired->SampleWords(n, 8);
+  ASSERT_TRUE(words_a.ok() && words_b.ok());
+  EXPECT_EQ(*words_a, *words_b);
+  // Re-saving writes the reserved defaults again, whatever was read.
+  EXPECT_EQ(SerializeSessionCheckpoint(*retired),
+            SerializeSessionCheckpoint(*plain));
 }
 
 TEST(Checkpoint, MissingFileIsNotFound) {

@@ -1,10 +1,10 @@
 // Descent-cache correctness: unit behavior of the sharded DescentCache
 // (insert/lookup roundtrips, the shared-budget capacity discipline under
-// concurrency, the disabled state), the matching no-overshoot fix in
-// UnionSizeMemo, and the identity grid — estimates, per-(q,ℓ) tables, and
-// draw streams must be bit-identical with the cache on, off, or at any
-// capacity, across num_threads and batch_width (the purity contract the
-// cache is built on; see fpras/estimator.hpp DescentCache).
+// concurrency, the disabled state), and the identity grid — estimates,
+// per-(q,ℓ) tables, and draw streams must be bit-identical with the cache
+// on, off, or at any capacity, across num_threads and batch_width (the
+// purity contract the cache is built on; see fpras/estimator.hpp
+// DescentCache).
 
 #include <gtest/gtest.h>
 
@@ -54,6 +54,11 @@ TEST(DescentCacheUnit, SizesRoundTripAndCounters) {
   // Re-inserting an existing key neither duplicates nor spends budget.
   cache.InsertSizes(3, set, sizes);
   EXPECT_EQ(cache.entries(), 1);
+  // Every probe so far was a size probe: the size counters (reported as
+  // memo_hits/memo_misses) match the overall ones.
+  EXPECT_EQ(cache.size_hits(), 1);
+  EXPECT_EQ(cache.size_misses(), 2);
+  EXPECT_EQ(cache.misses(), 2);
 }
 
 TEST(DescentCacheUnit, RowsPiggybackOnAdmittedEntries) {
@@ -81,6 +86,11 @@ TEST(DescentCacheUnit, RowsPiggybackOnAdmittedEntries) {
   const int64_t bytes_after_rows = cache.bytes();
   cache.InsertRow(2, set, 1, row);
   EXPECT_EQ(cache.bytes(), bytes_after_rows);
+  // Row probes count toward hits/misses but not toward the size probes.
+  EXPECT_EQ(cache.hits(), 1);
+  EXPECT_EQ(cache.misses(), 3);
+  EXPECT_EQ(cache.size_hits(), 0);
+  EXPECT_EQ(cache.size_misses(), 0);
 }
 
 TEST(DescentCacheUnit, CapacityZeroDisables) {
@@ -117,30 +127,6 @@ TEST(DescentCacheUnit, ConcurrentInsertersNeverOvershootCapacity) {
   }
   for (std::thread& th : threads) th.join();
   EXPECT_EQ(cache.entries(), kCapacity);
-}
-
-TEST(UnionSizeMemoUnit, ConcurrentInsertersNeverOvershootCapacity) {
-  // The original bug site (satellite 2): UnionSizeMemo::Insert checked
-  // entries_ >= capacity_ before taking the shard lock, so concurrent
-  // inserters overshot the budget. Same bound, same discipline.
-  constexpr int64_t kCapacity = 64;
-  constexpr int kThreads = 8;
-  constexpr int kKeysPerThread = 256;
-  UnionSizeMemo memo;
-  memo.Reset(kCapacity);
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&memo, t] {
-      const std::vector<double> sizes = {1.0, 2.0};
-      for (int i = 0; i < kKeysPerThread; ++i) {
-        Bitset set(4096);
-        set.Set(static_cast<size_t>(t * kKeysPerThread + i));
-        memo.Insert(1, set, sizes);
-      }
-    });
-  }
-  for (std::thread& th : threads) th.join();
-  EXPECT_EQ(memo.entries(), kCapacity);
 }
 
 // ---------------------------------------------------------------------------

@@ -212,9 +212,9 @@ TEST(FailureInjection, MemoCapacityZeroStillCorrect) {
   Result<FprasParams> params = FprasParams::Make(
       Schedule::kFaster, nfa.num_states(), n, 0.35, 0.2, Calibration::Practical());
   ASSERT_TRUE(params.ok());
-  FprasParams no_memo = *params;
-  no_memo.memo_capacity = 0;  // cache always misses
-  FprasEngine engine(&nfa, no_memo, 9);
+  FprasParams no_cache = *params;
+  no_cache.descent_cache_capacity = 0;  // the cache stores nothing
+  FprasEngine engine(&nfa, no_cache, 9);
   ASSERT_TRUE(engine.Run().ok());
   EXPECT_NEAR(engine.Estimate() / 64.0, 1.0, 0.5);  // 2^{n-1}
 }

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdlib>
 #include <string>
 #include <tuple>
 
@@ -166,7 +167,11 @@ TEST(Fpras, DiagnosticsAreConsistent) {
                 d.fail_dead_branch);
   EXPECT_GT(d.states_processed, 0);
   EXPECT_GE(d.wall_seconds, 0.0);
-  EXPECT_GT(d.memo_hits + d.memo_misses, 0);
+  // memo_hits/memo_misses count descent-cache union-size probes, which a
+  // process-wide NFACOUNT_DESCENT_CACHE=0 switches off.
+  if (std::getenv("NFACOUNT_DESCENT_CACHE") == nullptr) {
+    EXPECT_GT(d.memo_hits + d.memo_misses, 0);
+  }
 }
 
 TEST(Fpras, MemoizationDoesNotChangeAccuracyButSavesWork) {
@@ -176,37 +181,26 @@ TEST(Fpras, MemoizationDoesNotChangeAccuracyButSavesWork) {
   ASSERT_TRUE(exact.ok());
   const double truth = exact->ToDouble();
 
-  CountOptions with_memo = Opts(TestSeed(77));
-  CountOptions without_memo = Opts(TestSeed(77));
-  without_memo.memoize_unions = false;
-  // The descent cache sits in front of the memo and would serve the repeated
-  // sample-path unions either way; disable it so this test isolates the memo
-  // ablation (the descent cache has its own suite, test_descent_cache.cpp).
-  with_memo.descent_cache_capacity = 0;
-  without_memo.descent_cache_capacity = 0;
+  // The descent cache is the engine's one union-size cache; capacity 0 is
+  // the uncached reference. Both runs draw from the same content-keyed
+  // substreams, so the cache may only save work, never move the estimate.
+  CountOptions cached = Opts(TestSeed(77));
+  CountOptions uncached = Opts(TestSeed(77));
+  uncached.descent_cache_capacity = 0;
 
-  Result<CountEstimate> a = ApproxCount(nfa, n, with_memo);
-  Result<CountEstimate> b = ApproxCount(nfa, n, without_memo);
+  Result<CountEstimate> a = ApproxCount(nfa, n, cached);
+  Result<CountEstimate> b = ApproxCount(nfa, n, uncached);
   ASSERT_TRUE(a.ok() && b.ok());
   EXPECT_NEAR(a->estimate / truth, 1.0, 0.5);
-  EXPECT_NEAR(b->estimate / truth, 1.0, 0.5);
-  EXPECT_GT(a->diagnostics.memo_hits, 0);
+  EXPECT_EQ(a->estimate, b->estimate);
   EXPECT_EQ(b->diagnostics.memo_hits, 0);
-  EXPECT_LT(a->diagnostics.appunion_trials, b->diagnostics.appunion_trials);
-}
-
-TEST(Fpras, OracleAmortizationAblationAgrees) {
-  Nfa nfa = ParityNfa(3);
-  const int n = 7;
-  CountOptions amortized = Opts(TestSeed(11));
-  CountOptions slow = Opts(TestSeed(11));
-  slow.amortize_oracle = false;
-  Result<CountEstimate> a = ApproxCount(nfa, n, amortized);
-  Result<CountEstimate> b = ApproxCount(nfa, n, slow);
-  ASSERT_TRUE(a.ok() && b.ok());
-  // Same seed, same draw sequence: membership answers are identical, so the
-  // two modes must produce the exact same estimate.
-  EXPECT_DOUBLE_EQ(a->estimate, b->estimate);
+  // NFACOUNT_DESCENT_CACHE=0 disables the cache process-wide, so the
+  // work-saving half only holds without the override.
+  if (std::getenv("NFACOUNT_DESCENT_CACHE") == nullptr) {
+    EXPECT_GT(a->diagnostics.memo_hits, 0);
+    EXPECT_LT(a->diagnostics.appunion_trials,
+              b->diagnostics.appunion_trials);
+  }
 }
 
 TEST(Fpras, PerturbationBranchOffIsCleanRun) {

@@ -81,7 +81,7 @@ TEST(Parallel, EstimateBitIdenticalAcrossThreadCounts) {
     EXPECT_EQ(one->estimate, two->estimate) << "trial=" << trial;
     EXPECT_EQ(one->estimate, eight->estimate) << "trial=" << trial;
     // Deterministic (scheduling-independent) counters must also agree; the
-    // memo hit/miss split and appunion_calls may legitimately differ.
+    // cache hit/miss split and appunion_calls may legitimately differ.
     EXPECT_EQ(one->diagnostics.states_processed,
               eight->diagnostics.states_processed);
     EXPECT_EQ(one->diagnostics.sample_calls, eight->diagnostics.sample_calls);
@@ -144,19 +144,6 @@ TEST(Parallel, SamplerFacadeIdenticalAcrossThreadCounts) {
     ASSERT_TRUE(wa.ok() && wb.ok());
     EXPECT_EQ(*wa, *wb) << "draw " << i;
   }
-}
-
-TEST(Parallel, MemoIsAPureCache) {
-  // Union-size randomness is keyed by content, not by call order, so
-  // disabling memoization changes only the work done — never an estimate.
-  Nfa nfa = SubstringNfa(Word{1, 0, 1});
-  CountOptions with_memo = ThreadedOpts(TestSeed(331), 2);
-  CountOptions without_memo = with_memo;
-  without_memo.memoize_unions = false;
-  Result<CountEstimate> a = ApproxCount(nfa, 8, with_memo);
-  Result<CountEstimate> b = ApproxCount(nfa, 8, without_memo);
-  ASSERT_TRUE(a.ok() && b.ok());
-  EXPECT_EQ(a->estimate, b->estimate);
 }
 
 TEST(Parallel, AllLengthsBitIdenticalAcrossThreadCounts) {

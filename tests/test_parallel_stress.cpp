@@ -1,10 +1,10 @@
 // Tier-2 concurrency stress for the parallel level-sweep engine. With the
-// union memo disabled, every (q,ℓ) cell recomputes all of its union sizes —
-// maximum concurrent pressure on the shared read-only tables, the per-worker
-// scratch, and the pool itself — and the result must still be bit-identical
-// to the sequential run. Sized to stay minutes-cheap under ThreadSanitizer
-// on a single core while still crossing every lock/atomic in the pool, the
-// sharded memo, and the per-worker scratch thousands of times per run.
+// descent cache disabled, every (q,ℓ) cell recomputes all of its union sizes
+// — maximum concurrent pressure on the shared read-only tables, the
+// per-worker scratch, and the pool itself — and the result must still be
+// bit-identical to the sequential run. Sized to stay minutes-cheap under
+// ThreadSanitizer on a single core while still crossing every lock/atomic in
+// the pool and the per-worker scratch thousands of times per run.
 
 #include <gtest/gtest.h>
 
@@ -27,8 +27,7 @@ TEST(ParallelStress, MemoDisabledManyThreadsMatchesSequential) {
     base.eps = 0.35;
     base.delta = 0.2;
     base.seed = TestSeed(372) + trial;
-    base.memoize_unions = false;  // force every cell to recompute unions
-    // The descent cache also skips union estimations on a hit, and its hit
+    // The descent cache skips union estimations on a hit, and its hit
     // pattern is scheduling-dependent — results stay bit-identical (the
     // identity grid in test_descent_cache.cpp) but the appunion_trials
     // work counter below would not. Off, so every walk recomputes.
@@ -77,21 +76,21 @@ TEST(ParallelStress, ParallelAcrossAblationGrid) {
   Rng rng(TestSeed(391));
   Nfa nfa = RandomNfa(8, 0.3, 0.3, rng);
   const int n = 6;
-  for (bool csr : {true, false}) {
-    for (bool amortize : {true, false}) {
+  for (bool perturb : {true, false}) {
+    for (bool recycle : {true, false}) {
       CountOptions o;
       o.eps = 0.35;
       o.delta = 0.2;
       o.seed = TestSeed(392);
-      o.csr_hot_path = csr;
-      o.amortize_oracle = amortize;
+      o.perturb_support = perturb;
+      o.recycle_samples = recycle;
       CountOptions par = o;
       par.num_threads = 6;
       Result<CountEstimate> a = ApproxCount(nfa, n, o);
       Result<CountEstimate> b = ApproxCount(nfa, n, par);
       ASSERT_TRUE(a.ok() && b.ok());
       EXPECT_EQ(a->estimate, b->estimate)
-          << "csr=" << csr << " amortize=" << amortize;
+          << "perturb=" << perturb << " recycle=" << recycle;
     }
   }
 }

@@ -70,8 +70,8 @@ TEST(Session, IncrementalExtensionBitIdenticalToOneShot) {
 
 TEST(Session, ExtensionComposesWithKnobFlips) {
   // The determinism contracts must hold jointly with incrementality:
-  // extend-in-steps on (4 threads, batch 32, scalar, legacy layout) equals
-  // one-shot on the defaults.
+  // extend-in-steps on (4 threads, batch 32, scalar) equals one-shot on the
+  // defaults.
   Nfa nfa = SubstringNfa(Word{1, 0, 1});
   const int n = 8;
   CountOptions base = SessionTestOptions(TestSeed(821));
@@ -79,7 +79,6 @@ TEST(Session, ExtensionComposesWithKnobFlips) {
   flipped.num_threads = 4;
   flipped.batch_width = 32;
   flipped.simd_kernels = false;
-  flipped.csr_hot_path = false;
 
   Result<EngineSession> a = EngineSession::Create(nfa, n, base);
   ASSERT_TRUE(a.ok());
@@ -237,6 +236,41 @@ TEST(Session, ZeroHorizonSession) {
   Result<double> c = session->CountAtLength(0);
   ASSERT_TRUE(c.ok());
   EXPECT_EQ(*c, nfa.IsAccepting(nfa.initial()) ? 1.0 : 0.0);
+}
+
+TEST(Session, CountOptionsReachParamsAtEveryHorizon) {
+  // One CountOptions → FprasParams mapping serves ApproxCount and
+  // EngineSession::Create, including the n = 0 shortcut that runs no engine:
+  // the reported params must carry the caller's knobs, not the defaults.
+  Nfa nfa = DenseCompleteNfa(3);
+  CountOptions o = SessionTestOptions(TestSeed(891));
+  o.perturb_support = false;
+  o.recycle_samples = false;
+  o.num_threads = 3;
+  o.batch_width = 24;
+  o.simd_kernels = false;
+  o.descent_cache_capacity = 77;
+  // Off, so NFACOUNT_SYMBOL_CLASSES=0 cannot change what the engine reports.
+  o.symbol_classes = false;
+  const auto expect_knobs = [&](const FprasParams& p, int n) {
+    SCOPED_TRACE(::testing::Message() << "n=" << n);
+    EXPECT_EQ(p.n, n);
+    EXPECT_FALSE(p.perturb_support);
+    EXPECT_FALSE(p.recycle_samples);
+    EXPECT_EQ(p.num_threads, 3);
+    EXPECT_EQ(p.batch_width, 24);
+    EXPECT_FALSE(p.simd_kernels);
+    EXPECT_EQ(p.descent_cache_capacity, 77);
+    EXPECT_FALSE(p.symbol_classes);
+  };
+  for (int n : {0, 3}) {
+    Result<CountEstimate> counted = ApproxCount(nfa, n, o);
+    ASSERT_TRUE(counted.ok()) << counted.status().ToString();
+    expect_knobs(counted->params, n);
+    Result<EngineSession> session = EngineSession::Create(nfa, n, o);
+    ASSERT_TRUE(session.ok()) << session.status().ToString();
+    expect_knobs(session->params(), n);
+  }
 }
 
 }  // namespace

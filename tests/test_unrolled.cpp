@@ -121,7 +121,7 @@ TEST(Unrolled, MakeSampleReachProfileMatchesSlowOracle) {
     }
     StoredSample sample = unr.MakeSample(w);
     for (StateId q = 0; q < nfa.num_states(); ++q) {
-      EXPECT_EQ(sample.reach.Test(q), unr.MemberSlow(w, q));
+      EXPECT_EQ(sample.reach.Test(q), nfa.Reach(w).Test(q));
     }
   }
 }
