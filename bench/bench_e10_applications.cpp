@@ -96,7 +96,7 @@ BENCHMARK(BM_RpqCount)->Arg(8)->Arg(16)->Arg(32)->Unit(benchmark::kMillisecond);
 
 void BM_RpqSampleAnswers(benchmark::State& state) {
   GraphDb db = MakeGraph(16, 99);
-  SamplerOptions options;
+  CountOptions options;
   options.eps = 0.3;
   options.delta = 0.2;
   options.seed = 8;

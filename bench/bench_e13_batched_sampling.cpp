@@ -4,9 +4,10 @@
 // Claim measured: advancing B candidate walks in lockstep on the
 // FrontierPlane amortizes the per-call union estimate and group-shares the
 // per-level union-size lookups and predecessor expansions, so end-to-end
-// sampler draws/sec grows with B — while the draw sequence stays
-// bit-identical for every B (asserted here, not assumed). Family and sizes
-// follow E3 (RandomNfa density 0.3, accept 0.25) at m = 64..128.
+// EngineSession draws/sec grows with B — while the draw sequence stays
+// bit-identical for every B (asserted here, not assumed). Draws are timed
+// as SampleWords chunks of kDrawChunk words, one call per chunk. Family and
+// sizes follow E3 (RandomNfa density 0.3, accept 0.25) at m = 64..128.
 //
 // The kernel section times the dispatched SIMD table against the scalar
 // reference on the three frontier-row widths the engine actually touches.
@@ -30,6 +31,7 @@ namespace {
 constexpr int kN = 12;                     // word length (E3 regime)
 constexpr int kBatchWidths[] = {1, 4, 16, 64};
 constexpr int kIdentityDraws = 200;        // draws compared bit-for-bit
+constexpr int64_t kDrawChunk = 256;        // words per timed SampleWords
 constexpr int64_t kMinDraws = 1000;
 constexpr double kMinSeconds = 0.25;
 
@@ -51,41 +53,40 @@ struct SweepPoint {
 SweepPoint MeasureOne(const Nfa& nfa, int batch_width) {
   SweepPoint point;
   point.batch_width = batch_width;
-  SamplerOptions options;
+  CountOptions options;
   options.eps = 0.3;
   options.delta = 0.2;
   options.seed = 17;
   options.batch_width = batch_width;
 
   WallTimer build_timer;
-  Result<WordSampler> sampler = WordSampler::Build(nfa, kN, options);
+  Result<EngineSession> session = EngineSession::Create(nfa, kN, options);
+  const Status built = session.ok() ? session->ExtendTo(kN) : session.status();
   point.build_seconds = build_timer.ElapsedSeconds();
-  if (!sampler.ok()) {
-    std::fprintf(stderr, "build failed: %s\n",
-                 sampler.status().ToString().c_str());
+  if (!built.ok()) {
+    std::fprintf(stderr, "build failed: %s\n", built.ToString().c_str());
     std::exit(1);
   }
-  point.estimate = sampler->CountEstimate();
+  point.estimate = session->CountAtLength(kN).value();
 
-  for (int i = 0; i < kIdentityDraws; ++i) {
-    Result<Word> w = sampler->Sample();
-    if (!w.ok()) {
-      std::fprintf(stderr, "draw failed: %s\n", w.status().ToString().c_str());
-      std::exit(1);
-    }
-    point.prefix.push_back(*std::move(w));
+  Result<std::vector<Word>> prefix = session->SampleWords(kN, kIdentityDraws);
+  if (!prefix.ok()) {
+    std::fprintf(stderr, "draw failed: %s\n",
+                 prefix.status().ToString().c_str());
+    std::exit(1);
   }
+  point.prefix = std::move(*prefix);
 
   WallTimer timer;
   int64_t draws = 0;
   while (draws < kMinDraws || timer.ElapsedSeconds() < kMinSeconds) {
-    if (!sampler->Sample().ok()) std::exit(1);
-    ++draws;
+    if (!session->SampleWords(kN, kDrawChunk).ok()) std::exit(1);
+    draws += kDrawChunk;
   }
   const double seconds = timer.ElapsedSeconds();
   point.draws = draws;
   point.draws_per_sec = static_cast<double>(draws) / seconds;
-  point.diag = sampler->diagnostics();
+  point.diag = session->diagnostics();
   return point;
 }
 
@@ -195,7 +196,8 @@ void KernelMicrobench(BenchReport* report) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::printf("E13 — batched sampling plane: draws/sec vs lockstep width B\n");
+  std::printf("E13 — batched sampling plane: session draws/sec vs lockstep "
+              "width B\n");
   BenchReport report("e13_batched_sampling");
   report.config()
       .Set("family", "RandomNfa(density=0.3, accept=0.25), E3 generator")
@@ -203,6 +205,7 @@ int main(int argc, char** argv) {
       .Set("eps", 0.3)
       .Set("delta", 0.2)
       .Set("seed", static_cast<int64_t>(17))
+      .Set("draw_chunk", kDrawChunk)
       .Set("hardware_threads",
            static_cast<int64_t>(std::thread::hardware_concurrency()))
       .Set("active_kernels", simd::ActiveKernels().name);

@@ -9,11 +9,12 @@
 #include <cmath>
 #include <map>
 #include <string>
+#include <vector>
 
 #include "automata/generators.hpp"
 #include "bench_common.hpp"
 #include "counting/exact.hpp"
-#include "fpras/sampler.hpp"
+#include "fpras/fpras.hpp"
 #include "util/stats.hpp"
 
 using namespace nfacount;
@@ -30,20 +31,17 @@ void FamilyTv() {
   for (const FamilyInstance& family : StandardFamilies(5, n, 3)) {
     Result<std::vector<Word>> lang = EnumerateAccepted(family.nfa, n);
     if (!lang.ok() || lang->empty() || lang->size() > 600) continue;
-    SamplerOptions options;
+    CountOptions options;
     options.eps = 0.3;
     options.delta = 0.2;
     options.seed = 101;
-    Result<WordSampler> sampler = WordSampler::Build(family.nfa, n, options);
-    if (!sampler.ok()) continue;
+    Result<EngineSession> session =
+        EngineSession::Create(family.nfa, n, options);
+    if (!session.ok()) continue;
+    Result<std::vector<Word>> words = session->SampleWords(n, kDraws);
+    if (!words.ok()) continue;
     std::map<std::string, int64_t> histogram;
-    bool failed = false;
-    for (int64_t i = 0; i < kDraws && !failed; ++i) {
-      Result<Word> w = sampler.value().Sample();
-      if (!w.ok()) failed = true;
-      else ++histogram[WordToString(w.value())];
-    }
-    if (failed) continue;
+    for (const Word& w : *words) ++histogram[WordToString(w)];
     const int64_t support = static_cast<int64_t>(lang->size());
     // Even a perfect sampler shows TV ~ sqrt(support/draws)/2 from noise.
     double floor = 0.5 * std::sqrt(static_cast<double>(support) / kDraws);

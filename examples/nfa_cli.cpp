@@ -15,8 +15,8 @@
 //                      results are bit-identical for every value)
 //   --batch-width <b>  candidate walks advanced in lockstep per plane sweep
 //                      (0 = engine default; bit-identical for every value)
-//   --no-simd          force the scalar bitset kernels (process-wide) and
-//                      pin the sampling plane to them; identical results
+//   --no-simd          force the scalar bitset kernels (process-wide);
+//                      identical results
 //   --descent-cache <e> cross-batch descent-cache entry budget for
 //                      count/lengths/sample (0 disables: the uncached
 //                      engine, roughly 100x slower; default = engine
@@ -39,8 +39,8 @@
 //                      query (implies a session; horizon defaults to n)
 //   --load-state <p>   resume a checkpoint instead of reading an NFA file;
 //                      eps/delta/seed come from the checkpoint, while
-//                      --threads/--batch-width/--no-simd apply as runtime
-//                      knobs (never changing any result)
+//                      --threads/--batch-width/--descent-cache apply as
+//                      runtime knobs (never changing any result)
 //   --extend-to <n'>   with --load-state: extend the resumed sweep to n'
 //                      (n' <= saved horizon) and answer at that length
 //
@@ -50,6 +50,7 @@
 // File format: see src/automata/io.hpp; checkpoint format: see
 // docs/FILE_FORMATS.md "Session checkpoints (.ckpt)".
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
@@ -68,6 +69,10 @@
 using namespace nfacount;
 
 namespace {
+
+/// Default seed of `sample` when none is given (stable across releases, so
+/// scripted runs keep printing the same words).
+constexpr uint64_t kSampleSeed = 0xa110ca7eULL;
 
 int Usage() {
   std::fprintf(stderr,
@@ -185,6 +190,17 @@ Result<Nfa> LoadFromArg(const std::string& arg) {
   return LoadNfaFile(arg);
 }
 
+/// The flag section's engine knobs as CountOptions — the one flags → options
+/// copy behind count, lengths, sample, and fresh sessions.
+CountOptions OptionsFromFlags(const CliFlags& flags) {
+  CountOptions options;
+  options.num_threads = flags.num_threads;
+  options.batch_width = flags.batch_width;
+  options.descent_cache_capacity = flags.descent_cache;
+  options.symbol_classes = !flags.no_symbol_classes;
+  return options;
+}
+
 int Fail(const Status& status) {
   std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
   return 1;
@@ -254,7 +270,6 @@ int RunSessionCount(const CliFlags& flags,
     SessionKnobs knobs;
     knobs.num_threads = flags.num_threads;
     knobs.batch_width = flags.batch_width;
-    knobs.simd_kernels = !flags.no_simd;
     knobs.descent_cache_capacity = flags.descent_cache;
     // Tri-state: only an explicit --no-symbol-classes flips the saved
     // setting (envelope-preserving, not bit-preserving); otherwise the
@@ -271,12 +286,7 @@ int RunSessionCount(const CliFlags& flags,
     Result<Nfa> nfa = LoadFromArg(args[1]);
     if (!nfa.ok()) return Fail(nfa.status());
     const int n = std::atoi(args[2].c_str());
-    CountOptions options;
-    options.num_threads = flags.num_threads;
-    options.batch_width = flags.batch_width;
-    options.simd_kernels = !flags.no_simd;
-    options.descent_cache_capacity = flags.descent_cache;
-    options.symbol_classes = !flags.no_symbol_classes;
+    CountOptions options = OptionsFromFlags(flags);
     if (args.size() > 3) options.eps = std::atof(args[3].c_str());
     if (args.size() > 4) options.delta = std::atof(args[4].c_str());
     if (args.size() > 5) {
@@ -366,12 +376,7 @@ int main(int argc, char** argv) {
   const int n = std::atoi(args[2].c_str());
 
   if (command == "count" || command == "lengths") {
-    CountOptions options;
-    options.num_threads = flags.num_threads;
-    options.batch_width = flags.batch_width;
-    options.simd_kernels = !flags.no_simd;
-    options.descent_cache_capacity = flags.descent_cache;
-    options.symbol_classes = !flags.no_symbol_classes;
+    CountOptions options = OptionsFromFlags(flags);
     if (args.size() > 3) options.eps = std::atof(args[3].c_str());
     if (args.size() > 4) options.delta = std::atof(args[4].c_str());
     if (args.size() > 5) options.seed = std::strtoull(args[5].c_str(), nullptr, 10);
@@ -390,7 +395,7 @@ int main(int argc, char** argv) {
                    "# batch_width=%d simd=%s memo_hits=%lld memo_misses=%lld "
                    "arena_bytes=%lld arena_allocs=%lld\n",
                    r->params.ResolvedBatchWidth(),
-                   options.simd_kernels ? "on" : "off",
+                   flags.no_simd ? "off" : "on",
                    static_cast<long long>(r->diagnostics.memo_hits),
                    static_cast<long long>(r->diagnostics.memo_misses),
                    static_cast<long long>(r->diagnostics.arena_bytes_reserved),
@@ -405,7 +410,7 @@ int main(int argc, char** argv) {
           .Set("seed", options.seed)
           .Set("threads", options.num_threads)
           .Set("batch_width", r->params.ResolvedBatchWidth())
-          .Set("simd", options.simd_kernels)
+          .Set("simd", !flags.no_simd)
           .Set("wall_seconds", r->diagnostics.wall_seconds)
           .SetRaw("diagnostics", DiagnosticsJson(r->diagnostics).Render());
       return WriteJsonReport(flags.json_path, report);
@@ -435,19 +440,22 @@ int main(int argc, char** argv) {
   if (command == "sample") {
     if (args.size() < 4) return Usage();
     const int64_t count = std::atoll(args[3].c_str());
-    SamplerOptions options;
-    options.num_threads = flags.num_threads;
-    options.batch_width = flags.batch_width;
-    options.simd_kernels = !flags.no_simd;
-    options.descent_cache_capacity = flags.descent_cache;
-    options.symbol_classes = !flags.no_symbol_classes;
-    if (args.size() > 4) options.seed = std::strtoull(args[4].c_str(), nullptr, 10);
-    Result<WordSampler> sampler = WordSampler::Build(*nfa, n, options);
-    if (!sampler.ok()) return Fail(sampler.status());
-    for (int64_t i = 0; i < count; ++i) {
-      Result<Word> w = sampler.value().Sample();
-      if (!w.ok()) return Fail(w.status());
-      std::printf("%s\n", WordToString(w.value()).c_str());
+    CountOptions options = OptionsFromFlags(flags);
+    options.seed = args.size() > 4
+                       ? std::strtoull(args[4].c_str(), nullptr, 10)
+                       : kSampleSeed;
+    Result<EngineSession> session = EngineSession::Create(*nfa, n, options);
+    if (!session.ok()) return Fail(session.status());
+    // One SampleWords call per chunk, never per word (each call re-estimates
+    // the target union).
+    for (int64_t left = count; left > 0;) {
+      const int64_t chunk = std::min(left, EngineSession::kMaxDrawsPerCall);
+      Result<std::vector<Word>> words = session->SampleWords(n, chunk);
+      if (!words.ok()) return Fail(words.status());
+      for (const Word& w : *words) {
+        std::printf("%s\n", WordToString(w).c_str());
+      }
+      left -= chunk;
     }
     return 0;
   }

@@ -15,9 +15,11 @@
 //                         resident and nothing survives a restart)
 //   --budget-bytes <b>    resident-table budget driving LRU demotion
 //                         (-1 = unlimited, the default)
-//   --threads/--batch-width/--no-simd
+//   --threads/--batch-width
 //                         runtime knobs applied to every session
 //                         (bit-identical results at every setting)
+//   --no-simd             force the scalar bitset kernels process-wide
+//                         (identical results)
 //   --read-timeout-ms <t> per-connection receive timeout (slow-loris guard)
 //   --drain-timeout-ms <t>
 //                         how long graceful shutdown lets in-flight
@@ -54,6 +56,7 @@
 
 #include "serve/registry.hpp"
 #include "serve/server.hpp"
+#include "util/simd.hpp"
 
 namespace {
 
@@ -119,7 +122,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--batch-width") {
       registry_options.knobs.batch_width = std::atoi(next("--batch-width"));
     } else if (arg == "--no-simd") {
-      registry_options.knobs.simd_kernels = false;
+      nfacount::simd::SetForceScalar(true);
     } else if (arg == "--read-timeout-ms") {
       server_options.read_timeout_ms = std::atoi(next("--read-timeout-ms"));
     } else if (arg == "--drain-timeout-ms") {

@@ -5,6 +5,7 @@
 //   $ ./quickstart
 
 #include <cstdio>
+#include <vector>
 
 #include "automata/nfa.hpp"
 #include "counting/exact.hpp"
@@ -63,24 +64,26 @@ int main() {
               approx->diagnostics.wall_seconds * 1e3,
               static_cast<long long>(approx->diagnostics.appunion_calls));
 
-  // 3. Almost-uniform generation from the same language (Theorem 2).
-  SamplerOptions sampler_options;
+  // 3. Almost-uniform generation from the same language (Theorem 2): an
+  //    EngineSession builds the tables once and draws all five words in one
+  //    call.
+  CountOptions sampler_options;
   sampler_options.seed = 7;
-  Result<WordSampler> sampler = WordSampler::Build(nfa, n, sampler_options);
-  if (!sampler.ok()) {
-    std::fprintf(stderr, "sampler failed: %s\n",
-                 sampler.status().ToString().c_str());
+  Result<EngineSession> session = EngineSession::Create(nfa, n, sampler_options);
+  if (!session.ok()) {
+    std::fprintf(stderr, "session failed: %s\n",
+                 session.status().ToString().c_str());
+    return 1;
+  }
+  Result<std::vector<Word>> words = session->SampleWords(n, 5);
+  if (!words.ok()) {
+    std::fprintf(stderr, "sampling failed: %s\n",
+                 words.status().ToString().c_str());
     return 1;
   }
   std::printf("five almost-uniform members of the language:\n");
-  for (int i = 0; i < 5; ++i) {
-    Result<Word> word = sampler.value().Sample();
-    if (!word.ok()) {
-      std::fprintf(stderr, "sampling failed: %s\n",
-                   word.status().ToString().c_str());
-      return 1;
-    }
-    std::printf("  %s\n", WordToString(word.value()).c_str());
+  for (const Word& word : *words) {
+    std::printf("  %s\n", WordToString(word).c_str());
   }
   return 0;
 }

@@ -60,7 +60,7 @@ int main() {
     std::printf("no itineraries of this exact length; nothing to sample\n");
     return 0;
   }
-  SamplerOptions sampler_options;
+  CountOptions sampler_options;
   sampler_options.eps = 0.25;
   sampler_options.delta = 0.1;
   sampler_options.seed = 4;

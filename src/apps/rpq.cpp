@@ -1,8 +1,11 @@
 #include "apps/rpq.hpp"
 
+#include <algorithm>
 #include <cassert>
+#include <iterator>
 
 #include "automata/regex.hpp"
+#include "fpras/session.hpp"
 
 namespace nfacount {
 
@@ -82,12 +85,22 @@ Result<double> CountRpqAnswersUpTo(const GraphDb& db, int src, int dst,
 Result<std::vector<Word>> SampleRpqAnswers(const GraphDb& db, int src, int dst,
                                            const std::string& regex, int n,
                                            int64_t count,
-                                           const SamplerOptions& options) {
+                                           const CountOptions& options) {
+  if (count < 0) return Status::Invalid("count must be >= 0");
   Nfa product(1);
   NFA_ASSIGN_OR_RETURN(product, BuildRpqProduct(db, src, dst, regex));
-  Result<WordSampler> sampler = WordSampler::Build(product, n, options);
-  if (!sampler.ok()) return sampler.status();
-  return sampler.value().SampleMany(count);
+  Result<EngineSession> session = EngineSession::Create(product, n, options);
+  if (!session.ok()) return session.status();
+  std::vector<Word> out;
+  for (int64_t left = count; left > 0;) {
+    const int64_t chunk = std::min(left, EngineSession::kMaxDrawsPerCall);
+    Result<std::vector<Word>> words = session->SampleWords(n, chunk);
+    if (!words.ok()) return words.status();
+    out.insert(out.end(), std::make_move_iterator(words->begin()),
+               std::make_move_iterator(words->end()));
+    left -= chunk;
+  }
+  return out;
 }
 
 Result<std::vector<std::vector<int>>> WitnessPaths(const GraphDb& db, int src,

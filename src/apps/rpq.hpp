@@ -17,7 +17,6 @@
 
 #include "automata/nfa.hpp"
 #include "fpras/estimator.hpp"
-#include "fpras/sampler.hpp"
 #include "util/status.hpp"
 
 namespace nfacount {
@@ -63,11 +62,14 @@ Result<double> CountRpqAnswersUpTo(const GraphDb& db, int src, int dst,
                                    const std::string& regex, int n,
                                    const CountOptions& options = {});
 
-/// Draws `count` almost-uniform answer words of length n.
+/// Draws `count` almost-uniform answer words of length n from one
+/// EngineSession over the product automaton (requests above
+/// EngineSession::kMaxDrawsPerCall are drawn in chunks of the same stream).
+/// Invalid when `count` is negative.
 Result<std::vector<Word>> SampleRpqAnswers(const GraphDb& db, int src, int dst,
                                            const std::string& regex, int n,
                                            int64_t count,
-                                           const SamplerOptions& options = {});
+                                           const CountOptions& options = {});
 
 /// All node paths src → dst realizing `word` in the database (up to `limit`).
 /// A sampled answer word plus one witness path is a complete query answer.

@@ -40,7 +40,7 @@ uint64_t Fnv1a64(const char* data, size_t size) {
 // the serve-mode wire protocol — identical byte semantics to the original
 // in-file classes, so existing checkpoints load unchanged.
 
-// Reserved parameter-block fields: three flag bytes and one I64 that once
+// Reserved parameter-block fields: four flag bytes and one I64 that once
 // held engine knobs which never changed a result. Writers emit the values
 // those knobs defaulted to, so files stay byte-identical to earlier writers'
 // at default knobs; readers skip them, whatever an older file stored there.
@@ -70,7 +70,7 @@ void WriteParams(const FprasParams& p, ByteWriter* w) {
   w->U8(kReservedFlag);
   w->U8(p.recycle_samples ? 1 : 0);
   w->U8(kReservedFlag);
-  w->U8(p.simd_kernels ? 1 : 0);
+  w->U8(kReservedFlag);
   w->I32(p.num_threads);
   w->I32(p.batch_width);
   w->I64(kReservedCapacity);
@@ -109,8 +109,7 @@ Status ReadParams(ByteReader* r, uint32_t version, FprasParams* p) {
   NFA_RETURN_NOT_OK(r->U8(&flag));
   p->recycle_samples = flag != 0;
   NFA_RETURN_NOT_OK(r->U8(&flag));  // reserved
-  NFA_RETURN_NOT_OK(r->U8(&flag));
-  p->simd_kernels = flag != 0;
+  NFA_RETURN_NOT_OK(r->U8(&flag));  // reserved
   NFA_RETURN_NOT_OK(r->I32(&p->num_threads));
   NFA_RETURN_NOT_OK(r->I32(&p->batch_width));
   NFA_RETURN_NOT_OK(r->I64(&reserved));
@@ -291,7 +290,6 @@ Result<EngineSession> DeserializeSessionCheckpoint(const std::string& bytes,
   if (knobs != nullptr) {
     params.num_threads = knobs->num_threads;
     params.batch_width = knobs->batch_width;
-    params.simd_kernels = knobs->simd_kernels;
     if (knobs->descent_cache_capacity >= 0) {
       params.descent_cache_capacity = knobs->descent_cache_capacity;
     }

@@ -657,8 +657,7 @@ Status FprasEngine::Prepare() {
   const int num_classes = unrolled_.symbol_classes().num_classes();
   const int threads = ThreadPool::ResolveThreadCount(params_.num_threads);
   batch_width_ = params_.ResolvedBatchWidth();
-  kernels_ =
-      params_.simd_kernels ? &simd::ActiveKernels() : &simd::ScalarKernels();
+  kernels_ = &simd::ActiveKernels();
   post_attempt_counter_ = 0;
   workers_.clear();
   workers_.resize(static_cast<size_t>(threads));
@@ -867,8 +866,7 @@ int64_t FprasEngine::ApproxTableBytes() const {
 int64_t FprasEngine::SampleAcceptedInto(const Bitset& targets, int level,
                                         int64_t max_attempts,
                                         int64_t min_accepts,
-                                        std::vector<Word>* out,
-                                        bool consume_exact) {
+                                        std::vector<Word>* out) {
   NFA_CHECK(prepared_, "SampleWord requires a prepared engine (Run)");
   NFA_CHECK(level >= 0 && level <= params_.n,
             "SampleWord: level out of [0, n]");
@@ -894,38 +892,21 @@ int64_t FprasEngine::SampleAcceptedInto(const Bitset& targets, int level,
         static_cast<int>(std::min<int64_t>(batch_width_, attempts_left));
     RunWalkBatch(level, alive, gamma0, kDrawStreamTag, post_attempt_counter_,
                  batch, ws);
+    // Stop at the accept that satisfies the request; the cursor and budget
+    // advance only through it, so the walks after it are as if they never
+    // ran (a later call re-derives them from their per-attempt substreams,
+    // bit for bit).
     int consumed = batch;
-    if (consume_exact) {
-      // Exact mode: stop at the accept that satisfies the request; the
-      // cursor and budget advance only through it, so the walks after it
-      // are as if they never ran (a later call re-derives them from their
-      // per-attempt substreams, bit for bit).
-      for (int32_t w : ws.arena.accepted) {
-        out->emplace_back(ws.arena.WordOf(w), ws.arena.WordOf(w) + level);
-        ++appended;
-        if (appended >= min_accepts) {
-          consumed = w + 1;
-          break;
-        }
-      }
-    } else {
-      // Bulk mode: harvest every accept of the batch (the caller queues the
-      // surplus). A batch_width = 1 run serving the same number of draws
-      // executes exactly the attempts through this batch's last accept, so
-      // consuming up to there keeps the per-walk counters aligned across
-      // widths at every queue-drain point; trailing failures past the last
-      // accept of a satisfied harvest are speculative and uncounted.
-      for (int32_t w : ws.arena.accepted) {
-        out->emplace_back(ws.arena.WordOf(w), ws.arena.WordOf(w) + level);
-        ++appended;
-      }
-      if (appended >= min_accepts && !ws.arena.accepted.empty()) {
-        consumed = ws.arena.accepted.back() + 1;
+    for (int32_t w : ws.arena.accepted) {
+      out->emplace_back(ws.arena.WordOf(w), ws.arena.WordOf(w) + level);
+      ++appended;
+      if (appended >= min_accepts) {
+        consumed = w + 1;
+        break;
       }
     }
-    const int64_t advance = consume_exact ? consumed : batch;
-    post_attempt_counter_ += advance;
-    attempts_left -= advance;
+    post_attempt_counter_ += consumed;
+    attempts_left -= consumed;
     ConsumeWalkDiagnostics(consumed, ws);
   }
   return appended;
@@ -939,10 +920,6 @@ std::optional<Word> FprasEngine::SampleWord(const Bitset& targets, int level) {
                      &words);
   if (words.empty()) return std::nullopt;
   return std::move(words.front());
-}
-
-std::optional<Word> FprasEngine::SampleAcceptedWord() {
-  return SampleWord(nfa_->accepting(), params_.n);
 }
 
 // ---------------------------------------------------------------------------
@@ -959,7 +936,6 @@ Result<FprasParams> ParamsFromOptions(const CountOptions& options, int m,
   params.recycle_samples = options.recycle_samples;
   params.num_threads = options.num_threads;
   params.batch_width = options.batch_width;
-  params.simd_kernels = options.simd_kernels;
   if (options.descent_cache_capacity >= 0) {
     params.descent_cache_capacity = options.descent_cache_capacity;
   }

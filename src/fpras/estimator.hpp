@@ -114,13 +114,11 @@ struct FprasDiagnostics {
   /// consumed attempt: a lockstep batch may execute speculative walks past
   /// the attempt that fills S(q^ℓ) (or past the accept that satisfies a
   /// draw request), but those surplus walks are discarded unseen and are
-  /// NOT counted. Table-building refills and the session draw path
-  /// (SampleAcceptedInto's exact mode) therefore match what a sequential
-  /// batch_width = 1 run reports for every batch width, thread count, and
-  /// kernel table (asserted by tests/test_batch.cpp); WordSampler's bulk
-  /// harvests count every attempt through the final batch's last accept,
-  /// which agrees across widths whenever its queue has been drained. Only
-  /// walk_batches is inherently batch-shaped.
+  /// NOT counted. Table-building refills and the post-run draw path
+  /// (SampleAcceptedInto) therefore match what a sequential batch_width = 1
+  /// run reports for every batch width, thread count, and kernel table
+  /// (asserted by tests/test_batch.cpp). Only walk_batches is inherently
+  /// batch-shaped.
   int64_t sample_calls = 0;
   int64_t sample_success = 0;
   int64_t fail_phi_gt_1 = 0;    ///< Fail1: φ > 1 at the base (Alg. 2 line 5)
@@ -400,32 +398,19 @@ class FprasEngine {
   /// `out` in attempt order. Returns the number appended. Because each
   /// attempt draws from its own counter-keyed substream, the appended
   /// sequence is bit-identical for every batch width, thread count, and
-  /// kernel table. Two consumption modes govern what happens to the tail of
-  /// the final batch:
-  ///
-  /// - bulk (`consume_exact` false, the default): every accepted walk of
-  ///   every executed batch is appended (possibly more than `min_accepts`)
-  ///   and the draw cursor advances past all executed attempts. Callers
-  ///   that queue the surplus and serve it in order (WordSampler) keep a
-  ///   width-invariant draw stream while amortizing one union estimate
-  ///   over many draws.
-  /// - exact (`consume_exact` true): appending stops at the accept that
-  ///   satisfies `min_accepts`, and the cursor, the attempt budget, and the
-  ///   per-walk diagnostics advance only through that attempt — exactly a
-  ///   sequential batch_width = 1 run. Speculative later walks are
-  ///   discarded unseen and will be re-derived bit-identically if a later
-  ///   call reaches their attempt ids, so the draw stream is invariant
-  ///   across batch widths even for arbitrary call/length interleavings
-  ///   (the EngineSession contract).
+  /// kernel table. Consumption is exact: appending stops at the accept that
+  /// satisfies `min_accepts`, and the cursor, the attempt budget, and the
+  /// per-walk diagnostics advance only through that attempt — exactly a
+  /// sequential batch_width = 1 run. Speculative later walks of the final
+  /// batch are discarded unseen and are re-derived bit-identically if a
+  /// later call reaches their attempt ids, so the draw stream is invariant
+  /// across batch widths even for arbitrary call/length interleavings (the
+  /// EngineSession contract).
   ///
   /// Same preconditions as SampleWord.
   int64_t SampleAcceptedInto(const Bitset& targets, int level,
                              int64_t max_attempts, int64_t min_accepts,
-                             std::vector<Word>* out,
-                             bool consume_exact = false);
-
-  /// Convenience: almost-uniform word from L(A_n) (accepting states at n).
-  std::optional<Word> SampleAcceptedWord();
+                             std::vector<Word>* out);
 
   const FprasParams& params() const { return params_; }
 
@@ -554,8 +539,8 @@ class FprasEngine {
   /// sequence depends only on how many attempts ran before — not on batch
   /// width, thread count, or kernel table.
   int64_t post_attempt_counter_ = 0;
-  /// Kernel table the sampling plane uses (params.simd_kernels selects
-  /// scalar vs the runtime-dispatched table; set by Run()).
+  /// Kernel table the sampling plane uses: the process-wide dispatched
+  /// table (simd::ActiveKernels) as of Prepare().
   const simd::BitsetKernels* kernels_ = nullptr;
   int batch_width_ = FprasParams::kDefaultBatchWidth;  ///< resolved by Run()
   /// Worker slot scratch; workers_[i] is owned by pool worker slot i during
@@ -611,9 +596,6 @@ struct CountOptions {
   /// Lockstep candidate-walk batch width (0 = built-in default). Bit-
   /// identical results for every value; see FprasParams::batch_width.
   int batch_width = 0;
-  /// SIMD kernel table for the sampling plane (false = scalar). Bit-
-  /// identical results either way; see FprasParams::simd_kernels.
-  bool simd_kernels = true;
   /// Cross-batch descent-cache entry budget (0 disables the cache, -1 = use
   /// the built-in default). Bit-identical results at every value; see
   /// FprasParams::descent_cache_capacity.

@@ -1,7 +1,8 @@
 // Umbrella header for the FPRAS public API:
 //   ApproxCount()      — (ε,δ)-approximate |L(A_n)|        (Theorem 3)
-//   WordSampler        — almost-uniform words from L(A_n)  (Theorem 2)
-//   EngineSession      — incremental multi-query runs + binary checkpoints
+//   EngineSession      — counts and almost-uniform words from one set of
+//                        tables (Theorems 2 and 3), incremental extension,
+//                        binary checkpoints
 //   ApproxCountAcjr()  — ACJR-schedule baseline            (comparator)
 
 #ifndef NFACOUNT_FPRAS_FPRAS_HPP_
@@ -12,7 +13,6 @@
 #include "fpras/checkpoint.hpp" // IWYU pragma: export
 #include "fpras/estimator.hpp"  // IWYU pragma: export
 #include "fpras/params.hpp"     // IWYU pragma: export
-#include "fpras/sampler.hpp"    // IWYU pragma: export
 #include "fpras/session.hpp"    // IWYU pragma: export
 
 #endif  // NFACOUNT_FPRAS_FPRAS_HPP_

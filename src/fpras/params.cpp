@@ -122,8 +122,7 @@ std::string FprasParams::ToString() const {
      << ", perturb=" << (perturb_support ? 1 : 0)
      << ", classes=" << (symbol_classes ? 1 : 0)
      << ", threads=" << num_threads
-     << ", batch=" << ResolvedBatchWidth()
-     << ", simd=" << (simd_kernels ? 1 : 0) << "}";
+     << ", batch=" << ResolvedBatchWidth() << "}";
   return os.str();
 }
 

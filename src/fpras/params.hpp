@@ -91,13 +91,6 @@ struct FprasParams {
   /// FprasDiagnostics).
   int batch_width = 0;
 
-  /// Run the sampling plane's frontier/profile kernels on the runtime-
-  /// dispatched SIMD table (util/simd.hpp); false pins this engine to the
-  /// scalar table. Kernels compute identical bits either way, so this flag
-  /// can never change a result. NFACOUNT_FORCE_SCALAR=1 (or
-  /// simd::SetForceScalar) forces scalar process-wide regardless.
-  bool simd_kernels = true;
-
   /// Default lockstep batch width (batch_width = 0). 16 keeps the overshoot
   /// past a filled sample set small while amortizing per-batch costs.
   static constexpr int kDefaultBatchWidth = 16;
@@ -133,8 +126,8 @@ struct FprasParams {
   /// mathematically the per-symbol value every member would get — but the
   /// two settings consume different content-keyed RNG substreams, so
   /// per-seed results are NOT bit-identical across the flip (unlike the
-  /// threads/batch/simd/cache knobs; at a FIXED setting all of those remain
-  /// bit-identical). Serialized into checkpoints (v2); overridable on
+  /// threads/batch/cache knobs and the kernel table; at a FIXED setting
+  /// all of those remain bit-identical). Serialized into checkpoints (v2); overridable on
   /// resume via SessionKnobs::symbol_classes and process-wide via
   /// NFACOUNT_SYMBOL_CLASSES=0.
   bool symbol_classes = true;

@@ -10,9 +10,8 @@ namespace nfacount {
 
 namespace {
 
-/// Rejection budget per requested draw (matches SamplerOptions' default:
-/// well beyond the Theorem 2(2) bound, so exhausting it indicates
-/// inaccurate tables rather than bad luck).
+/// Rejection budget per requested draw: well beyond the Theorem 2(2) bound,
+/// so exhausting it indicates inaccurate tables rather than bad luck.
 constexpr int64_t kAttemptsPerDraw = 4096;
 
 static_assert(kAttemptsPerDraw <= std::numeric_limits<int64_t>::max() /
@@ -113,39 +112,11 @@ Result<double> EngineSession::CountFor(StateId q, int length) {
 
 Result<std::vector<Word>> EngineSession::SampleWords(int length,
                                                      int64_t count) {
+  // Once extended, `length` is published and its cached estimate equals
+  // EstimateAtLength bit for bit, so the writer draws through the reader
+  // path (its draw mutex is uncontended here).
   NFA_RETURN_NOT_OK(ExtendTo(length));
-  if (count < 0) return Status::Invalid("SampleWords: count must be >= 0");
-  if (count > kMaxDrawsPerCall) {
-    return Status::Invalid(
-        "SampleWords: count exceeds kMaxDrawsPerCall; split the request "
-        "into chunks (the draw stream concatenates seamlessly)");
-  }
-  std::vector<Word> out;
-  if (count == 0) return out;
-  if (length == 0) {
-    if (!nfa_->IsAccepting(nfa_->initial())) {
-      return Status::NotFound("L(A_0) is empty");
-    }
-    out.assign(static_cast<size_t>(count), Word{});
-    return out;
-  }
-  if (!(engine_->EstimateAtLength(length) > 0.0)) {
-    return Status::NotFound("language estimated empty at this length");
-  }
-  out.reserve(static_cast<size_t>(count));
-  // Exact consumption: the draw cursor advances only through the accept
-  // that completes the request, so the concatenation of all SampleWords
-  // results — across any interleaving of lengths, extensions, checkpoint
-  // save/resume boundaries, and runtime-knob changes — is one deterministic
-  // sequence (see FprasEngine::SampleAcceptedInto).
-  const int64_t appended = engine_->SampleAcceptedInto(
-      nfa_->accepting(), length, kAttemptsPerDraw * count, count, &out,
-      /*consume_exact=*/true);
-  if (appended < count) {
-    return Status::ResourceExhausted(
-        "sampling attempts exhausted; tables likely inaccurate");
-  }
-  return out;
+  return SharedSampleWords(length, count);
 }
 
 int EngineSession::published_level() const {
@@ -177,13 +148,11 @@ Result<double> EngineSession::SharedCountFor(StateId q, int length) const {
 Result<std::vector<Word>> EngineSession::SharedSampleWords(
     int length, int64_t count, int64_t* cursor_start) {
   NFA_RETURN_NOT_OK(CheckLength(length));
-  if (count < 0) {
-    return Status::Invalid("SharedSampleWords: count must be >= 0");
-  }
+  if (count < 0) return Status::Invalid("draw count must be >= 0");
   if (count > kMaxDrawsPerCall) {
     return Status::Invalid(
-        "SharedSampleWords: count exceeds kMaxDrawsPerCall; split the "
-        "request into chunks (the draw stream concatenates seamlessly)");
+        "draw count exceeds kMaxDrawsPerCall; split the request into "
+        "chunks (the draw stream concatenates seamlessly)");
   }
   if (length > published_level()) {
     return Status::FailedPrecondition(
@@ -207,9 +176,13 @@ Result<std::vector<Word>> EngineSession::SharedSampleWords(
     return Status::NotFound("language estimated empty at this length");
   }
   out.reserve(static_cast<size_t>(count));
+  // Exact consumption: the draw cursor advances only through the accept
+  // that completes the request, so the concatenation of all draw chunks —
+  // across any interleaving of lengths, extensions, checkpoint save/resume
+  // boundaries, and runtime-knob changes — is one deterministic sequence
+  // (see FprasEngine::SampleAcceptedInto).
   const int64_t appended = engine_->SampleAcceptedInto(
-      nfa_->accepting(), length, kAttemptsPerDraw * count, count, &out,
-      /*consume_exact=*/true);
+      nfa_->accepting(), length, kAttemptsPerDraw * count, count, &out);
   if (appended < count) {
     return Status::ResourceExhausted(
         "sampling attempts exhausted; tables likely inaccurate");

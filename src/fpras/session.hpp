@@ -21,10 +21,10 @@
 //
 // Determinism contract (inherited from the engine's content-keyed RNG
 // substreams): a session extended incrementally, resumed from a checkpoint —
-// even on different num_threads / batch_width / SIMD / descent-cache knobs —
-// and a fresh uninterrupted run at the same (nfa, horizon, eps, delta,
-// schedule, calibration, seed) produce bit-identical estimates, per-(q,ℓ)
-// tables, and draw sequences (tests/test_session.cpp,
+// even on different num_threads / batch_width / descent-cache knobs or
+// kernel table — and a fresh uninterrupted run at the same (nfa, horizon,
+// eps, delta, schedule, calibration, seed) produce bit-identical estimates,
+// per-(q,ℓ) tables, and draw sequences (tests/test_session.cpp,
 // tests/test_checkpoint.cpp).
 //
 // Concurrent-read seam (serve mode, docs/ARCHITECTURE.md "Serve mode"): the
@@ -54,14 +54,14 @@
 namespace nfacount {
 
 /// Runtime knobs that may be changed when resuming a session: worker
-/// threads, lockstep batch width, kernel table, descent-cache budget, and the
-/// symbol-class layer. All except `symbol_classes` can never change a result
-/// — only wall-clock time; `symbol_classes` is envelope-preserving rather
-/// than bit-preserving (see FprasParams::symbol_classes).
+/// threads, lockstep batch width, descent-cache budget, and the symbol-class
+/// layer. All except `symbol_classes` can never change a result — only
+/// wall-clock time; `symbol_classes` is envelope-preserving rather than
+/// bit-preserving (see FprasParams::symbol_classes). The kernel table is
+/// process-wide (simd::SetForceScalar / NFACOUNT_FORCE_SCALAR), not a knob.
 struct SessionKnobs {
-  int num_threads = 1;       ///< see FprasParams::num_threads
-  int batch_width = 0;       ///< see FprasParams::batch_width (0 = default)
-  bool simd_kernels = true;  ///< see FprasParams::simd_kernels
+  int num_threads = 1;  ///< see FprasParams::num_threads
+  int batch_width = 0;  ///< see FprasParams::batch_width (0 = default)
   /// Descent-cache entry budget for the resumed session (-1 keeps the
   /// built-in default). Runtime-only like the other knobs: checkpoints do
   /// not serialize it, and results are bit-identical at every value. See
@@ -98,7 +98,7 @@ class EngineSession {
   /// Builds a session for `nfa` with parameters derived at `horizon` and
   /// computes level 0 only — level sweeps run lazily on the first query or
   /// ExtendTo. All CountOptions fields apply (eps, delta, schedule,
-  /// calibration, seed, behavior flags, threads/batch/simd).
+  /// calibration, seed, behavior flags, threads/batch/cache knobs).
   static Result<EngineSession> Create(const Nfa& nfa, int horizon,
                                       const CountOptions& options);
 
@@ -122,7 +122,11 @@ class EngineSession {
   /// sequence — checkpoint save/restore continues it seamlessly. NotFound
   /// when the language at this length is estimated empty; ResourceExhausted
   /// when the per-draw rejection budget is exceeded (inaccurate tables);
-  /// Invalid when `count` is negative or exceeds kMaxDrawsPerCall.
+  /// Invalid when `count` is negative or exceeds kMaxDrawsPerCall. Request
+  /// all the words a caller needs in one call (chunked at kMaxDrawsPerCall):
+  /// each call estimates the target union once and discards the speculative
+  /// walks of its final batch, so one-word calls in a loop cost several
+  /// times more per word than one call for all of them.
   Result<std::vector<Word>> SampleWords(int length, int64_t count);
 
   /// Writes the full session state to `path` as a versioned binary

@@ -25,7 +25,6 @@ CountOptions SessionOptions(const SessionKnobs& knobs, double eps,
   co.seed = seed;
   co.num_threads = knobs.num_threads;
   co.batch_width = knobs.batch_width;
-  co.simd_kernels = knobs.simd_kernels;
   co.descent_cache_capacity = knobs.descent_cache_capacity;
   co.symbol_classes = symbol_classes;
   return co;

@@ -21,6 +21,7 @@ namespace nfacount {
 namespace {
 
 using testing_support::ExpectTablesIdentical;
+using testing_support::ScopedForceScalar;
 using testing_support::TestSeed;
 
 CountOptions BatchOpts(uint64_t seed, int batch_width) {
@@ -98,46 +99,56 @@ TEST(Batch, TablesAndDrawsBitIdenticalAcrossBatchWidths) {
 
   // The post-run draw sequence is counter-keyed per attempt: the j-th
   // accepted word is the same no matter how attempts were batched. B=1
-  // consumes exactly one attempt per SampleAcceptedWord call; harvest the
-  // wide engine's accepts in bulk and compare the sequences.
+  // consumes exactly one attempt per SampleWord call; harvest the wide
+  // engine's accepts over the same 64 attempts and compare the sequences.
   std::vector<Word> wide_words;
   sixteen.SampleAcceptedInto(nfa.accepting(), n, /*max_attempts=*/64,
                              /*min_accepts=*/64, &wide_words);
   std::vector<Word> narrow_words;
   for (int attempt = 0; attempt < 64; ++attempt) {
-    std::optional<Word> w = one.SampleAcceptedWord();
+    std::optional<Word> w = one.SampleWord(nfa.accepting(), n);
     if (w.has_value()) narrow_words.push_back(*w);
   }
   EXPECT_EQ(narrow_words, wide_words);
 }
 
-TEST(Batch, SamplerFacadeIdenticalAcrossBatchWidthsAndKernels) {
+/// Five one-word SampleWords calls, then one 15-word call, on a fresh
+/// session at n = 6: the concatenated stream.
+std::vector<Word> ChunkedDraws(const Nfa& nfa, const CountOptions& options) {
+  std::vector<Word> words;
+  Result<EngineSession> session = EngineSession::Create(nfa, 6, options);
+  EXPECT_TRUE(session.ok());
+  if (!session.ok()) return words;
+  for (int64_t count : {1, 1, 1, 1, 1, 15}) {
+    Result<std::vector<Word>> chunk = session->SampleWords(6, count);
+    EXPECT_TRUE(chunk.ok());
+    if (chunk.ok()) words.insert(words.end(), chunk->begin(), chunk->end());
+  }
+  return words;
+}
+
+TEST(Batch, SessionDrawsIdenticalAcrossBatchWidthsAndKernels) {
+  // The draw stream must not depend on the lockstep width, the kernel table,
+  // or how the requests are chunked (estimates: the tests above and below).
   Rng rng(TestSeed(721));
   Nfa nfa = RandomNfa(6, 0.3, 0.3, rng);
-  SamplerOptions base;
+  CountOptions base;
   base.seed = TestSeed(722);
-  SamplerOptions narrow = base;
+  CountOptions narrow = base;
   narrow.batch_width = 1;
-  SamplerOptions wide = base;
+  CountOptions wide = base;
   wide.batch_width = 64;
-  SamplerOptions scalar = base;
-  scalar.batch_width = 64;
-  scalar.simd_kernels = false;
 
-  Result<WordSampler> a = WordSampler::Build(nfa, 6, narrow);
-  Result<WordSampler> b = WordSampler::Build(nfa, 6, wide);
-  Result<WordSampler> c = WordSampler::Build(nfa, 6, scalar);
-  ASSERT_TRUE(a.ok() && b.ok() && c.ok());
-  EXPECT_EQ(a->CountEstimate(), b->CountEstimate());
-  EXPECT_EQ(a->CountEstimate(), c->CountEstimate());
-  for (int i = 0; i < 20; ++i) {
-    Result<Word> wa = a->Sample();
-    Result<Word> wb = b->Sample();
-    Result<Word> wc = c->Sample();
-    ASSERT_TRUE(wa.ok() && wb.ok() && wc.ok());
-    EXPECT_EQ(*wa, *wb) << "draw " << i;
-    EXPECT_EQ(*wa, *wc) << "draw " << i;
+  const std::vector<Word> a = ChunkedDraws(nfa, narrow);
+  const std::vector<Word> b = ChunkedDraws(nfa, wide);
+  std::vector<Word> c;
+  {
+    ScopedForceScalar scalar;
+    c = ChunkedDraws(nfa, wide);
   }
+  ASSERT_EQ(a.size(), 20u);
+  EXPECT_EQ(a, b);
+  EXPECT_EQ(a, c);
 }
 
 TEST(Batch, ForcedScalarDispatchIdenticalEstimates) {
@@ -146,9 +157,11 @@ TEST(Batch, ForcedScalarDispatchIdenticalEstimates) {
   Rng rng(TestSeed(731));
   Nfa nfa = RandomNfa(7, 0.3, 0.3, rng);
   Result<CountEstimate> active = ApproxCount(nfa, 6, BatchOpts(TestSeed(732), 8));
-  simd::SetForceScalar(true);
-  Result<CountEstimate> scalar = ApproxCount(nfa, 6, BatchOpts(TestSeed(732), 8));
-  simd::SetForceScalar(false);
+  Result<CountEstimate> scalar = Status::Internal("unset");
+  {
+    ScopedForceScalar force;
+    scalar = ApproxCount(nfa, 6, BatchOpts(TestSeed(732), 8));
+  }
   ASSERT_TRUE(active.ok() && scalar.ok());
   EXPECT_EQ(active->estimate, scalar->estimate);
 }
@@ -172,25 +185,23 @@ TEST(Batch, ArenaStopsAllocatingAfterWarmup) {
   // arena capacity.
   Rng rng(TestSeed(751));
   Nfa nfa = RandomNfa(6, 0.35, 0.4, rng);
-  SamplerOptions opts;
+  CountOptions opts;
   opts.seed = TestSeed(752);
   opts.batch_width = 16;
-  Result<WordSampler> sampler = WordSampler::Build(nfa, 6, opts);
-  ASSERT_TRUE(sampler.ok());
+  Result<EngineSession> session = EngineSession::Create(nfa, 6, opts);
+  ASSERT_TRUE(session.ok());
 
-  // Warmup: the build itself ran thousands of batches; one more draw batch
+  // Warmup: the sweep itself runs thousands of batches; one more draw batch
   // settles any post-run scratch.
-  ASSERT_TRUE(sampler->Sample().ok());
-  const int64_t warm_allocs = sampler->diagnostics().arena_alloc_events;
-  const int64_t warm_bytes = sampler->diagnostics().arena_bytes_reserved;
+  ASSERT_TRUE(session->SampleWords(6, 1).ok());
+  const int64_t warm_allocs = session->diagnostics().arena_alloc_events;
+  const int64_t warm_bytes = session->diagnostics().arena_bytes_reserved;
   ASSERT_GT(warm_bytes, 0);
 
-  for (int i = 0; i < 200; ++i) {
-    ASSERT_TRUE(sampler->Sample().ok());
-  }
-  EXPECT_EQ(sampler->diagnostics().arena_alloc_events, warm_allocs)
+  ASSERT_TRUE(session->SampleWords(6, 200).ok());
+  EXPECT_EQ(session->diagnostics().arena_alloc_events, warm_allocs)
       << "drawing 200 samples grew an arena slab";
-  EXPECT_EQ(sampler->diagnostics().arena_bytes_reserved, warm_bytes);
+  EXPECT_EQ(session->diagnostics().arena_bytes_reserved, warm_bytes);
 }
 
 TEST(Batch, InvalidBatchWidthIsStatusNotCrash) {

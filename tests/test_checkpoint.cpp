@@ -1,6 +1,6 @@
 // Binary session checkpoints: save→load→extend must be bit-identical to an
 // uninterrupted run at the same (seed, knob) point — across every
-// num_threads × batch_width × simd combination — and every
+// num_threads × batch_width × kernel-table combination — and every
 // defective file (truncated, corrupted, wrong magic/version/endianness) must
 // be rejected with a precise Status, never loaded partially. A committed
 // golden file pins the on-disk format against accidental layout changes.
@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -31,6 +32,7 @@ namespace nfacount {
 namespace {
 
 using testing_support::ExpectTablesIdentical;
+using testing_support::ScopedForceScalar;
 using testing_support::SessionTestOptions;
 using testing_support::TestSeed;
 
@@ -81,7 +83,7 @@ TEST(Checkpoint, RoundTripRestoresFullState) {
 
 TEST(Checkpoint, SaveLoadExtendBitIdenticalToFreshAcrossKnobGrid) {
   // The acceptance matrix: a session saved at n/2 and resumed under every
-  // (threads, batch, simd) combination, then extended to n, must equal
+  // (threads, batch, kernel table) combination, then extended to n, must equal
   // a fresh uninterrupted run — estimates, tables, and draws.
   Rng rng(TestSeed(911));
   Nfa nfa = RandomNfa(6, 0.3, 0.35, rng);
@@ -108,10 +110,12 @@ TEST(Checkpoint, SaveLoadExtendBitIdenticalToFreshAcrossKnobGrid) {
   for (int threads : threads_grid) {
     for (int batch : batch_grid) {
       for (bool simd : simd_grid) {
+        // The kernel table is process-wide: scalar for this whole resume.
+        std::optional<ScopedForceScalar> scalar;
+        if (!simd) scalar.emplace();
         SessionKnobs knobs;
         knobs.num_threads = threads;
         knobs.batch_width = batch;
-        knobs.simd_kernels = simd;
         Result<EngineSession> resumed = EngineSession::Load(path, &knobs);
         ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
         ASSERT_TRUE(resumed->ExtendTo(n).ok());
@@ -243,9 +247,9 @@ TEST(Checkpoint, PreambleDefectsGetPreciseDiagnostics) {
 }
 
 TEST(Checkpoint, RetiredFlagBytesAreIgnored) {
-  // The parameter block keeps three reserved flag bytes and one reserved
+  // The parameter block keeps four reserved flag bytes and one reserved
   // I64 where engine knobs that never changed a result used to live. Writers
-  // emit 1, 1, 1 and 2^20 there; older files may hold anything (e.g. the
+  // emit 1, 1, 1, 1 and 2^20 there; older files may hold anything (e.g. the
   // knobs switched off). Zero them, re-seal the FNV-1a trailer, and the
   // resumed run must be bit-identical to the unpatched one.
   Rng rng(TestSeed(961));
@@ -261,7 +265,8 @@ TEST(Checkpoint, RetiredFlagBytesAreIgnored) {
   // the parameter block — 108 bytes of schedule/dimensions/derived values/
   // calibration before the six flag bytes, then two I32 knobs.
   constexpr size_t kFlags = 12 + 8 + 108;
-  constexpr size_t kReservedFlags[] = {kFlags + 1, kFlags + 2, kFlags + 4};
+  constexpr size_t kReservedFlags[] = {kFlags + 1, kFlags + 2, kFlags + 4,
+                                       kFlags + 5};
   constexpr size_t kReservedI64 = kFlags + 6 + 4 + 4;
   ASSERT_GT(bytes.size(), kReservedI64 + 8 + 8);
   std::string patched = bytes;

@@ -179,19 +179,20 @@ TEST(Csr, MembershipBatchMatchesNaivePrefixScan) {
   }
 }
 
-// SampleStored must return the drawn word's true reach profile.
-TEST(Csr, SampleStoredCarriesReachProfile) {
+// A drawn word's MakeSample row must be its true reach profile.
+TEST(Csr, MakeSampleOfDrawnWordCarriesReachProfile) {
   Rng rng(TestSeed(111));
   Nfa nfa = RandomNfa(6, 0.35, 0.4, rng);
-  SamplerOptions opts;
+  CountOptions opts;
   opts.seed = TestSeed(112);
-  Result<WordSampler> sampler = WordSampler::Build(nfa, 5, opts);
-  ASSERT_TRUE(sampler.ok());
-  for (int i = 0; i < 8; ++i) {
-    Result<StoredSample> s = sampler->SampleStored();
-    ASSERT_TRUE(s.ok());
-    EXPECT_EQ(s->reach, nfa.Reach(s->word)) << WordToString(s->word);
-    EXPECT_TRUE(s->reach.Intersects(nfa.accepting()));
+  Result<EngineSession> session = EngineSession::Create(nfa, 5, opts);
+  ASSERT_TRUE(session.ok());
+  Result<std::vector<Word>> words = session->SampleWords(5, 8);
+  ASSERT_TRUE(words.ok());
+  for (Word& w : *words) {
+    const StoredSample s = session->engine().unrolled().MakeSample(std::move(w));
+    EXPECT_EQ(s.reach, nfa.Reach(s.word)) << WordToString(s.word);
+    EXPECT_TRUE(s.reach.Intersects(nfa.accepting()));
   }
 }
 

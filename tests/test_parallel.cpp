@@ -119,31 +119,29 @@ TEST(Parallel, TablesAndSamplesBitIdenticalAcrossThreadCounts) {
         << "level=" << level;
   }
   for (int i = 0; i < 16; ++i) {
-    std::optional<Word> a = sequential.SampleAcceptedWord();
-    std::optional<Word> b = parallel.SampleAcceptedWord();
+    std::optional<Word> a = sequential.SampleWord(nfa.accepting(), n);
+    std::optional<Word> b = parallel.SampleWord(nfa.accepting(), n);
     ASSERT_EQ(a.has_value(), b.has_value()) << "draw " << i;
     if (a.has_value()) EXPECT_EQ(*a, *b) << "draw " << i;
   }
 }
 
-TEST(Parallel, SamplerFacadeIdenticalAcrossThreadCounts) {
+TEST(Parallel, SessionDrawsIdenticalAcrossThreadCounts) {
   Rng rng(TestSeed(321));
   Nfa nfa = RandomNfa(6, 0.3, 0.3, rng);
-  SamplerOptions seq_opts;
+  CountOptions seq_opts;
   seq_opts.seed = TestSeed(322);
-  SamplerOptions par_opts = seq_opts;
+  CountOptions par_opts = seq_opts;
   par_opts.num_threads = 4;
 
-  Result<WordSampler> a = WordSampler::Build(nfa, 6, seq_opts);
-  Result<WordSampler> b = WordSampler::Build(nfa, 6, par_opts);
+  Result<EngineSession> a = EngineSession::Create(nfa, 6, seq_opts);
+  Result<EngineSession> b = EngineSession::Create(nfa, 6, par_opts);
   ASSERT_TRUE(a.ok() && b.ok());
-  EXPECT_EQ(a->CountEstimate(), b->CountEstimate());
-  for (int i = 0; i < 10; ++i) {
-    Result<Word> wa = a->Sample();
-    Result<Word> wb = b->Sample();
-    ASSERT_TRUE(wa.ok() && wb.ok());
-    EXPECT_EQ(*wa, *wb) << "draw " << i;
-  }
+  Result<std::vector<Word>> wa = a->SampleWords(6, 10);
+  Result<std::vector<Word>> wb = b->SampleWords(6, 10);
+  ASSERT_TRUE(wa.ok() && wb.ok());
+  EXPECT_EQ(a->CountAtLength(6).value(), b->CountAtLength(6).value());
+  EXPECT_EQ(*wa, *wb);
 }
 
 TEST(Parallel, AllLengthsBitIdenticalAcrossThreadCounts) {

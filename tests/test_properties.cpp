@@ -252,17 +252,17 @@ TEST_P(SamplerProperties, EverySampleIsAccepted) {
   Result<BigUint> exact = BruteForceCount(a, n);
   ASSERT_TRUE(exact.ok());
   if (exact->IsZero()) return;
-  SamplerOptions options;
+  CountOptions options;
   options.eps = 0.35;
   options.delta = 0.25;
   options.seed = TestSeed(3 + GetParam());
-  Result<WordSampler> sampler = WordSampler::Build(a, n, options);
-  ASSERT_TRUE(sampler.ok());
-  for (int i = 0; i < 60; ++i) {
-    Result<Word> w = sampler.value().Sample();
-    ASSERT_TRUE(w.ok());
-    EXPECT_TRUE(a.Accepts(w.value())) << WordToString(w.value());
-    EXPECT_EQ(static_cast<int>(w.value().size()), n);
+  Result<EngineSession> session = EngineSession::Create(a, n, options);
+  ASSERT_TRUE(session.ok());
+  Result<std::vector<Word>> words = session->SampleWords(n, 60);
+  ASSERT_TRUE(words.ok());
+  for (const Word& w : *words) {
+    EXPECT_TRUE(a.Accepts(w)) << WordToString(w);
+    EXPECT_EQ(static_cast<int>(w.size()), n);
   }
 }
 

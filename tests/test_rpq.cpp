@@ -9,6 +9,7 @@
 #include "apps/rpq.hpp"
 #include "automata/regex.hpp"
 #include "counting/exact.hpp"
+#include "fpras/session.hpp"
 #include "test_seed.hpp"
 #include "util/rng.hpp"
 
@@ -136,7 +137,7 @@ TEST(SampleRpq, AnswersMatchRegexAndGraph) {
   const int n = 5;
   std::set<Word> valid = BruteForceAnswers(db, 0, 5, regex, n);
   ASSERT_FALSE(valid.empty());
-  SamplerOptions options;
+  CountOptions options;
   options.eps = 0.3;
   options.delta = 0.2;
   options.seed = TestSeed(29);
@@ -147,6 +148,27 @@ TEST(SampleRpq, AnswersMatchRegexAndGraph) {
   for (const Word& w : *samples) {
     EXPECT_TRUE(valid.count(w)) << WordToString(w);
   }
+}
+
+TEST(SampleRpq, NegativeCountIsStatusNotCrash) {
+  GraphDb db = DemoGraph();
+  Result<std::vector<Word>> samples =
+      SampleRpqAnswers(db, 0, 5, "(0|1)*0", 5, /*count=*/-1);
+  EXPECT_EQ(samples.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(SampleRpq, CountAboveOneCallIsDrawnInChunks) {
+  // One more word than a single SampleWords call may return. Length 0 keeps
+  // the request cheap: node 0 → node 0 over the empty word, which (0|1)*
+  // matches, so every answer is the empty word.
+  GraphDb db = DemoGraph();
+  const int64_t count = EngineSession::kMaxDrawsPerCall + 1;
+  Result<std::vector<Word>> samples =
+      SampleRpqAnswers(db, 0, 0, "(0|1)*", 0, count);
+  ASSERT_TRUE(samples.ok()) << samples.status().ToString();
+  ASSERT_EQ(static_cast<int64_t>(samples->size()), count);
+  EXPECT_TRUE(samples->front().empty());
+  EXPECT_TRUE(samples->back().empty());
 }
 
 TEST(WitnessPaths, EnumeratesAllRealizations) {

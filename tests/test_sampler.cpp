@@ -1,13 +1,14 @@
 // Tests for the almost-uniform word sampler (Algorithm 2 / Theorem 2 /
 // Inv-2): support correctness, empirical closeness to uniform in TV distance
 // on exactly-enumerable languages, rejection-rate bounds, and the public
-// WordSampler facade.
+// EngineSession::SampleWords draw surface.
 
 #include <gtest/gtest.h>
 
 #include <map>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "automata/generators.hpp"
 #include "counting/exact.hpp"
@@ -20,12 +21,20 @@ namespace {
 
 using testing_support::TestSeed;
 
-SamplerOptions Opts(uint64_t seed) {
-  SamplerOptions o;
+CountOptions Opts(uint64_t seed) {
+  CountOptions o;
   o.eps = 0.3;
   o.delta = 0.2;
   o.seed = seed;
   return o;
+}
+
+/// `count` words of L(A_n) from a fresh session, drawn in one call.
+Result<std::vector<Word>> Draw(const Nfa& nfa, int n, int64_t count,
+                               uint64_t seed) {
+  Result<EngineSession> session = EngineSession::Create(nfa, n, Opts(seed));
+  if (!session.ok()) return session.status();
+  return session->SampleWords(n, count);
 }
 
 TEST(Sampler, SamplesAreAlwaysInLanguage) {
@@ -36,15 +45,12 @@ TEST(Sampler, SamplesAreAlwaysInLanguage) {
     Result<std::vector<Word>> lang = EnumerateAccepted(nfa, n);
     ASSERT_TRUE(lang.ok());
     if (lang->empty()) continue;
-    Result<WordSampler> sampler =
-        WordSampler::Build(nfa, n, Opts(TestSeed(50 + trial)));
-    ASSERT_TRUE(sampler.ok()) << sampler.status().ToString();
+    Result<std::vector<Word>> words = Draw(nfa, n, 200, TestSeed(50 + trial));
+    ASSERT_TRUE(words.ok()) << words.status().ToString();
+    ASSERT_EQ(words->size(), 200u);
     std::set<Word> language(lang->begin(), lang->end());
-    for (int i = 0; i < 200; ++i) {
-      Result<Word> w = sampler.value().Sample();
-      ASSERT_TRUE(w.ok()) << w.status().ToString();
-      ASSERT_TRUE(language.count(w.value()))
-          << WordToString(w.value()) << " not in L(A_n)";
+    for (const Word& w : *words) {
+      ASSERT_TRUE(language.count(w)) << WordToString(w) << " not in L(A_n)";
     }
   }
 }
@@ -59,15 +65,11 @@ TEST(Sampler, EmpiricallyCloseToUniformInTv) {
   const int64_t support = static_cast<int64_t>(lang->size());
   ASSERT_GT(support, 0);
 
-  Result<WordSampler> sampler = WordSampler::Build(nfa, n, Opts(TestSeed(404)));
-  ASSERT_TRUE(sampler.ok());
-  std::map<std::string, int64_t> histogram;
   const int64_t draws = 6000;
-  for (int64_t i = 0; i < draws; ++i) {
-    Result<Word> w = sampler.value().Sample();
-    ASSERT_TRUE(w.ok());
-    ++histogram[WordToString(w.value())];
-  }
+  Result<std::vector<Word>> words = Draw(nfa, n, draws, TestSeed(404));
+  ASSERT_TRUE(words.ok());
+  std::map<std::string, int64_t> histogram;
+  for (const Word& w : *words) ++histogram[WordToString(w)];
   EXPECT_EQ(static_cast<int64_t>(histogram.size()), support)
       << "sampler missed part of the support";
   // Sampling noise alone gives TV ~ sqrt(|L|/draws)/2 ~ 0.02; the sampler's
@@ -99,15 +101,11 @@ TEST(Sampler, UniformAcrossDisjointBranchesOfUnevenSize) {
   nfa.AddAccepting(free_b);
   const int n = 5;
   // L = 00 + 3 free (8 words) ∪ 1 + 4 free (16 words); disjoint.
-  Result<WordSampler> sampler = WordSampler::Build(nfa, n, Opts(TestSeed(777)));
-  ASSERT_TRUE(sampler.ok());
-  int64_t zeros = 0, ones = 0;
   const int64_t draws = 4000;
-  for (int64_t i = 0; i < draws; ++i) {
-    Result<Word> w = sampler.value().Sample();
-    ASSERT_TRUE(w.ok());
-    (w.value()[0] == 0 ? zeros : ones) += 1;
-  }
+  Result<std::vector<Word>> words = Draw(nfa, n, draws, TestSeed(777));
+  ASSERT_TRUE(words.ok());
+  int64_t zeros = 0, ones = 0;
+  for (const Word& w : *words) (w[0] == 0 ? zeros : ones) += 1;
   EXPECT_NEAR(static_cast<double>(ones) / draws, 16.0 / 24.0, 0.05);
   EXPECT_NEAR(static_cast<double>(zeros) / draws, 8.0 / 24.0, 0.05);
 }
@@ -137,9 +135,7 @@ TEST(Sampler, EmptyLanguageReportsNotFound) {
   nfa.AddAccepting(1);  // unreachable
   nfa.AddTransition(0, 0, 0);
   nfa.AddTransition(0, 1, 0);
-  Result<WordSampler> sampler = WordSampler::Build(nfa, 5, Opts(TestSeed(1)));
-  ASSERT_TRUE(sampler.ok());
-  Result<Word> w = sampler.value().Sample();
+  Result<std::vector<Word>> w = Draw(nfa, 5, 1, TestSeed(1));
   EXPECT_FALSE(w.ok());
   EXPECT_EQ(w.status().code(), StatusCode::kNotFound);
 }
@@ -150,20 +146,16 @@ TEST(Sampler, LengthZeroLanguage) {
   nfa.SetInitial(q);
   nfa.AddAccepting(q);
   nfa.AddTransition(q, 0, q);
-  Result<WordSampler> sampler = WordSampler::Build(nfa, 0, Opts(TestSeed(1)));
-  ASSERT_TRUE(sampler.ok());
-  Result<Word> w = sampler.value().Sample();
+  Result<std::vector<Word>> w = Draw(nfa, 0, 1, TestSeed(1));
   ASSERT_TRUE(w.ok());
-  EXPECT_TRUE(w.value().empty());
+  ASSERT_EQ(w->size(), 1u);
+  EXPECT_TRUE(w->front().empty());
 }
 
-TEST(Sampler, SampleManyCountsAndDeterminism) {
+TEST(Sampler, SampleWordsCountsAndDeterminism) {
   Nfa nfa = ParityNfa(2);
-  Result<WordSampler> s1 = WordSampler::Build(nfa, 6, Opts(TestSeed(99)));
-  Result<WordSampler> s2 = WordSampler::Build(nfa, 6, Opts(TestSeed(99)));
-  ASSERT_TRUE(s1.ok() && s2.ok());
-  Result<std::vector<Word>> w1 = s1.value().SampleMany(25);
-  Result<std::vector<Word>> w2 = s2.value().SampleMany(25);
+  Result<std::vector<Word>> w1 = Draw(nfa, 6, 25, TestSeed(99));
+  Result<std::vector<Word>> w2 = Draw(nfa, 6, 25, TestSeed(99));
   ASSERT_TRUE(w1.ok() && w2.ok());
   EXPECT_EQ(w1->size(), 25u);
   EXPECT_EQ(*w1, *w2);  // same seed, same words
@@ -172,22 +164,22 @@ TEST(Sampler, SampleManyCountsAndDeterminism) {
 TEST(Sampler, CountEstimateExposedMatchesFprasAccuracy) {
   Nfa nfa = ParityNfa(2);
   const int n = 8;
-  Result<WordSampler> sampler = WordSampler::Build(nfa, n, Opts(TestSeed(5)));
-  ASSERT_TRUE(sampler.ok());
-  EXPECT_NEAR(sampler.value().CountEstimate() / 128.0, 1.0, 0.45);
+  Result<EngineSession> session =
+      EngineSession::Create(nfa, n, Opts(TestSeed(5)));
+  ASSERT_TRUE(session.ok());
+  Result<double> estimate = session->CountAtLength(n);
+  ASSERT_TRUE(estimate.ok());
+  EXPECT_NEAR(*estimate / 128.0, 1.0, 0.45);
 }
 
 TEST(Sampler, SingletonLanguageAlwaysReturnsTheWord) {
   Word needle{1, 1, 0, 1, 0, 0};
   Nfa nfa = SparseNeedle(needle);
-  Result<WordSampler> sampler =
-      WordSampler::Build(nfa, static_cast<int>(needle.size()), Opts(TestSeed(8)));
-  ASSERT_TRUE(sampler.ok());
-  for (int i = 0; i < 20; ++i) {
-    Result<Word> w = sampler.value().Sample();
-    ASSERT_TRUE(w.ok());
-    EXPECT_EQ(w.value(), needle);
-  }
+  Result<std::vector<Word>> words =
+      Draw(nfa, static_cast<int>(needle.size()), 20, TestSeed(8));
+  ASSERT_TRUE(words.ok());
+  ASSERT_EQ(words->size(), 20u);
+  for (const Word& w : *words) EXPECT_EQ(w, needle);
 }
 
 TEST(Sampler, EngineSampleWordTargetsArbitraryStateSets) {

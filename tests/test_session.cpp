@@ -18,6 +18,7 @@ namespace nfacount {
 namespace {
 
 using testing_support::ExpectTablesIdentical;
+using testing_support::ScopedForceScalar;
 using testing_support::SessionTestOptions;
 using testing_support::TestSeed;
 
@@ -70,25 +71,28 @@ TEST(Session, IncrementalExtensionBitIdenticalToOneShot) {
 
 TEST(Session, ExtensionComposesWithKnobFlips) {
   // The determinism contracts must hold jointly with incrementality:
-  // extend-in-steps on (4 threads, batch 32, scalar) equals one-shot on the
-  // defaults.
+  // extend-in-steps on (4 threads, batch 32, scalar kernels) equals one-shot
+  // on the defaults.
   Nfa nfa = SubstringNfa(Word{1, 0, 1});
   const int n = 8;
   CountOptions base = SessionTestOptions(TestSeed(821));
   CountOptions flipped = base;
   flipped.num_threads = 4;
   flipped.batch_width = 32;
-  flipped.simd_kernels = false;
 
   Result<EngineSession> a = EngineSession::Create(nfa, n, base);
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(a->ExtendTo(n).ok());
 
-  Result<EngineSession> b = EngineSession::Create(nfa, n, flipped);
-  ASSERT_TRUE(b.ok());
-  ASSERT_TRUE(b->ExtendTo(3).ok());
-  ASSERT_TRUE(b->ExtendTo(5).ok());
-  ASSERT_TRUE(b->ExtendTo(n).ok());
+  Result<EngineSession> b = Status::Internal("unset");
+  {
+    ScopedForceScalar scalar;
+    b = EngineSession::Create(nfa, n, flipped);
+    ASSERT_TRUE(b.ok());
+    ASSERT_TRUE(b->ExtendTo(3).ok());
+    ASSERT_TRUE(b->ExtendTo(5).ok());
+    ASSERT_TRUE(b->ExtendTo(n).ok());
+  }
 
   for (int level = 0; level <= n; ++level) {
     Result<double> ca = a->CountAtLength(level);
@@ -248,7 +252,6 @@ TEST(Session, CountOptionsReachParamsAtEveryHorizon) {
   o.recycle_samples = false;
   o.num_threads = 3;
   o.batch_width = 24;
-  o.simd_kernels = false;
   o.descent_cache_capacity = 77;
   // Off, so NFACOUNT_SYMBOL_CLASSES=0 cannot change what the engine reports.
   o.symbol_classes = false;
@@ -259,7 +262,6 @@ TEST(Session, CountOptionsReachParamsAtEveryHorizon) {
     EXPECT_FALSE(p.recycle_samples);
     EXPECT_EQ(p.num_threads, 3);
     EXPECT_EQ(p.batch_width, 24);
-    EXPECT_FALSE(p.simd_kernels);
     EXPECT_EQ(p.descent_cache_capacity, 77);
     EXPECT_FALSE(p.symbol_classes);
   };

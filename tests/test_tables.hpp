@@ -1,7 +1,8 @@
 // Shared table-equality support for the determinism suites (test_batch,
 // test_session, test_checkpoint): one definition of "two engines hold
 // bit-identical per-(q,ℓ) state", so every suite asserts the same notion of
-// identical when StateLevelData grows a field.
+// identical when StateLevelData grows a field, plus the scoped kernel-table
+// switch those suites flip.
 
 #ifndef NFACOUNT_TESTS_TEST_TABLES_HPP_
 #define NFACOUNT_TESTS_TEST_TABLES_HPP_
@@ -9,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include "fpras/estimator.hpp"
+#include "util/simd.hpp"
 
 namespace nfacount {
 namespace testing_support {
@@ -44,6 +46,18 @@ inline CountOptions SessionTestOptions(uint64_t seed) {
   options.seed = seed;
   return options;
 }
+
+/// Forces the scalar kernel table process-wide for its lifetime, then
+/// restores auto-detection (which still honors NFACOUNT_FORCE_SCALAR). The
+/// kernel table is read when an engine is prepared, so build the engine (or
+/// load the session) inside the scope.
+class ScopedForceScalar {
+ public:
+  ScopedForceScalar() { simd::SetForceScalar(true); }
+  ~ScopedForceScalar() { simd::SetForceScalar(false); }
+  ScopedForceScalar(const ScopedForceScalar&) = delete;
+  ScopedForceScalar& operator=(const ScopedForceScalar&) = delete;
+};
 
 }  // namespace testing_support
 }  // namespace nfacount
