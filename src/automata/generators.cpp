@@ -32,6 +32,23 @@ Nfa RandomNfa(int m, double density, double accept_prob, Rng& rng) {
   return out;
 }
 
+Nfa SparseRandomNfa(int m, int k, double d, Rng& rng) {
+  assert(m >= 1 && k >= 1 && d >= 0.0);
+  Nfa out(k);
+  out.AddStates(m);
+  out.SetInitial(0);
+  const double p = d / m;
+  for (StateId q = 0; q < m; ++q) {
+    for (int a = 0; a < k; ++a) {
+      for (StateId r = 0; r < m; ++r) {
+        if (rng.Bernoulli(p)) out.AddTransition(q, static_cast<Symbol>(a), r);
+      }
+    }
+  }
+  out.AddAccepting(static_cast<StateId>(rng.UniformU64(m)));
+  return out;
+}
+
 Nfa CombinationLock(const Word& pattern, int alphabet_size) {
   const int len = static_cast<int>(pattern.size());
   Nfa out(alphabet_size);

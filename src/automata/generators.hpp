@@ -19,6 +19,14 @@ namespace nfacount {
 /// state plus each other state accepting with probability `accept_prob`.
 Nfa RandomNfa(int m, double density, double accept_prob, Rng& rng);
 
+/// Sparse random NFA over a k-symbol alphabet: m states, each (state, symbol)
+/// pair gets each possible target independently with probability d/m (d
+/// expected targets), no forced liveness, and exactly one accepting state,
+/// chosen uniformly. Unlike RandomNfa at E3 densities — which accepts every
+/// word of length >= 2 once m >= 24 — its languages are proper subsets of
+/// Σⁿ whose unions do not all coincide. Requires m >= 1, k >= 1, d >= 0.
+Nfa SparseRandomNfa(int m, int k, double d, Rng& rng);
+
 /// DFA accepting exactly the words with `pattern` as a prefix ("combination
 /// lock"): |L(A_n)| = |Σ|^(n-|pattern|) for n >= |pattern|. Exact anchor.
 Nfa CombinationLock(const Word& pattern, int alphabet_size = 2);

@@ -73,9 +73,9 @@ class MembershipBatch {
 };
 
 /// Caller-owned scratch for AppUnionBatched, reused across the thousands of
-/// calls one FPRAS run makes: the prefix-mask membership index and the flat
-/// trial-draw table (both rebuild in place without reallocating when sizes
-/// repeat).
+/// calls one FPRAS run makes: the prefix-mask membership index and the
+/// guide-table trial-draw index (both rebuild in place without reallocating
+/// when sizes repeat).
 ///
 /// Thread safety: the AppUnion* estimators are pure functions of (inputs,
 /// params, scratch, rng) — concurrent calls are safe iff each thread owns
@@ -83,7 +83,7 @@ class MembershipBatch {
 /// AppUnionScratch per worker slot; see FprasEngine::WorkerScratch).
 struct AppUnionScratch {
   MembershipBatch batch;  ///< covered-earlier prefix masks
-  DiscreteTable table;    ///< prefix-sum index-draw table over the k sizes
+  DiscreteTable table;    ///< guide-table index draws over the k sizes
 };
 
 /// What to do when an input's sample list runs out mid-call.
@@ -243,8 +243,8 @@ AppUnionOutcome AppUnionBatched(const std::vector<const Input*>& inputs,
   }
   if (!(sum_sz > 0.0)) return out;  // all inputs empty: the union is empty
   scratch.batch.Rebuild(inputs[0]->universe(), owners);
-  // The k size estimates are fixed for all t trials: draw through a flat
-  // prefix-sum table (O(log k), bit-identical selection to DiscreteIndex).
+  // The k size estimates are fixed for all t trials: draw through a guide
+  // table (O(1) expected, the same index as DiscreteIndex).
   scratch.table.Rebuild(sizes);
 
   const int64_t t = AppUnionTrialCount(params, sum_sz, max_sz);

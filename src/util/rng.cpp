@@ -1,6 +1,5 @@
 #include "util/rng.hpp"
 
-#include <algorithm>
 #include <cassert>
 #include <cstddef>
 
@@ -102,31 +101,56 @@ int Rng::DiscreteIndex(const std::vector<double>& weights) {
 Rng Rng::Split() { return Rng(NextU64() ^ 0x9e3779b97f4a7c15ULL); }
 
 void DiscreteTable::Rebuild(const std::vector<double>& weights) {
-  weights_ = weights;
-  prefix_.resize(weights.size());
+  const size_t k = weights.size();
+  prefix_.resize(k);
   double acc = 0.0;
-  for (size_t i = 0; i < weights.size(); ++i) {
+  last_positive_ = -1;
+  for (size_t i = 0; i < k; ++i) {
     assert(weights[i] >= 0.0);
     acc += weights[i];
     prefix_[i] = acc;
+    if (weights[i] > 0.0) last_positive_ = static_cast<int>(i);
   }
   total_ = acc;
+
+  // G = 2^g buckets: the smallest power of two >= 2k, capped at 2^16. The
+  // k prefix sums split among G equally likely buckets, so a draw's expected
+  // scan is <= 1 + k/G steps: <= 1.5 below the cap.
+  int g = 1;
+  while (g < 16 && (size_t{1} << g) < 2 * k) ++g;
+  guide_shift_ = 53 - g;
+  guide_.resize(size_t{1} << g);
+  // Bucket b holds r in [b << shift, (b + 1) << shift). u_min is the u its
+  // smallest r yields, and rounding the product is monotone, so every draw in
+  // the bucket has u >= u_min and cannot select an index whose prefix sum is
+  // <= u_min. u_min grows with b, so one forward pointer fills the table.
+  size_t i = 0;
+  for (size_t b = 0; b < guide_.size(); ++b) {
+    const double u_min =
+        static_cast<double>(static_cast<uint64_t>(b) << guide_shift_) *
+        0x1.0p-53 * total_;
+    while (i < k && !(u_min < prefix_[i])) ++i;
+    guide_[b] = static_cast<uint32_t>(i);
+  }
 }
 
 int DiscreteTable::Draw(Rng& rng) const {
   if (!(total_ > 0.0)) return -1;
-  const double u = rng.UniformDouble() * total_;
+  // Bit for bit UniformDouble() * total_, keeping r to pick the bucket.
+  const uint64_t r = rng.NextU64() >> 11;
+  const double u = static_cast<double>(r) * 0x1.0p-53 * total_;
   // First i with u < prefix_[i] — the same condition DiscreteIndex's linear
-  // scan tests, on the same partial sums.
-  auto it = std::upper_bound(prefix_.begin(), prefix_.end(), u);
-  if (it != prefix_.end()) return static_cast<int>(it - prefix_.begin());
-  // Floating-point slack: DiscreteIndex's exact fallback — the last positive
-  // weight (scanned on the retained weights, since a tiny weight can be
-  // absorbed by the running sum and leave no strict prefix increase).
-  for (size_t i = weights_.size(); i-- > 0;) {
-    if (weights_[i] > 0.0) return static_cast<int>(i);
-  }
-  return -1;
+  // scan tests, on the same partial sums; no index below the guide entry can
+  // satisfy it.
+  const size_t k = prefix_.size();
+  size_t i = guide_[r >> guide_shift_];
+  while (i < k && !(u < prefix_[i])) ++i;
+  if (i < k) return static_cast<int>(i);
+  // Floating-point slack (or an infinite total): DiscreteIndex's exact
+  // fallback, the last positive weight. A tiny weight can be absorbed by the
+  // running sum and leave no strict prefix increase, so it is found on the
+  // weights, not the prefix sums.
+  return last_positive_;
 }
 
 }  // namespace nfacount

@@ -87,20 +87,26 @@ class Rng {
 
 /// Flat prefix-sum table over a fixed weight vector, for loops that draw many
 /// indices from the same distribution (AppUnion's trial loop draws t ≫ k
-/// times from k fixed size estimates). Draw() is O(log k) per draw against
-/// DiscreteIndex's O(k) scan, consumes exactly one UniformDouble, and selects
-/// the bit-identical index for the same generator state: the prefix sums
-/// accumulate in DiscreteIndex's order, and the floating-point-slack fallback
-/// scans the same retained weights. Rebuild() reuses the table's storage
-/// across calls.
+/// times from k fixed size estimates). Draw() is O(1) expected against
+/// DiscreteIndex's O(k) scan: a guide table (indexed search) of G = 2^g
+/// buckets over the top g of the 53 uniform bits maps each bucket to the
+/// first index its smallest value can select, and a forward scan of at most
+/// 1 + k/G expected steps finishes. It consumes exactly one NextU64 (the bits
+/// of one UniformDouble) and selects the bit-identical index for the same
+/// generator state: the prefix sums accumulate in DiscreteIndex's order, the
+/// scan tests DiscreteIndex's `u < prefix` condition, and the floating-point-
+/// slack fallback picks the same last positive weight. Rebuild() reuses the
+/// table's storage across calls.
 class DiscreteTable {
  public:
   DiscreteTable() = default;
 
-  /// Recomputes the prefix sums for `weights` (non-negative).
+  /// Recomputes the prefix sums and the guide table for `weights`
+  /// (non-negative).
   void Rebuild(const std::vector<double>& weights);
 
-  /// True when the weights had a positive finite sum.
+  /// True when the weights had a positive sum (+inf included: Draw then
+  /// always takes the last-positive-weight fallback, as DiscreteIndex does).
   bool valid() const { return total_ > 0.0; }
 
   /// Sum of the weights (0 before Rebuild).
@@ -112,7 +118,10 @@ class DiscreteTable {
 
  private:
   std::vector<double> prefix_;
-  std::vector<double> weights_;  // retained for the exact fallback scan
+  /// guide_[b]: the first i with prefix_[i] above the smallest u of bucket b.
+  std::vector<uint32_t> guide_;
+  int guide_shift_ = 53;     ///< bucket of r (53 uniform bits) = r >> shift
+  int last_positive_ = -1;   ///< DiscreteIndex's floating-point-slack answer
   double total_ = 0.0;
 };
 

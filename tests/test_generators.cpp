@@ -38,6 +38,41 @@ TEST(Generators, RandomNfaDeterministicPerRngState) {
   EXPECT_EQ(a.ToString(), b.ToString());
 }
 
+TEST(Generators, SparseRandomNfaDeterministicPerRngState) {
+  Rng rng1(TestSeed(3)), rng2(TestSeed(3));
+  Nfa a = SparseRandomNfa(64, 2, 1.8, rng1);
+  Nfa b = SparseRandomNfa(64, 2, 1.8, rng2);
+  EXPECT_EQ(a.ToString(), b.ToString());
+  EXPECT_EQ(rng1.NextU64(), rng2.NextU64());
+}
+
+TEST(Generators, SparseRandomNfaHasOneAcceptingState) {
+  Rng rng(TestSeed(4));
+  for (int trial = 0; trial < 20; ++trial) {
+    Nfa nfa = SparseRandomNfa(8 + 7 * trial, 1 + trial % 4, 1.5, rng);
+    ASSERT_TRUE(nfa.Validate().ok());
+    EXPECT_EQ(nfa.alphabet_size(), 1 + trial % 4);
+    EXPECT_EQ(nfa.accepting().Count(), 1u);
+  }
+}
+
+TEST(Generators, SparseRandomNfaMeanOutDegreeIsD) {
+  // Each (q, a) draws Binomial(m, d/m) targets: over 20 automata of 64
+  // states and 2 symbols the mean has standard deviation <= 0.04 for these
+  // d, so 0.2 is a >= 5-sigma band.
+  Rng rng(TestSeed(5));
+  for (double d : {1.4, 1.8, 4.0}) {
+    int64_t transitions = 0, pairs = 0;
+    for (int i = 0; i < 20; ++i) {
+      Nfa nfa = SparseRandomNfa(64, 2, d, rng);
+      transitions += nfa.num_transitions();
+      pairs += 64 * 2;
+    }
+    EXPECT_NEAR(static_cast<double>(transitions) / pairs, d, 0.2)
+        << "d = " << d;
+  }
+}
+
 TEST(Generators, CombinationLockClosedForm) {
   Nfa lock = CombinationLock(Word{1, 0, 1, 1});
   for (int n = 0; n <= 10; ++n) {

@@ -10,6 +10,7 @@
 
 #include "counting/union_mc.hpp"
 #include "test_seed.hpp"
+#include "util/bitset.hpp"
 #include "util/rng.hpp"
 
 namespace nfacount {
@@ -17,16 +18,34 @@ namespace {
 
 using testing_support::TestSeed;
 
+/// A pre-drawn sample with its membership profile: bit j set iff the value
+/// lies in the set whose owner() is j (what AppUnionBatched reads through
+/// the default ProfileWordsData, as it does a StoredSample's `.reach`).
+struct ProfiledInt {
+  int value;
+  Bitset reach;
+};
+
 /// Test input: an explicit integer set with a pre-drawn uniform sample list.
+/// owner(), universe() and the sample profiles are filled in by
+/// AttachProfiles once every set of a call is known.
 struct IntSetInput {
   std::set<int> elements;
-  std::vector<int> samples;  // pre-drawn uniformly with replacement
-  double reported_size;      // possibly perturbed estimate
+  std::vector<ProfiledInt> samples;  // pre-drawn uniformly with replacement
+  double reported_size;              // possibly perturbed estimate
+  int owner_id = 0;
+  size_t universe_bits = 1;
 
   double size_estimate() const { return reported_size; }
   int64_t num_samples() const { return static_cast<int64_t>(samples.size()); }
-  const int& Sample(int64_t i) const { return samples[static_cast<size_t>(i)]; }
-  bool Contains(const int& x) const { return elements.count(x) > 0; }
+  const ProfiledInt& Sample(int64_t i) const {
+    return samples[static_cast<size_t>(i)];
+  }
+  bool Contains(const ProfiledInt& x) const {
+    return elements.count(x.value) > 0;
+  }
+  int owner() const { return owner_id; }
+  size_t universe() const { return universe_bits; }
 };
 
 IntSetInput MakeInput(std::set<int> elements, int64_t num_samples, Rng& rng,
@@ -35,10 +54,28 @@ IntSetInput MakeInput(std::set<int> elements, int64_t num_samples, Rng& rng,
   input.elements = std::move(elements);
   std::vector<int> pool(input.elements.begin(), input.elements.end());
   for (int64_t i = 0; i < num_samples; ++i) {
-    input.samples.push_back(pool[rng.UniformU64(pool.size())]);
+    input.samples.push_back({pool[rng.UniformU64(pool.size())], Bitset()});
   }
   input.reported_size = static_cast<double>(input.elements.size()) * size_factor;
   return input;
+}
+
+/// Gives input i owner id `owners[i]` over a universe of `universe` ids and
+/// profiles every sample against all the inputs' sets.
+void AttachProfiles(std::vector<IntSetInput>& inputs,
+                    const std::vector<int>& owners, size_t universe) {
+  for (size_t i = 0; i < inputs.size(); ++i) {
+    inputs[i].owner_id = owners[i];
+    inputs[i].universe_bits = universe;
+  }
+  for (auto& in : inputs) {
+    for (auto& sample : in.samples) {
+      sample.reach = Bitset(universe);
+      for (const auto& other : inputs) {
+        if (other.Contains(sample)) sample.reach.Set(other.owner_id);
+      }
+    }
+  }
 }
 
 double TrueUnionSize(const std::vector<IntSetInput>& inputs) {
@@ -301,6 +338,97 @@ TEST(AppUnion, DeterministicUnderSeed) {
   EXPECT_DOUBLE_EQ(RunAppUnion(inputs, p, r1).estimate,
                    RunAppUnion(inputs, p, r2).estimate);
 }
+
+// ---------------------------------------------------------------------------
+// AppUnionBatched: the same estimator and RNG stream as AppUnion
+// ---------------------------------------------------------------------------
+
+/// Runs AppUnion and AppUnionBatched from equal seeds and requires the same
+/// outcome (membership_checks aside: AppUnion counts probes until the first
+/// hit, AppUnionBatched all i answered per trial) and the same generator
+/// state afterwards. Returns AppUnion's outcome.
+AppUnionOutcome ExpectBatchedMatchesAppUnion(
+    const std::vector<IntSetInput>& inputs, const AppUnionParams& params,
+    uint64_t seed) {
+  std::vector<const IntSetInput*> ptrs;
+  for (const auto& in : inputs) ptrs.push_back(&in);
+  Rng r1(seed), r2(seed);
+  const AppUnionOutcome plain = AppUnion(ptrs, params, r1);
+  AppUnionScratch scratch;
+  const AppUnionOutcome batched = AppUnionBatched(ptrs, params, scratch, r2);
+  EXPECT_EQ(plain.estimate, batched.estimate);
+  EXPECT_EQ(plain.hits, batched.hits);
+  EXPECT_EQ(plain.trials, batched.trials);
+  EXPECT_EQ(plain.completed_trials, batched.completed_trials);
+  EXPECT_EQ(plain.starved, batched.starved);
+  EXPECT_EQ(r1.NextU64(), r2.NextU64()) << "generators diverged";
+  return plain;
+}
+
+/// Five overlapping sets of uneven size, owned by non-contiguous ids in a
+/// 70-bit universe (profiles span two words), with `num_samples` each.
+std::vector<IntSetInput> OverlappingInputs(int64_t num_samples, Rng& rng) {
+  std::vector<IntSetInput> inputs;
+  for (int i = 0; i < 5; ++i) {
+    std::set<int> s;
+    for (int x = 10 * i; x < 10 * i + 15 + 7 * i; ++x) s.insert(x);
+    inputs.push_back(MakeInput(std::move(s), num_samples, rng));
+  }
+  AttachProfiles(inputs, {3, 0, 64, 17, 69}, 70);
+  return inputs;
+}
+
+class BatchedEqualsAppUnion
+    : public ::testing::TestWithParam<StarvationPolicy> {};
+
+TEST_P(BatchedEqualsAppUnion, WithoutStarvation) {
+  Rng build(TestSeed(13));
+  const std::vector<IntSetInput> inputs = OverlappingInputs(8192, build);
+  AppUnionParams p;
+  p.eps = 0.3;
+  p.delta = 0.2;
+  p.starvation = GetParam();
+  for (uint64_t seed : {1, 2, 3}) {
+    const AppUnionOutcome out =
+        ExpectBatchedMatchesAppUnion(inputs, p, TestSeed(seed));
+    EXPECT_FALSE(out.starved);
+  }
+}
+
+TEST_P(BatchedEqualsAppUnion, WithStarvation) {
+  Rng build(TestSeed(14));
+  const std::vector<IntSetInput> inputs = OverlappingInputs(12, build);
+  AppUnionParams p;
+  p.eps = 0.3;
+  p.delta = 0.2;
+  p.starvation = GetParam();
+  for (uint64_t seed : {4, 5, 6}) {
+    const AppUnionOutcome out =
+        ExpectBatchedMatchesAppUnion(inputs, p, TestSeed(seed));
+    EXPECT_TRUE(out.starved);
+  }
+}
+
+TEST_P(BatchedEqualsAppUnion, ZeroSizeAndEmptyInputs) {
+  // A zero-size input is never drawn; an input with no samples starves on
+  // its first draw (and cannot recycle).
+  Rng build(TestSeed(15));
+  std::vector<IntSetInput> inputs = OverlappingInputs(256, build);
+  inputs[1].reported_size = 0.0;
+  inputs[3].samples.clear();
+  AppUnionParams p;
+  p.eps = 0.3;
+  p.delta = 0.2;
+  p.starvation = GetParam();
+  EXPECT_TRUE(ExpectBatchedMatchesAppUnion(inputs, p, TestSeed(16)).starved);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Policies, BatchedEqualsAppUnion,
+    ::testing::Values(StarvationPolicy::kBreak, StarvationPolicy::kRecycle),
+    [](const ::testing::TestParamInfo<StarvationPolicy>& info) {
+      return info.param == StarvationPolicy::kBreak ? "Break" : "Recycle";
+    });
 
 }  // namespace
 }  // namespace nfacount
