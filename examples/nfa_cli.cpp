@@ -22,12 +22,6 @@
 //                      engine, roughly 100x slower; default = engine
 //                      default; bit-identical results at every value —
 //                      NFACOUNT_DESCENT_CACHE=<e> overrides process-wide)
-//   --no-symbol-classes disable symbol-class alphabet compression (run the
-//                      per-symbol hot loops over the raw alphabet). Same
-//                      (ε, δ) envelope but a different RNG substream layout,
-//                      so per-seed estimates differ between the two settings;
-//                      NFACOUNT_SYMBOL_CLASSES=0 overrides process-wide.
-//                      With --load-state, flips the checkpointed setting.
 //   --json <path>      additionally write a machine-readable report of the
 //                      run (estimate, parameters, diagnostics, timing)
 //
@@ -88,7 +82,6 @@ int Usage() {
                "       --batch-width <b>  lockstep sampling walks (0 = default)\n"
                "       --no-simd          force scalar bitset kernels\n"
                "       --descent-cache <e> descent-cache entries (0 = off)\n"
-               "       --no-symbol-classes disable alphabet compression\n"
                "       --json <path>      machine-readable run report\n"
                "       --horizon <H>      run count as a session sized for H\n"
                "       --save-state <p>   write a session checkpoint\n"
@@ -107,7 +100,6 @@ struct CliFlags {
   int batch_width = 0;  ///< 0 = engine default
   bool no_simd = false;
   int descent_cache = -1;  ///< -1 = engine default, 0 = disabled
-  bool no_symbol_classes = false;  ///< disable alphabet compression
   int horizon = -1;     ///< -1 = not a session (unless other session flags)
   int extend_to = -1;   ///< -1 = answer at the natural length
   std::string json_path;
@@ -160,8 +152,6 @@ std::vector<std::string> ExtractFlags(int argc, char** argv, CliFlags* flags) {
       flags->no_simd = true;
     } else if (!flags_ended && arg == "--descent-cache") {
       parse_int(&i, &flags->descent_cache, 1 << 30);
-    } else if (!flags_ended && arg == "--no-symbol-classes") {
-      flags->no_symbol_classes = true;
     } else if (!flags_ended && arg == "--horizon") {
       parse_int(&i, &flags->horizon, 1 << 20);
     } else if (!flags_ended && arg == "--extend-to") {
@@ -197,7 +187,6 @@ CountOptions OptionsFromFlags(const CliFlags& flags) {
   options.num_threads = flags.num_threads;
   options.batch_width = flags.batch_width;
   options.descent_cache_capacity = flags.descent_cache;
-  options.symbol_classes = !flags.no_symbol_classes;
   return options;
 }
 
@@ -271,10 +260,6 @@ int RunSessionCount(const CliFlags& flags,
     knobs.num_threads = flags.num_threads;
     knobs.batch_width = flags.batch_width;
     knobs.descent_cache_capacity = flags.descent_cache;
-    // Tri-state: only an explicit --no-symbol-classes flips the saved
-    // setting (envelope-preserving, not bit-preserving); otherwise the
-    // checkpointed value stands.
-    if (flags.no_symbol_classes) knobs.symbol_classes = 0;
     session = EngineSession::Load(flags.load_state, &knobs);
     if (!session.ok()) return Fail(session.status());
     query_len = flags.extend_to >= 0 ? flags.extend_to

@@ -48,7 +48,9 @@
 // polls it, so no async-signal-unsafe call runs in signal context.
 
 #include <cerrno>
+#include <climits>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -78,9 +80,28 @@ int Usage() {
   return 2;
 }
 
+/// Strict integer flag value: the whole of `value` must be a base-10
+/// integer in [lo, hi], else the usage text and exit status 2. atoi would
+/// silently read "abc" as 0 and "1e9" as 1, and truncate "70000" to a port.
+int64_t IntFlag(const char* flag, const char* value, int64_t lo, int64_t hi) {
+  char* end = nullptr;
+  errno = 0;
+  const long long parsed = std::strtoll(value, &end, 10);
+  if (errno != 0 || end == value || *end != '\0' || parsed < lo ||
+      parsed > hi) {
+    std::fprintf(stderr,
+                 "error: %s must be an integer in %lld..%lld, got '%s'\n",
+                 flag, static_cast<long long>(lo), static_cast<long long>(hi),
+                 value);
+    std::exit(Usage());
+  }
+  return parsed;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
+  using nfacount::FprasParams;
   using nfacount::serve::RegistryOptions;
   using nfacount::serve::ServeDaemon;
   using nfacount::serve::ServerOptions;
@@ -97,42 +118,39 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    // Flags whose documented meaning covers every int (<= 0 = off or
+    // unbounded) take the whole int range.
+    auto int_flag = [&](const char* flag, int64_t lo = INT_MIN,
+                        int64_t hi = INT_MAX) {
+      return static_cast<int>(IntFlag(flag, next(flag), lo, hi));
+    };
     if (arg == "--port") {
-      // Strict parse: atoi would silently turn "70000" or "abc" into an
-      // unintended bind port after the uint16_t truncation.
-      const char* value = next("--port");
-      char* end = nullptr;
-      errno = 0;
-      const long parsed = std::strtol(value, &end, 10);
-      if (errno != 0 || end == value || *end != '\0' || parsed < 0 ||
-          parsed > 65535) {
-        std::fprintf(stderr,
-                     "error: --port must be an integer in 0..65535, got "
-                     "'%s'\n",
-                     value);
-        return Usage();
-      }
-      server_options.port = static_cast<uint16_t>(parsed);
+      server_options.port =
+          static_cast<uint16_t>(int_flag("--port", 0, 65535));
     } else if (arg == "--spill-dir") {
       registry_options.spill_dir = next("--spill-dir");
     } else if (arg == "--budget-bytes") {
-      registry_options.memory_budget_bytes = std::atoll(next("--budget-bytes"));
+      registry_options.memory_budget_bytes = IntFlag(
+          "--budget-bytes", next("--budget-bytes"), -1, INT64_MAX);
     } else if (arg == "--threads") {
-      registry_options.knobs.num_threads = std::atoi(next("--threads"));
+      registry_options.knobs.num_threads =
+          int_flag("--threads", 0, FprasParams::kMaxThreads);
     } else if (arg == "--batch-width") {
-      registry_options.knobs.batch_width = std::atoi(next("--batch-width"));
+      registry_options.knobs.batch_width =
+          int_flag("--batch-width", 0, FprasParams::kMaxBatchWidth);
     } else if (arg == "--no-simd") {
       nfacount::simd::SetForceScalar(true);
     } else if (arg == "--read-timeout-ms") {
-      server_options.read_timeout_ms = std::atoi(next("--read-timeout-ms"));
+      server_options.read_timeout_ms = int_flag("--read-timeout-ms");
     } else if (arg == "--drain-timeout-ms") {
-      server_options.drain_timeout_ms = std::atoi(next("--drain-timeout-ms"));
+      server_options.drain_timeout_ms = int_flag("--drain-timeout-ms");
     } else if (arg == "--max-connections") {
-      server_options.max_connections = std::atoi(next("--max-connections"));
+      server_options.max_connections = int_flag("--max-connections");
     } else if (arg == "--workers") {
-      server_options.workers = std::atoi(next("--workers"));
+      server_options.workers =
+          int_flag("--workers", 0, FprasParams::kMaxThreads);
     } else if (arg == "--max-inflight") {
-      server_options.max_inflight_per_conn = std::atoi(next("--max-inflight"));
+      server_options.max_inflight_per_conn = int_flag("--max-inflight");
     } else if (arg == "--legacy-threads") {
       server_options.legacy_threads = true;
     } else {

@@ -102,22 +102,4 @@ SymbolClassIndex SymbolClassIndex::Compute(const Nfa& nfa) {
   return out;
 }
 
-SymbolClassIndex SymbolClassIndex::Trivial(int alphabet_size) {
-  assert(alphabet_size >= 1);
-  SymbolClassIndex out;
-  out.class_of_.resize(static_cast<size_t>(alphabet_size));
-  out.representative_.resize(static_cast<size_t>(alphabet_size));
-  out.members_.resize(static_cast<size_t>(alphabet_size));
-  out.member_offsets_.resize(static_cast<size_t>(alphabet_size) + 1);
-  for (int a = 0; a < alphabet_size; ++a) {
-    out.class_of_[static_cast<size_t>(a)] = a;
-    out.representative_[static_cast<size_t>(a)] = static_cast<Symbol>(a);
-    out.members_[static_cast<size_t>(a)] = static_cast<Symbol>(a);
-    out.member_offsets_[static_cast<size_t>(a)] = static_cast<size_t>(a);
-  }
-  out.member_offsets_[static_cast<size_t>(alphabet_size)] =
-      static_cast<size_t>(alphabet_size);
-  return out;
-}
-
 }  // namespace nfacount

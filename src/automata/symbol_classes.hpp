@@ -37,10 +37,6 @@ class SymbolClassIndex {
   /// rows (hash + exact verification).
   static SymbolClassIndex Compute(const Nfa& nfa);
 
-  /// The trivial one-symbol-per-class partition over `alphabet_size` symbols
-  /// (the knob-off layout: class id == symbol id, every weight 1).
-  static SymbolClassIndex Trivial(int alphabet_size);
-
   /// Number of classes C (1 <= C <= alphabet size).
   int num_classes() const { return static_cast<int>(representative_.size()); }
   /// The partitioned alphabet's size |Σ|.

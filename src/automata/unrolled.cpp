@@ -111,13 +111,12 @@ void CsrTransitions::StepInto(const Bitset& from, Symbol symbol,
   }
 }
 
-UnrolledNfa::UnrolledNfa(const Nfa* nfa, int n, bool symbol_classes)
+UnrolledNfa::UnrolledNfa(const Nfa* nfa, int n)
     : nfa_(nfa), n_(n) {
   assert(nfa != nullptr);
   assert(nfa->Validate().ok());
   assert(n >= 0);
-  classes_ = symbol_classes ? SymbolClassIndex::Compute(*nfa)
-                            : SymbolClassIndex::Trivial(nfa->alphabet_size());
+  classes_ = SymbolClassIndex::Compute(*nfa);
   forward_ = CsrTransitions::FromSuccessors(*nfa);
   reverse_ = CsrTransitions::FromPredecessors(*nfa);
   reachable_.reserve(n + 1);

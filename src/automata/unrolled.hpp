@@ -216,18 +216,14 @@ struct CsrTransitions {
 class UnrolledNfa {
  public:
   /// Builds level reachability for lengths 0..n. The NFA must validate.
-  /// With `symbol_classes` on (the default), the symbol partition
-  /// (automata/symbol_classes.hpp) is computed and the construction-time
-  /// symbol loops run per class representative; off installs the trivial
-  /// partition so downstream per-class loops degenerate to per-symbol.
-  /// Either setting yields bit-identical reachability and witnesses.
-  UnrolledNfa(const Nfa* nfa, int n, bool symbol_classes = true);
+  /// The symbol partition (automata/symbol_classes.hpp) is computed first,
+  /// and the construction-time symbol loops run per class representative.
+  UnrolledNfa(const Nfa* nfa, int n);
 
   const Nfa& nfa() const { return *nfa_; }
   int n() const { return n_; }
 
-  /// The alphabet's symbol partition (trivial when disabled at
-  /// construction).
+  /// The alphabet's symbol partition.
   const SymbolClassIndex& symbol_classes() const { return classes_; }
 
   /// Forward CSR (successor rows) — membership recomputation, reach profiles.

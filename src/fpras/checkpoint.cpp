@@ -40,10 +40,10 @@ uint64_t Fnv1a64(const char* data, size_t size) {
 // the serve-mode wire protocol — identical byte semantics to the original
 // in-file classes, so existing checkpoints load unchanged.
 
-// Reserved parameter-block fields: four flag bytes and one I64 that once
-// held engine knobs which never changed a result. Writers emit the values
-// those knobs defaulted to, so files stay byte-identical to earlier writers'
-// at default knobs; readers skip them, whatever an older file stored there.
+// Reserved parameter-block fields: five flag bytes and one I64 that once
+// held engine knobs. Writers emit the values those knobs defaulted to, so
+// files stay byte-identical to earlier writers' at default knobs; readers
+// skip them, whatever an older file stored there.
 constexpr uint8_t kReservedFlag = 1;
 constexpr int64_t kReservedCapacity = int64_t{1} << 20;
 
@@ -74,9 +74,7 @@ void WriteParams(const FprasParams& p, ByteWriter* w) {
   w->I32(p.num_threads);
   w->I32(p.batch_width);
   w->I64(kReservedCapacity);
-  // v2 extension: the symbol-class knob changes which RNG substreams a run
-  // consumes, so a resumed session must keep the saved setting by default.
-  w->U8(p.symbol_classes ? 1 : 0);
+  w->U8(kReservedFlag);  // v2: reserved (was the symbol-class switch)
 }
 
 Status ReadParams(ByteReader* r, uint32_t version, FprasParams* p) {
@@ -113,12 +111,7 @@ Status ReadParams(ByteReader* r, uint32_t version, FprasParams* p) {
   NFA_RETURN_NOT_OK(r->I32(&p->num_threads));
   NFA_RETURN_NOT_OK(r->I32(&p->batch_width));
   NFA_RETURN_NOT_OK(r->I64(&reserved));
-  if (version >= 2) {
-    NFA_RETURN_NOT_OK(r->U8(&flag));
-    p->symbol_classes = flag != 0;
-  } else {
-    p->symbol_classes = true;  // v1 predates the knob
-  }
+  if (version >= 2) NFA_RETURN_NOT_OK(r->U8(&flag));  // reserved
   if (p->m < 1 || p->n < 0 || !(p->eps > 0.0) ||
       !(p->delta > 0.0 && p->delta < 1.0) || p->ns < 1 || p->xns < p->ns) {
     return Status::Invalid("checkpoint: parameter block fails validation");
@@ -292,12 +285,6 @@ Result<EngineSession> DeserializeSessionCheckpoint(const std::string& bytes,
     params.batch_width = knobs->batch_width;
     if (knobs->descent_cache_capacity >= 0) {
       params.descent_cache_capacity = knobs->descent_cache_capacity;
-    }
-    // Unlike the knobs above, flipping symbol classes changes which RNG
-    // substreams future work consumes (envelope-preserving, not
-    // bit-preserving) — the tri-state default keeps the saved setting.
-    if (knobs->symbol_classes >= 0) {
-      params.symbol_classes = knobs->symbol_classes != 0;
     }
   }
   return EngineSession::Restore(std::move(nfa), params, seed, computed,

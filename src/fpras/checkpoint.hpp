@@ -31,9 +31,10 @@ namespace nfacount {
 
 /// Current checkpoint format version (bumped on any layout change; readers
 /// reject unknown versions rather than guessing). v2 widened stored-word
-/// symbols from one byte to u16 LE and appended the `symbol_classes` flag to
-/// the parameter block; v1 files still load (1-byte symbols, flag defaults
-/// to on).
+/// symbols from one byte to u16 LE and appended one flag byte to the
+/// parameter block; v1 files still load (1-byte symbols, no flag byte). The
+/// byte once held the symbol-class switch and is now reserved: written as 1,
+/// ignored on read, so an older class-off file resumes with classes on.
 inline constexpr uint32_t kCheckpointVersion = 2;
 
 /// Serializes `session` to `path` crash-safely: the checkpoint is written to
@@ -61,8 +62,7 @@ Status ValidateSessionCheckpoint(const std::string& path);
 
 /// Restores a session saved by SaveSessionCheckpoint. `knobs`, when given,
 /// replaces the saved runtime knobs (threads, batch width, descent-cache
-/// budget) — the determinism contract makes this invisible in every result —
-/// and may flip the saved symbol-class setting (see SessionKnobs).
+/// budget) — the determinism contract makes this invisible in every result.
 Result<EngineSession> LoadSessionCheckpoint(const std::string& path,
                                             const SessionKnobs* knobs = nullptr);
 

@@ -25,20 +25,6 @@ constexpr uint64_t kFinalUnionTag = 0xF1F1F1F1F1F1F1F1ULL;
 constexpr uint64_t kDrawStreamTag = 0xD12AD12AD12AD12AULL;
 constexpr uint64_t kRefillWalkTag = 0xB47CB47CB47CB47CULL;
 
-/// Process-wide engine-parameter overrides, applied once at construction
-/// because symbol_classes shapes the UnrolledNfa itself (the class index is
-/// built with the automaton). NFACOUNT_SYMBOL_CLASSES=0 disables the class
-/// layer for a whole test run (the CI fallback sweep, same idiom as
-/// NFACOUNT_DESCENT_CACHE); any other integer enables it.
-FprasParams ResolveEngineParams(FprasParams params) {
-  if (const char* env = std::getenv("NFACOUNT_SYMBOL_CLASSES")) {
-    char* end = nullptr;
-    const long long parsed = std::strtoll(env, &end, 10);
-    if (end != env && *end == '\0') params.symbol_classes = parsed != 0;
-  }
-  return params;
-}
-
 /// Shared AppUnion parameterization for a given level and δ.
 AppUnionParams MakeUnionParams(const FprasParams& p, double delta_param,
                                int level) {
@@ -191,8 +177,8 @@ void DescentCache::InsertRow(int level, const Bitset& set, int symbol_class,
 
 FprasEngine::FprasEngine(const Nfa* nfa, FprasParams params, uint64_t seed)
     : nfa_(nfa),
-      params_(ResolveEngineParams(std::move(params))),
-      unrolled_(nfa, params_.n, params_.symbol_classes),
+      params_(std::move(params)),
+      unrolled_(nfa, params_.n),
       seed_(seed) {
   assert(nfa != nullptr && nfa->Validate().ok());
   assert(params_.m == nfa->num_states());
@@ -632,8 +618,8 @@ Status FprasEngine::Prepare() {
   // Validate the thread knob before allocating anything sized by it: an
   // absurd value must surface as Status, not as bad_alloc/system_error
   // escaping the no-throw API.
-  constexpr int kMaxThreads = 4096;
-  if (params_.num_threads < 0 || params_.num_threads > kMaxThreads) {
+  if (params_.num_threads < 0 ||
+      params_.num_threads > FprasParams::kMaxThreads) {
     return Status::Invalid("num_threads must be in [0, 4096]");
   }
   if (params_.batch_width < 0 ||
@@ -939,7 +925,6 @@ Result<FprasParams> ParamsFromOptions(const CountOptions& options, int m,
   if (options.descent_cache_capacity >= 0) {
     params.descent_cache_capacity = options.descent_cache_capacity;
   }
-  params.symbol_classes = options.symbol_classes;
   return params;
 }
 

@@ -600,12 +600,6 @@ struct CountOptions {
   /// the built-in default). Bit-identical results at every value; see
   /// FprasParams::descent_cache_capacity.
   int64_t descent_cache_capacity = -1;
-  /// Symbol-class alphabet compression: collapse symbols with identical
-  /// transition rows and run the per-symbol hot loops per class. Same (ε, δ)
-  /// envelope either way, but the two settings draw from different RNG
-  /// substreams (results at a fixed setting stay bit-identical across every
-  /// other knob); see FprasParams::symbol_classes.
-  bool symbol_classes = true;
 };
 
 /// Result of ApproxCount.

@@ -120,7 +120,6 @@ std::string FprasParams::ToString() const {
      << ", eps=" << eps << ", delta=" << delta << ", beta=" << beta
      << ", eta=" << eta << ", ns=" << ns << ", xns=" << xns
      << ", perturb=" << (perturb_support ? 1 : 0)
-     << ", classes=" << (symbol_classes ? 1 : 0)
      << ", threads=" << num_threads
      << ", batch=" << ResolvedBatchWidth() << "}";
   return os.str();

@@ -81,6 +81,8 @@ struct FprasParams {
   /// every value — each cell draws from its own counter-based RNG substream
   /// (Rng::ForSubstream), so the thread count only changes wall-clock time.
   int num_threads = 1;
+  /// Upper bound accepted for num_threads (validated by FprasEngine::Run).
+  static constexpr int kMaxThreads = 4096;
 
   /// Candidate walks Algorithm 2 advances in lockstep on the FrontierPlane
   /// (fpras/plane.hpp). 0 = the built-in default (kDefaultBatchWidth).
@@ -117,20 +119,6 @@ struct FprasParams {
   /// SessionKnobs on restore); NFACOUNT_DESCENT_CACHE overrides it
   /// process-wide.
   int64_t descent_cache_capacity = kDefaultDescentCacheCapacity;
-
-  /// Run the per-symbol hot loops over symbol equivalence classes
-  /// (automata/symbol_classes.hpp): symbols with identical transition rows
-  /// share one PredSet + one AppUnion per level, and the lockstep sampler
-  /// draws a class then a uniform member. Estimates stay inside the same
-  /// (ε,δ) envelope at either setting — each class's size estimate is
-  /// mathematically the per-symbol value every member would get — but the
-  /// two settings consume different content-keyed RNG substreams, so
-  /// per-seed results are NOT bit-identical across the flip (unlike the
-  /// threads/batch/cache knobs and the kernel table; at a FIXED setting
-  /// all of those remain bit-identical). Serialized into checkpoints (v2); overridable on
-  /// resume via SessionKnobs::symbol_classes and process-wide via
-  /// NFACOUNT_SYMBOL_CLASSES=0.
-  bool symbol_classes = true;
 
   /// δ parameter of the AppUnion calls that compute N(q^ℓ)
   /// (Alg. 3 line 15): η / (2·(1 − 2^{-(n+1)})).

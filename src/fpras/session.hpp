@@ -54,11 +54,10 @@
 namespace nfacount {
 
 /// Runtime knobs that may be changed when resuming a session: worker
-/// threads, lockstep batch width, descent-cache budget, and the symbol-class
-/// layer. All except `symbol_classes` can never change a result — only
-/// wall-clock time; `symbol_classes` is envelope-preserving rather than
-/// bit-preserving (see FprasParams::symbol_classes). The kernel table is
-/// process-wide (simd::SetForceScalar / NFACOUNT_FORCE_SCALAR), not a knob.
+/// threads, lockstep batch width and descent-cache budget. None of them can
+/// change a result — only wall-clock time. The kernel table is process-wide
+/// (simd::SetForceScalar / NFACOUNT_FORCE_SCALAR), not a knob, and
+/// symbol-class compression (automata/symbol_classes.hpp) is always on.
 struct SessionKnobs {
   int num_threads = 1;  ///< see FprasParams::num_threads
   int batch_width = 0;  ///< see FprasParams::batch_width (0 = default)
@@ -67,13 +66,6 @@ struct SessionKnobs {
   /// not serialize it, and results are bit-identical at every value. See
   /// FprasParams::descent_cache_capacity.
   int64_t descent_cache_capacity = -1;
-  /// Tri-state symbol-class override: -1 keeps the checkpointed setting
-  /// (checkpoints DO serialize this one), 0 disables the class layer, 1
-  /// enables it. Flipping the setting mid-session changes which
-  /// content-keyed RNG substreams future levels and draws consume, so
-  /// resumed results stay within the accuracy envelope but are not
-  /// bit-identical to the unflipped run.
-  int symbol_classes = -1;
 };
 
 class EngineSession;

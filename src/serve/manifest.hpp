@@ -46,9 +46,10 @@ namespace serve {
 /// Current manifest format version (readers reject unknown versions).
 inline constexpr uint32_t kManifestVersion = 1;
 
-/// ManifestRecord::flags bit: the symbol_classes value recorded from the
-/// session's resolved parameters (bit set = compression on).
-inline constexpr uint32_t kManifestFlagSymbolClasses = 1u << 0;
+/// ManifestRecord::flags bit 0, reserved: it once recorded the session's
+/// symbol-class switch. Writers set it, so records stay byte-identical to
+/// older writers'; readers ignore it.
+inline constexpr uint32_t kManifestFlagReserved = 1u << 0;
 
 /// One live registration: everything needed to rebuild the session
 /// bit-identically (modulo the draw cursor, which lives in the checkpoint).
@@ -59,7 +60,7 @@ struct ManifestRecord {
   uint64_t seed = 0;     ///< seed of the randomized run
   double eps = 0.3;      ///< accuracy ε
   double delta = 0.2;    ///< failure probability δ
-  uint32_t flags = 0;    ///< resolved knob flags (kManifestFlag*)
+  uint32_t flags = 0;    ///< reserved flag bits (kManifestFlagReserved)
 };
 
 /// The append-only journal over `<dir>/MANIFEST`. Not internally

@@ -15,10 +15,9 @@ namespace serve {
 namespace {
 
 /// CountOptions of a session the registry creates or rebuilds: the session's
-/// own accuracy, seed, and symbol-class setting plus the registry-wide
-/// runtime knobs.
+/// own accuracy and seed plus the registry-wide runtime knobs.
 CountOptions SessionOptions(const SessionKnobs& knobs, double eps,
-                            double delta, uint64_t seed, bool symbol_classes) {
+                            double delta, uint64_t seed) {
   CountOptions co;
   co.eps = eps;
   co.delta = delta;
@@ -26,7 +25,6 @@ CountOptions SessionOptions(const SessionKnobs& knobs, double eps,
   co.num_threads = knobs.num_threads;
   co.batch_width = knobs.batch_width;
   co.descent_cache_capacity = knobs.descent_cache_capacity;
-  co.symbol_classes = symbol_classes;
   return co;
 }
 
@@ -97,12 +95,9 @@ Status SessionRegistry::Register(const std::string& name,
     }
   }
 
-  // A new session keeps the class layer on unless the knobs override it.
-  const bool symbol_classes = options_.knobs.symbol_classes < 0 ||
-                              options_.knobs.symbol_classes != 0;
   Result<EngineSession> created = EngineSession::Create(
       std::move(parsed).value(), horizon,
-      SessionOptions(options_.knobs, eps, delta, seed, symbol_classes));
+      SessionOptions(options_.knobs, eps, delta, seed));
   if (!created.ok()) return created.status();
 
   auto slot = std::make_unique<Slot>();
@@ -112,9 +107,6 @@ Status SessionRegistry::Register(const std::string& name,
   slot->seed = seed;
   slot->eps = eps;
   slot->delta = delta;
-  // Record the RESOLVED setting (env overrides included): the rebuild
-  // recipe must reproduce the exact RNG substreams the original consumed.
-  slot->symbol_classes = created->params().symbol_classes;
   if (!options_.spill_dir.empty()) {
     slot->ckpt_path = options_.spill_dir + "/" + name + ".ckpt";
     // Journal before acknowledging: once Register returns OK the session
@@ -127,7 +119,7 @@ Status SessionRegistry::Register(const std::string& name,
     record.seed = seed;
     record.eps = eps;
     record.delta = delta;
-    record.flags = slot->symbol_classes ? kManifestFlagSymbolClasses : 0;
+    record.flags = kManifestFlagReserved;
     NFA_RETURN_NOT_OK(manifest_->AppendRegister(record));
   }
   slot->session =
@@ -216,7 +208,6 @@ Status SessionRegistry::Recover() {
     slot->seed = record.seed;
     slot->eps = record.eps;
     slot->delta = record.delta;
-    slot->symbol_classes = (record.flags & kManifestFlagSymbolClasses) != 0;
     // Triage the checkpoint now (cheap trailer check), but defer the
     // expensive revive/recompute to first touch — recovery of a large
     // registry is O(checkpoint bytes), not O(table rebuild).
@@ -262,8 +253,7 @@ Result<EngineSession> SessionRegistry::CreateFromTuple(
   if (!parsed.ok()) return parsed.status();
   return EngineSession::Create(
       std::move(parsed).value(), slot.horizon,
-      SessionOptions(options_.knobs, slot.eps, slot.delta, slot.seed,
-                     slot.symbol_classes));
+      SessionOptions(options_.knobs, slot.eps, slot.delta, slot.seed));
 }
 
 void SessionRegistry::QuarantineCheckpointLocked(Slot* slot) {

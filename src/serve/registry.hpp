@@ -174,10 +174,6 @@ class SessionRegistry {
     uint64_t seed = 0;         ///< seed of the randomized run
     double eps = 0.3;          ///< accuracy ε
     double delta = 0.2;        ///< failure probability δ
-    /// Resolved symbol-class setting of the original session (the one knob
-    /// that is envelope- rather than bit-preserving, so a rebuild must pin
-    /// it).
-    bool symbol_classes = true;
     /// Residency pin: shared = a query is using `session`, exclusive =
     /// demote/revive swapping it.
     std::shared_mutex mu;

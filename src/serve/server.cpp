@@ -51,6 +51,11 @@ ServeDaemon::ServeDaemon(SessionRegistry* registry, ServerOptions options)
 ServeDaemon::~ServeDaemon() { Stop(); }
 
 Status ServeDaemon::Start() {
+  // Before binding or spawning anything: an absurd pool size must be a
+  // Status, not thousands of threads.
+  if (options_.workers < 0 || options_.workers > FprasParams::kMaxThreads) {
+    return Status::Invalid("serve: workers must be in [0, 4096]");
+  }
   if (started_.exchange(true)) {
     return Status::FailedPrecondition("serve: daemon already started");
   }

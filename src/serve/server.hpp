@@ -65,7 +65,8 @@ struct ServerOptions {
   /// status-only Unavailable reply, and closed (load-shed). 0 = unlimited.
   int max_connections = 0;
   /// Worker pool size for the event-driven runtime; 0 = one worker per
-  /// hardware thread. Ignored by the legacy runtime.
+  /// hardware thread. Start() rejects values outside [0, 4096] under
+  /// either runtime; the legacy runtime otherwise ignores it.
   int workers = 0;
   /// Per-connection cap on decoded requests whose replies have not yet been
   /// fully flushed back to the peer. A pipelining client past the cap is

@@ -247,28 +247,31 @@ TEST(Checkpoint, PreambleDefectsGetPreciseDiagnostics) {
 }
 
 TEST(Checkpoint, RetiredFlagBytesAreIgnored) {
-  // The parameter block keeps four reserved flag bytes and one reserved
-  // I64 where engine knobs that never changed a result used to live. Writers
-  // emit 1, 1, 1, 1 and 2^20 there; older files may hold anything (e.g. the
-  // knobs switched off). Zero them, re-seal the FNV-1a trailer, and the
-  // resumed run must be bit-identical to the unpatched one.
-  Rng rng(TestSeed(961));
-  Nfa nfa = RandomNfa(6, 0.3, 0.35, rng);
+  // The parameter block keeps five reserved flag bytes and one reserved
+  // I64 where engine knobs used to live. Writers emit 1, 1, 1, 1, 2^20 and
+  // (v2) 1 there; older files may hold anything (e.g. the knobs switched
+  // off). Zero them, re-seal the FNV-1a trailer, and the resumed run must be
+  // bit-identical to the unpatched one and to an uninterrupted run. The last
+  // byte once held the symbol-class switch; the automaton has a compressed
+  // alphabet (3 distinct rows over 64 symbols), so a resume that honored a
+  // zero there would move bits.
+  const Nfa nfa = CorpusTokenNfa(3, 64, 3);
   const int n = 7;
-  Result<EngineSession> session =
-      EngineSession::Create(nfa, n, SessionTestOptions(TestSeed(962)));
+  const CountOptions opts = SessionTestOptions(TestSeed(962));
+  Result<EngineSession> session = EngineSession::Create(nfa, n, opts);
   ASSERT_TRUE(session.ok());
   ASSERT_TRUE(session->ExtendTo(4).ok());
   const std::string bytes = SerializeSessionCheckpoint(*session);
 
   // Byte offsets (docs/FILE_FORMATS.md): 12-byte preamble, u64 seed, then
   // the parameter block — 108 bytes of schedule/dimensions/derived values/
-  // calibration before the six flag bytes, then two I32 knobs.
+  // calibration before the six flag bytes, then two I32 knobs, the reserved
+  // I64 and the v2 flag byte.
   constexpr size_t kFlags = 12 + 8 + 108;
-  constexpr size_t kReservedFlags[] = {kFlags + 1, kFlags + 2, kFlags + 4,
-                                       kFlags + 5};
   constexpr size_t kReservedI64 = kFlags + 6 + 4 + 4;
-  ASSERT_GT(bytes.size(), kReservedI64 + 8 + 8);
+  constexpr size_t kReservedFlags[] = {kFlags + 1, kFlags + 2, kFlags + 4,
+                                       kFlags + 5, kReservedI64 + 8};
+  ASSERT_GT(bytes.size(), kReservedI64 + 8 + 1 + 8);
   std::string patched = bytes;
   for (size_t at : kReservedFlags) {
     ASSERT_EQ(patched[at], 1) << "offset " << at;
@@ -292,17 +295,23 @@ TEST(Checkpoint, RetiredFlagBytesAreIgnored) {
 
   Result<EngineSession> plain = DeserializeSessionCheckpoint(bytes);
   Result<EngineSession> retired = DeserializeSessionCheckpoint(patched);
+  Result<EngineSession> straight = EngineSession::Create(nfa, n, opts);
   ASSERT_TRUE(plain.ok()) << plain.status().ToString();
   ASSERT_TRUE(retired.ok()) << retired.status().ToString();
+  ASSERT_TRUE(straight.ok());
   ASSERT_TRUE(plain->ExtendTo(n).ok());
   ASSERT_TRUE(retired->ExtendTo(n).ok());
+  ASSERT_TRUE(straight->ExtendTo(n).ok());
   for (int level = 0; level <= n; ++level) {
     Result<double> a = plain->CountAtLength(level);
     Result<double> b = retired->CountAtLength(level);
-    ASSERT_TRUE(a.ok() && b.ok());
+    Result<double> c = straight->CountAtLength(level);
+    ASSERT_TRUE(a.ok() && b.ok() && c.ok());
     EXPECT_EQ(*a, *b) << "level=" << level;
+    EXPECT_EQ(*a, *c) << "level=" << level;
   }
   ExpectTablesIdentical(plain->engine(), retired->engine(), nfa, n);
+  ExpectTablesIdentical(plain->engine(), straight->engine(), nfa, n);
   Result<std::vector<Word>> words_a = plain->SampleWords(n, 8);
   Result<std::vector<Word>> words_b = retired->SampleWords(n, 8);
   ASSERT_TRUE(words_a.ok() && words_b.ok());

@@ -11,6 +11,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <climits>
 #include <functional>
 #include <string>
 #include <thread>
@@ -451,6 +452,23 @@ TEST(Pipeline, LegacyRuntimeServesAndReapsImmediately) {
   EXPECT_NE(std::string::npos,
             daemon.StatsJson().find("\"runtime\":\"threads\""));
   daemon.Stop();
+}
+
+// An out-of-range worker-pool size is a Status before anything is bound or
+// spawned. Only rejected values are tried: never start a daemon with
+// thousands of workers.
+TEST(Pipeline, OutOfRangeWorkerCountIsRejectedBeforeSpawning) {
+  SessionRegistry registry((RegistryOptions()));
+  for (int workers : {4097, INT_MAX}) {
+    ServerOptions options;
+    options.workers = workers;
+    ServeDaemon daemon(&registry, options);
+    const Status started = daemon.Start();
+    EXPECT_EQ(StatusCode::kInvalidArgument, started.code())
+        << "workers=" << workers;
+    EXPECT_EQ(0, daemon.worker_count()) << "workers=" << workers;
+    EXPECT_EQ(0, daemon.port()) << "workers=" << workers;
+  }
 }
 
 }  // namespace

@@ -83,7 +83,7 @@ ManifestRecord TestRecord(const std::string& name, uint64_t seed) {
   record.seed = seed;
   record.eps = 0.25;
   record.delta = 0.125;
-  record.flags = serve::kManifestFlagSymbolClasses;
+  record.flags = serve::kManifestFlagReserved;
   return record;
 }
 
@@ -323,6 +323,49 @@ TEST(Recovery, RecomputesBitIdenticalWhenCheckpointDeleted) {
   Result<std::vector<Word>> got5 = revived.SampleWords("s", kHorizon, 5);
   ASSERT_TRUE(got5.ok());
   EXPECT_EQ(want5.value(), got5.value());  // cursor restarted at 0
+}
+
+// MANIFEST flag bit 0 is reserved (it once recorded the symbol-class
+// switch): a record with the bit clear, as a class-off daemon of an older
+// build journaled it, still recovers, and the rebuilt session answers
+// exactly what a fresh registration of the same tuple answers.
+TEST(Recovery, ManifestRecordWithFlagBitClearRecovers) {
+  const int kHorizon = 5;
+  // A compressed alphabet (3 distinct rows over 16 symbols), where honoring
+  // the cleared bit would rebuild a different session.
+  const std::string text = NfaToText(CorpusTokenNfa(3, 16, 3));
+  const uint64_t seed = TestSeed(1331);
+  const std::string dir = FreshDir("flagclear");
+  {
+    Result<ManifestJournal> opened = ManifestJournal::Open(dir);
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    ManifestJournal journal = std::move(opened).value();
+    ManifestRecord record = TestRecord("s", seed);
+    record.nfa_text = text;
+    record.horizon = kHorizon;
+    record.flags = 0;
+    ASSERT_TRUE(journal.AppendRegister(record).ok());
+  }
+
+  SessionRegistry reference((RegistryOptions()));
+  ASSERT_TRUE(reference.Register("s", text, kHorizon, seed, 0.25, 0.125).ok());
+  RegistryOptions options;
+  options.spill_dir = dir;
+  SessionRegistry revived(options);
+  ASSERT_TRUE(revived.Recover().ok());
+  EXPECT_EQ(1, revived.sessions_recovered());
+  for (int length = 0; length <= kHorizon; ++length) {
+    Result<double> want = reference.CountAtLength("s", length);
+    Result<double> got = revived.CountAtLength("s", length);
+    ASSERT_TRUE(want.ok());
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_EQ(want.value(), got.value()) << "length " << length;
+  }
+  Result<std::vector<Word>> want5 = reference.SampleWords("s", kHorizon, 5);
+  Result<std::vector<Word>> got5 = revived.SampleWords("s", kHorizon, 5);
+  ASSERT_TRUE(want5.ok());
+  ASSERT_TRUE(got5.ok());
+  EXPECT_EQ(want5.value(), got5.value());
 }
 
 // A corrupt checkpoint found during Recover() is quarantined to

@@ -253,8 +253,6 @@ TEST(Session, CountOptionsReachParamsAtEveryHorizon) {
   o.num_threads = 3;
   o.batch_width = 24;
   o.descent_cache_capacity = 77;
-  // Off, so NFACOUNT_SYMBOL_CLASSES=0 cannot change what the engine reports.
-  o.symbol_classes = false;
   const auto expect_knobs = [&](const FprasParams& p, int n) {
     SCOPED_TRACE(::testing::Message() << "n=" << n);
     EXPECT_EQ(p.n, n);
@@ -263,7 +261,6 @@ TEST(Session, CountOptionsReachParamsAtEveryHorizon) {
     EXPECT_EQ(p.num_threads, 3);
     EXPECT_EQ(p.batch_width, 24);
     EXPECT_EQ(p.descent_cache_capacity, 77);
-    EXPECT_FALSE(p.symbol_classes);
   };
   for (int n : {0, 3}) {
     Result<CountEstimate> counted = ApproxCount(nfa, n, o);

@@ -1,21 +1,17 @@
 // Symbol-class alphabet compression: partition correctness against a brute-
 // force row comparison, bit-identical predecessor/successor expansion for
-// every class member, the degenerate all-distinct-rows case (classes on vs
-// off must be bit-identical because the trivial partition leaves every
-// content-keyed substream unchanged), the identity grid at a fixed class
-// setting, the accuracy envelope on the corpus-scale family, and the
-// checkpoint knob flip (envelope-preserving, prefix untouched).
+// every class member, the degenerate all-distinct-rows case, the identity
+// grid on a compressed and a trivially partitioned family, and the accuracy
+// envelope on the corpus-scale family.
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <vector>
 
 #include "automata/generators.hpp"
 #include "automata/symbol_classes.hpp"
 #include "automata/unrolled.hpp"
 #include "counting/exact.hpp"
-#include "fpras/checkpoint.hpp"
 #include "fpras/fpras.hpp"
 #include "test_seed.hpp"
 #include "test_tables.hpp"
@@ -111,20 +107,18 @@ TEST(SymbolClassPartition, CorpusFamilyCollapsesToCategoryCount) {
 }
 
 TEST(SymbolClassPartition, TrivialPartitionAndDegenerateFamily) {
-  const SymbolClassIndex trivial = SymbolClassIndex::Trivial(5);
-  EXPECT_TRUE(trivial.trivial());
-  EXPECT_EQ(trivial.num_classes(), 5);
-  for (int a = 0; a < 5; ++a) {
-    EXPECT_EQ(trivial.ClassOf(static_cast<Symbol>(a)), a);
-    EXPECT_EQ(trivial.Representative(a), static_cast<Symbol>(a));
-    EXPECT_EQ(trivial.Weight(a), 1);
-  }
   // DivisibilityNfa(7, 4): row (q, a) targets (4q+a) mod 7, distinct per
-  // symbol — the computed partition must degenerate to C == |Σ|.
+  // symbol — the computed partition must degenerate to C == |Σ|, with class
+  // id == symbol id and every weight 1.
   const SymbolClassIndex computed =
       SymbolClassIndex::Compute(DivisibilityNfa(7, 4));
   EXPECT_TRUE(computed.trivial());
   EXPECT_EQ(computed.num_classes(), 4);
+  for (int a = 0; a < 4; ++a) {
+    EXPECT_EQ(computed.ClassOf(static_cast<Symbol>(a)), a);
+    EXPECT_EQ(computed.Representative(a), static_cast<Symbol>(a));
+    EXPECT_EQ(computed.Weight(a), 1);
+  }
 }
 
 // Bit-identical expansion for every class member: Pred(P, member) must equal
@@ -134,7 +128,7 @@ TEST(SymbolClassPartition, TrivialPartitionAndDegenerateFamily) {
 TEST(SymbolClassPartition, MemberExpansionBitIdenticalAtEveryLevel) {
   const Nfa nfa = CorpusTokenNfa(3, 48, 3);
   const int n = 5;
-  const UnrolledNfa unrolled(&nfa, n, /*symbol_classes=*/true);
+  const UnrolledNfa unrolled(&nfa, n);
   const SymbolClassIndex& classes = unrolled.symbol_classes();
   ASSERT_LT(classes.num_classes(), nfa.alphabet_size());
 
@@ -173,114 +167,78 @@ TEST(SymbolClassPartition, MemberExpansionBitIdenticalAtEveryLevel) {
   }
 }
 
-// Degenerate all-distinct-rows automaton: the computed partition is trivial,
-// so classes on and off key every RNG substream identically — the two
-// settings must agree bit for bit (the only regime where the flip is
-// bit-preserving rather than merely envelope-preserving).
-TEST(SymbolClasses, TrivialPartitionMakesOnOffBitIdentical) {
-  const Nfa nfa = DivisibilityNfa(7, 4);
-  const int n = 6;
-  CountOptions on = SessionTestOptions(TestSeed(1621));
-  on.symbol_classes = true;
-  on.num_threads = 1;
-  on.batch_width = 1;
-  Result<EngineSession> base = EngineSession::Create(nfa, n, on);
-  ASSERT_TRUE(base.ok());
-  std::vector<double> base_counts;
-  for (int level = 0; level <= n; ++level) {
-    Result<double> c = base->CountAtLength(level);
-    ASSERT_TRUE(c.ok());
-    base_counts.push_back(*c);
-  }
-  Result<std::vector<Word>> base_draws = base->SampleWords(n, 12);
-  ASSERT_TRUE(base_draws.ok());
-
-  for (bool enabled : {true, false}) {
-    for (int threads : {1, 4}) {
-      for (int width : {1, 32}) {
-        CountOptions opts = SessionTestOptions(TestSeed(1621));
-        opts.symbol_classes = enabled;
-        opts.num_threads = threads;
-        opts.batch_width = width;
-        Result<EngineSession> session = EngineSession::Create(nfa, n, opts);
-        ASSERT_TRUE(session.ok());
-        for (int level = 0; level <= n; ++level) {
-          Result<double> c = session->CountAtLength(level);
-          ASSERT_TRUE(c.ok());
-          EXPECT_EQ(*c, base_counts[static_cast<size_t>(level)])
-              << "classes=" << enabled << " threads=" << threads
-              << " width=" << width << " level=" << level;
-        }
-        ExpectTablesIdentical(session->engine(), base->engine(), nfa, n);
-        Result<std::vector<Word>> draws = session->SampleWords(n, 12);
-        ASSERT_TRUE(draws.ok());
-        ASSERT_EQ(draws->size(), base_draws->size());
-        for (size_t i = 0; i < draws->size(); ++i) {
-          EXPECT_EQ((*draws)[i], (*base_draws)[i])
-              << "classes=" << enabled << " threads=" << threads
-              << " width=" << width << " draw=" << i;
-        }
-      }
-    }
-  }
-}
-
-// Identity grid at a fixed class setting on a genuinely compressed family:
+// Identity grid on a genuinely compressed family and on a trivially
+// partitioned one (every row distinct, so every class is one symbol):
 // estimates, per-(q,ℓ) tables, and draw streams must not move across
-// num_threads × batch_width × descent-cache capacity.
+// num_threads × batch_width × descent-cache capacity. The baseline runs at
+// each input's first capacity; the trivial partition skips the uncached
+// engine, whose capacity invariance test_descent_cache already pins on
+// binary-alphabet families.
 TEST(SymbolClasses, GridBitIdenticalAtFixedClassSetting) {
-  const Nfa nfa = CorpusTokenNfa(3, 64, 3);
+  struct Input {
+    const char* name;
+    Nfa nfa;
+    uint64_t seed;
+    std::vector<int64_t> capacities;
+  };
+  const int64_t kDefault = FprasParams::kDefaultDescentCacheCapacity;
+  const Input inputs[] = {
+      {"corpus", CorpusTokenNfa(3, 64, 3), TestSeed(1631), {0, kDefault}},
+      {"divisibility", DivisibilityNfa(7, 4), TestSeed(1621), {kDefault}}};
   const int n = 6;
-  CountOptions base = SessionTestOptions(TestSeed(1631));
-  base.descent_cache_capacity = 0;
-  base.num_threads = 1;
-  base.batch_width = 1;
-  Result<EngineSession> baseline = EngineSession::Create(nfa, n, base);
-  ASSERT_TRUE(baseline.ok());
-  std::vector<double> base_counts;
-  for (int level = 0; level <= n; ++level) {
-    Result<double> c = baseline->CountAtLength(level);
-    ASSERT_TRUE(c.ok());
-    base_counts.push_back(*c);
-  }
-  Result<std::vector<Word>> base_draws = baseline->SampleWords(n, 12);
-  ASSERT_TRUE(base_draws.ok());
+  for (const Input& input : inputs) {
+    SCOPED_TRACE(input.name);
+    const Nfa& nfa = input.nfa;
+    CountOptions base = SessionTestOptions(input.seed);
+    base.descent_cache_capacity = input.capacities.front();
+    base.num_threads = 1;
+    base.batch_width = 1;
+    Result<EngineSession> baseline = EngineSession::Create(nfa, n, base);
+    ASSERT_TRUE(baseline.ok());
+    std::vector<double> base_counts;
+    for (int level = 0; level <= n; ++level) {
+      Result<double> c = baseline->CountAtLength(level);
+      ASSERT_TRUE(c.ok());
+      base_counts.push_back(*c);
+    }
+    Result<std::vector<Word>> base_draws = baseline->SampleWords(n, 12);
+    ASSERT_TRUE(base_draws.ok());
 
-  const int64_t capacities[] = {0, int64_t{1} << 20};
-  for (int64_t capacity : capacities) {
-    for (int threads : {1, 4}) {
-      for (int width : {1, 32}) {
-        CountOptions opts = SessionTestOptions(TestSeed(1631));
-        opts.descent_cache_capacity = capacity;
-        opts.num_threads = threads;
-        opts.batch_width = width;
-        Result<EngineSession> session = EngineSession::Create(nfa, n, opts);
-        ASSERT_TRUE(session.ok());
-        for (int level = 0; level <= n; ++level) {
-          Result<double> c = session->CountAtLength(level);
-          ASSERT_TRUE(c.ok());
-          EXPECT_EQ(*c, base_counts[static_cast<size_t>(level)])
-              << "capacity=" << capacity << " threads=" << threads
-              << " width=" << width << " level=" << level;
-        }
-        ExpectTablesIdentical(session->engine(), baseline->engine(), nfa, n);
-        Result<std::vector<Word>> draws = session->SampleWords(n, 12);
-        ASSERT_TRUE(draws.ok());
-        ASSERT_EQ(draws->size(), base_draws->size());
-        for (size_t i = 0; i < draws->size(); ++i) {
-          EXPECT_EQ((*draws)[i], (*base_draws)[i])
-              << "capacity=" << capacity << " threads=" << threads
-              << " width=" << width << " draw=" << i;
+    for (int64_t capacity : input.capacities) {
+      for (int threads : {1, 4}) {
+        for (int width : {1, 32}) {
+          CountOptions opts = SessionTestOptions(input.seed);
+          opts.descent_cache_capacity = capacity;
+          opts.num_threads = threads;
+          opts.batch_width = width;
+          Result<EngineSession> session = EngineSession::Create(nfa, n, opts);
+          ASSERT_TRUE(session.ok());
+          for (int level = 0; level <= n; ++level) {
+            Result<double> c = session->CountAtLength(level);
+            ASSERT_TRUE(c.ok());
+            EXPECT_EQ(*c, base_counts[static_cast<size_t>(level)])
+                << "capacity=" << capacity << " threads=" << threads
+                << " width=" << width << " level=" << level;
+          }
+          ExpectTablesIdentical(session->engine(), baseline->engine(), nfa,
+                                n);
+          Result<std::vector<Word>> draws = session->SampleWords(n, 12);
+          ASSERT_TRUE(draws.ok());
+          ASSERT_EQ(draws->size(), base_draws->size());
+          for (size_t i = 0; i < draws->size(); ++i) {
+            EXPECT_EQ((*draws)[i], (*base_draws)[i])
+                << "capacity=" << capacity << " threads=" << threads
+                << " width=" << width << " draw=" << i;
+          }
         }
       }
     }
   }
 }
 
-// Accuracy on the corpus-scale family: both class settings must land inside
-// the envelope of the exact count at an alphabet far past what the
-// uncompressed per-symbol loops were tested on. Sampled words must be
-// accepted and of the right length.
+// Accuracy on the corpus-scale family: the estimate must land inside the
+// envelope of the exact count at an alphabet far past what per-symbol loops
+// could afford. Sampled words must be accepted and of the right length.
 TEST(SymbolClasses, EnvelopeVsExactOnCorpusFamily) {
   const Nfa nfa = CorpusTokenNfa(4, 512, 4);
   const int n = 8;
@@ -289,67 +247,18 @@ TEST(SymbolClasses, EnvelopeVsExactOnCorpusFamily) {
   const double truth = exact->ToDouble();
   ASSERT_GT(truth, 0.0);
 
-  for (bool enabled : {true, false}) {
-    CountOptions opts = SessionTestOptions(TestSeed(1641));
-    opts.symbol_classes = enabled;
-    Result<EngineSession> session = EngineSession::Create(nfa, n, opts);
-    ASSERT_TRUE(session.ok());
-    Result<double> estimate = session->CountAtLength(n);
-    ASSERT_TRUE(estimate.ok());
-    EXPECT_NEAR(*estimate / truth, 1.0, 0.35) << "classes=" << enabled;
-    Result<std::vector<Word>> draws = session->SampleWords(n, 8);
-    ASSERT_TRUE(draws.ok()) << draws.status().ToString();
-    for (const Word& w : *draws) {
-      ASSERT_EQ(static_cast<int>(w.size()), n);
-      EXPECT_TRUE(nfa.Accepts(w));
-    }
+  Result<EngineSession> session =
+      EngineSession::Create(nfa, n, SessionTestOptions(TestSeed(1641)));
+  ASSERT_TRUE(session.ok());
+  Result<double> estimate = session->CountAtLength(n);
+  ASSERT_TRUE(estimate.ok());
+  EXPECT_NEAR(*estimate / truth, 1.0, 0.35);
+  Result<std::vector<Word>> draws = session->SampleWords(n, 8);
+  ASSERT_TRUE(draws.ok()) << draws.status().ToString();
+  for (const Word& w : *draws) {
+    ASSERT_EQ(static_cast<int>(w.size()), n);
+    EXPECT_TRUE(nfa.Accepts(w));
   }
-}
-
-// Flipping the symbol_classes knob on resume: the already-computed prefix is
-// bit-identical (it is data, not a function of the knob), and levels computed
-// after the flip stay inside the accuracy envelope — the contract documented
-// on SessionKnobs::symbol_classes.
-TEST(SymbolClasses, CheckpointKnobFlipKeepsPrefixAndEnvelope) {
-  const Nfa nfa = CorpusTokenNfa(3, 64, 3);
-  const int n = 6;
-  const int mid = 3;
-  Result<BigUint> exact = ExactCountViaDfa(nfa, n);
-  ASSERT_TRUE(exact.ok());
-  const double truth = exact->ToDouble();
-
-  CountOptions opts = SessionTestOptions(TestSeed(1651));
-  Result<EngineSession> original = EngineSession::Create(nfa, n, opts);
-  ASSERT_TRUE(original.ok());
-  Result<double> mid_count = original->CountAtLength(mid);
-  ASSERT_TRUE(mid_count.ok());
-  const std::string bytes = SerializeSessionCheckpoint(*original);
-
-  // Resume with the layer flipped off and extend past the save point.
-  SessionKnobs flipped;
-  flipped.symbol_classes = 0;
-  Result<EngineSession> resumed = DeserializeSessionCheckpoint(bytes, &flipped);
-  ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
-  EXPECT_FALSE(resumed->params().symbol_classes &&
-               std::getenv("NFACOUNT_SYMBOL_CLASSES") == nullptr);
-  Result<double> mid_again = resumed->CountAtLength(mid);
-  ASSERT_TRUE(mid_again.ok());
-  EXPECT_EQ(*mid_again, *mid_count);  // computed prefix is knob-independent
-  Result<double> extended = resumed->CountAtLength(n);
-  ASSERT_TRUE(extended.ok());
-  EXPECT_NEAR(*extended / truth, 1.0, 0.35);
-
-  // Resume with -1 (keep): the run must continue bit-identically to an
-  // uninterrupted session at the same options.
-  Result<EngineSession> kept = DeserializeSessionCheckpoint(bytes, nullptr);
-  ASSERT_TRUE(kept.ok());
-  Result<EngineSession> straight = EngineSession::Create(nfa, n, opts);
-  ASSERT_TRUE(straight.ok());
-  Result<double> kept_count = kept->CountAtLength(n);
-  Result<double> straight_count = straight->CountAtLength(n);
-  ASSERT_TRUE(kept_count.ok() && straight_count.ok());
-  EXPECT_EQ(*kept_count, *straight_count);
-  ExpectTablesIdentical(kept->engine(), straight->engine(), nfa, n);
 }
 
 }  // namespace
