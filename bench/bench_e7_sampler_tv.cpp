@@ -75,9 +75,10 @@ void PerLevelTv() {
     std::map<std::string, int64_t> histogram;
     int64_t got = 0;
     for (int64_t i = 0; i < 3 * kDraws && got < kDraws; ++i) {
-      std::optional<Word> w = engine.SampleWord(targets, level);
-      if (!w.has_value()) continue;
-      ++histogram[WordToString(*w)];
+      std::vector<Word> w;  // one attempt: a word or a rejection
+      engine.SampleAcceptedInto(targets, level, 1, 1, &w);
+      if (w.empty()) continue;
+      ++histogram[WordToString(w.front())];
       ++got;
     }
     if (got == 0) continue;

@@ -41,12 +41,17 @@
 // A session resumed from a checkpoint and extended produces bit-identical
 // output to an uninterrupted run at the same seed and horizon.
 //
+// Every number on the command line is parsed strictly (examples/
+// cli_args.hpp): n, count and alphabet size are integers in range, eps is a
+// number > 0, delta is in (0, 1), the seed is an unsigned 64-bit integer. A
+// malformed value prints the usage text and exits 2.
+//
 // File format: see src/automata/io.hpp; checkpoint format: see
 // docs/FILE_FORMATS.md "Session checkpoints (.ckpt)".
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -54,6 +59,7 @@
 
 #include "automata/io.hpp"
 #include "automata/regex.hpp"
+#include "cli_args.hpp"
 #include "counting/exact.hpp"
 #include "fpras/fpras.hpp"
 #include "util/json.hpp"
@@ -116,19 +122,13 @@ struct CliFlags {
 std::vector<std::string> ExtractFlags(int argc, char** argv, CliFlags* flags) {
   std::vector<std::string> positional;
   bool flags_ended = false;
-  auto parse_int = [&](int* i, int* out, long max_value) {
-    if (*i + 1 >= argc) {
-      flags->malformed = true;
+  auto parse_int = [&](int* i, int* out, int64_t max_value) {
+    if (*i + 1 >= argc ||
+        !cli_args::ParseInt(argv[*i], argv[*i + 1], 0, max_value, out)) {
+      flags->malformed = true;  // missing / non-numeric / negative / absurd
       return;
     }
-    const char* value = argv[++*i];
-    char* end = nullptr;
-    const long parsed = std::strtol(value, &end, 10);
-    if (end == value || *end != '\0' || parsed < 0 || parsed > max_value) {
-      flags->malformed = true;  // non-numeric / negative / absurd
-      return;
-    }
-    *out = static_cast<int>(parsed);
+    ++*i;
   };
   auto parse_str = [&](int* i, std::string* out) {
     if (*i + 1 >= argc) {
@@ -153,9 +153,9 @@ std::vector<std::string> ExtractFlags(int argc, char** argv, CliFlags* flags) {
     } else if (!flags_ended && arg == "--descent-cache") {
       parse_int(&i, &flags->descent_cache, 1 << 30);
     } else if (!flags_ended && arg == "--horizon") {
-      parse_int(&i, &flags->horizon, 1 << 20);
+      parse_int(&i, &flags->horizon, cli_args::kMaxLength);
     } else if (!flags_ended && arg == "--extend-to") {
-      parse_int(&i, &flags->extend_to, 1 << 20);
+      parse_int(&i, &flags->extend_to, cli_args::kMaxLength);
     } else if (!flags_ended && arg == "--json") {
       parse_str(&i, &flags->json_path);
     } else if (!flags_ended && arg == "--save-state") {
@@ -267,16 +267,16 @@ int RunSessionCount(const CliFlags& flags,
   } else {
     // Fresh session: positional <file> <n> as in the plain count command,
     // with the horizon defaulting to n.
-    if (args.size() < 3) return Usage();
+    int n = 0;
+    CountOptions options = OptionsFromFlags(flags);
+    if (args.size() < 3 ||
+        !cli_args::ParseInt("n", args[2], 0, cli_args::kMaxLength, &n) ||
+        !cli_args::ParseAccuracyArgs(args, 3, &options.eps, &options.delta,
+                                     &options.seed)) {
+      return Usage();
+    }
     Result<Nfa> nfa = LoadFromArg(args[1]);
     if (!nfa.ok()) return Fail(nfa.status());
-    const int n = std::atoi(args[2].c_str());
-    CountOptions options = OptionsFromFlags(flags);
-    if (args.size() > 3) options.eps = std::atof(args[3].c_str());
-    if (args.size() > 4) options.delta = std::atof(args[4].c_str());
-    if (args.size() > 5) {
-      options.seed = std::strtoull(args[5].c_str(), nullptr, 10);
-    }
     const int horizon = flags.horizon >= 0 ? flags.horizon : n;
     if (horizon < n) {
       std::fprintf(stderr, "error: --horizon must be >= n\n");
@@ -342,29 +342,52 @@ int main(int argc, char** argv) {
   if (args.size() < 2) return Usage();
 
   if (command == "regex") {
-    if (args.size() < 3) return Usage();
-    Result<Nfa> nfa = CompileRegex(args[1], std::atoi(args[2].c_str()));
+    int alphabet_size = 0;
+    if (args.size() < 3 ||
+        !cli_args::ParseInt("alphabet_size", args[2], 1,
+                            kMaxCharAlphabetSize, &alphabet_size)) {
+      return Usage();
+    }
+    Result<Nfa> nfa = CompileRegex(args[1], alphabet_size);
     if (!nfa.ok()) return Fail(nfa.status());
     std::fputs(NfaToText(*nfa).c_str(), stdout);
     return 0;
   }
 
-  Result<Nfa> nfa = LoadFromArg(args[1]);
-  if (!nfa.ok()) return Fail(nfa.status());
-
   if (command == "dot") {
+    Result<Nfa> nfa = LoadFromArg(args[1]);
+    if (!nfa.ok()) return Fail(nfa.status());
     std::fputs(NfaToDot(*nfa).c_str(), stdout);
     return 0;
   }
 
-  if (args.size() < 3) return Usage();
-  const int n = std::atoi(args[2].c_str());
+  // Every remaining command takes <file> <n> [...]: check the numbers
+  // before reading the automaton.
+  int n = 0;
+  if (args.size() < 3 ||
+      !cli_args::ParseInt("n", args[2], 0, cli_args::kMaxLength, &n)) {
+    return Usage();
+  }
+  CountOptions options = OptionsFromFlags(flags);
+  int64_t count = 0;
+  if (command == "count" || command == "lengths") {
+    if (!cli_args::ParseAccuracyArgs(args, 3, &options.eps, &options.delta,
+                                     &options.seed)) {
+      return Usage();
+    }
+  } else if (command == "sample") {
+    options.seed = kSampleSeed;
+    if (args.size() < 4 ||
+        !cli_args::ParseInt("count", args[3], 0, INT64_MAX, &count) ||
+        (args.size() > 4 && !cli_args::ParseU64("seed", args[4],
+                                                &options.seed))) {
+      return Usage();
+    }
+  }
+  Result<Nfa> nfa = LoadFromArg(args[1]);
+  if (!nfa.ok()) return Fail(nfa.status());
 
   if (command == "count" || command == "lengths") {
-    CountOptions options = OptionsFromFlags(flags);
-    if (args.size() > 3) options.eps = std::atof(args[3].c_str());
-    if (args.size() > 4) options.delta = std::atof(args[4].c_str());
-    if (args.size() > 5) options.seed = std::strtoull(args[5].c_str(), nullptr, 10);
     if (command == "count") {
       Result<CountEstimate> r = ApproxCount(*nfa, n, options);
       if (!r.ok()) return Fail(r.status());
@@ -423,12 +446,6 @@ int main(int argc, char** argv) {
   }
 
   if (command == "sample") {
-    if (args.size() < 4) return Usage();
-    const int64_t count = std::atoll(args[3].c_str());
-    CountOptions options = OptionsFromFlags(flags);
-    options.seed = args.size() > 4
-                       ? std::strtoull(args[4].c_str(), nullptr, 10)
-                       : kSampleSeed;
     Result<EngineSession> session = EngineSession::Create(*nfa, n, options);
     if (!session.ok()) return Fail(session.status());
     // One SampleWords call per chunk, never per word (each call re-estimates

@@ -29,10 +29,15 @@
 // percentiles. All replies are checked against each other: a mismatch is a
 // determinism bug and exits 1.
 //
+// Every number on the command line is parsed strictly (examples/
+// cli_args.hpp): --port is 1..65535, lengths, levels, states and counts are
+// non-negative integers in range, eps is > 0, delta is in (0, 1), the seed
+// is an unsigned 64-bit integer.
+//
 // Exit codes distinguish failure classes for scripting:
 //   0  success
 //   1  the daemon answered with an error (or the connection died mid-op)
-//   2  usage error
+//   2  usage error, including a malformed number
 //   3  could not reach the daemon (connect refused / shed until retries
 //      were exhausted)
 // Errors print the status as "CODE: message" on stderr.
@@ -45,6 +50,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -58,6 +64,7 @@
 #include <vector>
 
 #include "automata/alphabet.hpp"
+#include "cli_args.hpp"
 #include "serve/client.hpp"
 #include "util/metrics.hpp"
 
@@ -70,6 +77,8 @@ using nfacount::serve::RegisterRequest;
 using nfacount::serve::RetryPolicy;
 using nfacount::serve::SampleResult;
 using nfacount::serve::ServeClient;
+using cli_args::kMaxLength;
+using cli_args::ParseInt;
 
 int Usage() {
   std::fprintf(
@@ -244,26 +253,30 @@ int main(int argc, char** argv) {
   int bench_pipeline = 1;
   bool pretty = false;
   std::vector<std::string> args;
+  int port_arg = 0;
   for (int i = 2; i < argc; ++i) {
+    // A flag's value: the next argument, strictly in [lo, hi].
+    auto int_flag = [&](int64_t lo, int64_t hi, auto* out) {
+      if (i + 1 >= argc || !ParseInt(argv[i], argv[i + 1], lo, hi, out)) {
+        return false;
+      }
+      ++i;
+      return true;
+    };
     if (std::strcmp(argv[i], "--port") == 0) {
-      if (i + 1 >= argc) return Usage();
-      port = static_cast<uint16_t>(std::atoi(argv[++i]));
+      if (!int_flag(1, 65535, &port_arg)) return Usage();
+      port = static_cast<uint16_t>(port_arg);
     } else if (std::strcmp(argv[i], "--retries") == 0) {
-      if (i + 1 >= argc) return Usage();
-      retry.max_attempts = std::atoi(argv[++i]);
-      if (retry.max_attempts < 1) return Usage();
+      if (!int_flag(1, INT_MAX, &retry.max_attempts)) return Usage();
     } else if (std::strcmp(argv[i], "--requests") == 0) {
-      if (i + 1 >= argc) return Usage();
-      bench_requests = std::atoll(argv[++i]);
-      if (bench_requests < 1) return Usage();
+      int64_t requests = 0;
+      if (!int_flag(1, INT64_MAX, &requests)) return Usage();
+      bench_requests = requests;
     } else if (std::strcmp(argv[i], "--concurrency") == 0) {
-      if (i + 1 >= argc) return Usage();
-      bench_concurrency = std::atoi(argv[++i]);
-      if (bench_concurrency < 1) return Usage();
+      // One thread per connection: bounded like the daemon's worker count.
+      if (!int_flag(1, 4096, &bench_concurrency)) return Usage();
     } else if (std::strcmp(argv[i], "--pipeline") == 0) {
-      if (i + 1 >= argc) return Usage();
-      bench_pipeline = std::atoi(argv[++i]);
-      if (bench_pipeline < 1) return Usage();
+      if (!int_flag(1, INT_MAX, &bench_pipeline)) return Usage();
     } else if (std::strcmp(argv[i], "--pretty") == 0) {
       pretty = true;
     } else {
@@ -272,12 +285,38 @@ int main(int argc, char** argv) {
   }
   if (port == 0) return Usage();
 
+  // Every positional number is checked before the daemon is dialed.
+  RegisterRequest reg;
+  int length = 0;  // count, bench and sample length; extend level
+  int state = 0;
+  int64_t draw_count = 0;
+  bool args_ok = true;
+  if (command == "register") {
+    args_ok = args.size() >= 3 &&
+              ParseInt("horizon", args[2], 0, kMaxLength, &reg.horizon) &&
+              cli_args::ParseAccuracyArgs(args, 3, &reg.eps, &reg.delta,
+                                          &reg.seed);
+  } else if (command == "count" || command == "bench") {
+    args_ok = args.size() == 2 &&
+              ParseInt("length", args[1], 0, kMaxLength, &length);
+  } else if (command == "extend") {
+    args_ok = args.size() == 2 &&
+              ParseInt("level", args[1], 0, kMaxLength, &length);
+  } else if (command == "count-state") {
+    args_ok = args.size() == 3 &&
+              ParseInt("state", args[1], 0, INT32_MAX, &state) &&
+              ParseInt("length", args[2], 0, kMaxLength, &length);
+  } else if (command == "sample") {
+    args_ok = args.size() == 3 &&
+              ParseInt("length", args[1], 0, kMaxLength, &length) &&
+              ParseInt("count", args[2], 0, INT64_MAX, &draw_count);
+  }
+  if (!args_ok) return Usage();
+
   if (command == "bench") {
     // Load generator: every connection is opened by its own thread, so the
     // shared pre-connected client below is skipped entirely.
-    if (args.size() != 2) return Usage();
     const std::string name = args[0];
-    const int length = std::atoi(args[1].c_str());
     nfacount::LatencyHistogram latency;
     std::atomic<long long> errors{0};
     std::atomic<bool> mismatch{false};
@@ -327,45 +366,30 @@ int main(int argc, char** argv) {
     return 0;
   }
   if (command == "register") {
-    if (args.size() < 3) return Usage();
-    RegisterRequest req;
-    req.name = args[0];
+    reg.name = args[0];
     Result<std::string> text = ReadNfaText(args[1]);
     if (!text.ok()) return Fail(text.status());
-    req.nfa_text = std::move(text).value();
-    req.horizon = std::atoi(args[2].c_str());
-    if (args.size() > 3) req.eps = std::atof(args[3].c_str());
-    if (args.size() > 4) req.delta = std::atof(args[4].c_str());
-    if (args.size() > 5) {
-      req.seed = std::strtoull(args[5].c_str(), nullptr, 10);
-    }
-    Status st = client.Register(req);
+    reg.nfa_text = std::move(text).value();
+    Status st = client.Register(reg);
     if (!st.ok()) return Fail(st);
-    std::printf("registered %s\n", req.name.c_str());
+    std::printf("registered %s\n", reg.name.c_str());
     return 0;
   }
   if (command == "count") {
-    if (args.size() != 2) return Usage();
-    Result<double> estimate =
-        client.CountAtLength(args[0], std::atoi(args[1].c_str()));
+    Result<double> estimate = client.CountAtLength(args[0], length);
     if (!estimate.ok()) return Fail(estimate.status());
     std::printf("%.6g\n", estimate.value());
     return 0;
   }
   if (command == "count-state") {
-    if (args.size() != 3) return Usage();
-    Result<double> estimate =
-        client.CountFor(args[0], std::atoi(args[1].c_str()),
-                        std::atoi(args[2].c_str()));
+    Result<double> estimate = client.CountFor(args[0], state, length);
     if (!estimate.ok()) return Fail(estimate.status());
     std::printf("%.6g\n", estimate.value());
     return 0;
   }
   if (command == "sample") {
-    if (args.size() != 3) return Usage();
     Result<SampleResult> sampled =
-        client.SampleWords(args[0], std::atoi(args[1].c_str()),
-                           std::atoll(args[2].c_str()));
+        client.SampleWords(args[0], length, draw_count);
     if (!sampled.ok()) return Fail(sampled.status());
     for (const Word& word : sampled.value().words) {
       std::printf("%s\n", nfacount::WordToString(word).c_str());
@@ -373,8 +397,7 @@ int main(int argc, char** argv) {
     return 0;
   }
   if (command == "extend") {
-    if (args.size() != 2) return Usage();
-    Result<int> level = client.ExtendTo(args[0], std::atoi(args[1].c_str()));
+    Result<int> level = client.ExtendTo(args[0], length);
     if (!level.ok()) return Fail(level.status());
     std::printf("computed %d\n", level.value());
     return 0;

@@ -47,7 +47,6 @@
 // is checkpointed. The handler itself only sets a flag — the main thread
 // polls it, so no async-signal-unsafe call runs in signal context.
 
-#include <cerrno>
 #include <climits>
 #include <csignal>
 #include <cstdint>
@@ -56,6 +55,7 @@
 #include <cstring>
 #include <string>
 
+#include "cli_args.hpp"
 #include "serve/registry.hpp"
 #include "serve/server.hpp"
 #include "util/simd.hpp"
@@ -80,21 +80,12 @@ int Usage() {
   return 2;
 }
 
-/// Strict integer flag value: the whole of `value` must be a base-10
-/// integer in [lo, hi], else the usage text and exit status 2. atoi would
-/// silently read "abc" as 0 and "1e9" as 1, and truncate "70000" to a port.
+/// Strict integer flag value (examples/cli_args.hpp): the whole of `value`
+/// must be a base-10 integer in [lo, hi], else the usage text and exit
+/// status 2.
 int64_t IntFlag(const char* flag, const char* value, int64_t lo, int64_t hi) {
-  char* end = nullptr;
-  errno = 0;
-  const long long parsed = std::strtoll(value, &end, 10);
-  if (errno != 0 || end == value || *end != '\0' || parsed < lo ||
-      parsed > hi) {
-    std::fprintf(stderr,
-                 "error: %s must be an integer in %lld..%lld, got '%s'\n",
-                 flag, static_cast<long long>(lo), static_cast<long long>(hi),
-                 value);
-    std::exit(Usage());
-  }
+  int64_t parsed = 0;
+  if (!cli_args::ParseInt(flag, value, lo, hi, &parsed)) std::exit(Usage());
   return parsed;
 }
 

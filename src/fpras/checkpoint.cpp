@@ -36,6 +36,42 @@ uint64_t Fnv1a64(const char* data, size_t size) {
   return h;
 }
 
+/// The envelope both readers check before trusting a byte of the body:
+/// size, magic, supported version, canonical byte order, then the FNV-1a
+/// trailer. `where` ends every message (": <path>" for the file probe).
+/// On success *version holds the format version.
+Status CheckEnvelope(const std::string& bytes, const std::string& where,
+                     uint32_t* version) {
+  if (bytes.size() < kPreambleBytes + kChecksumBytes) {
+    return Status::DataLoss("checkpoint truncated: shorter than preamble" +
+                            where);
+  }
+  if (std::memcmp(bytes.data(), kMagic, sizeof(kMagic)) != 0) {
+    return Status::Invalid("not a session checkpoint (bad magic)" + where);
+  }
+  ByteReader preamble(bytes.data() + sizeof(kMagic), 8);
+  uint32_t endian = 0;
+  NFA_RETURN_NOT_OK(preamble.U32(version));
+  NFA_RETURN_NOT_OK(preamble.U32(&endian));
+  if (*version < 1 || *version > kCheckpointVersion) {
+    return Status::Invalid("unsupported checkpoint version " +
+                           std::to_string(*version) + " (expected <= " +
+                           std::to_string(kCheckpointVersion) + ")" + where);
+  }
+  if (endian != kEndianMarker) {
+    return Status::Invalid(
+        "checkpoint byte order is not canonical little-endian" + where);
+  }
+  const size_t body_size = bytes.size() - kChecksumBytes;
+  ByteReader tail(bytes.data() + body_size, kChecksumBytes);
+  uint64_t stored_sum = 0;
+  NFA_RETURN_NOT_OK(tail.U64(&stored_sum));
+  if (Fnv1a64(bytes.data(), body_size) != stored_sum) {
+    return Status::DataLoss("checkpoint integrity checksum mismatch" + where);
+  }
+  return Status::Ok();
+}
+
 // The byte codec lives in util/wire.hpp (ByteWriter/ByteReader), shared with
 // the serve-mode wire protocol — identical byte semantics to the original
 // in-file classes, so existing checkpoints load unchanged.
@@ -168,35 +204,9 @@ std::string SerializeSessionCheckpoint(const EngineSession& session) {
 
 Result<EngineSession> DeserializeSessionCheckpoint(const std::string& bytes,
                                                    const SessionKnobs* knobs) {
-  if (bytes.size() < kPreambleBytes + kChecksumBytes) {
-    return Status::DataLoss("checkpoint truncated: shorter than preamble");
-  }
-  if (std::memcmp(bytes.data(), kMagic, sizeof(kMagic)) != 0) {
-    return Status::Invalid("not a session checkpoint (bad magic)");
-  }
-  ByteReader preamble(bytes.data() + sizeof(kMagic), 8);
   uint32_t version = 0;
-  uint32_t endian = 0;
-  NFA_RETURN_NOT_OK(preamble.U32(&version));
-  NFA_RETURN_NOT_OK(preamble.U32(&endian));
-  if (version < 1 || version > kCheckpointVersion) {
-    return Status::Invalid("unsupported checkpoint version " +
-                           std::to_string(version) + " (expected <= " +
-                           std::to_string(kCheckpointVersion) + ")");
-  }
-  if (endian != kEndianMarker) {
-    return Status::Invalid(
-        "checkpoint byte order is not canonical little-endian");
-  }
-
+  NFA_RETURN_NOT_OK(CheckEnvelope(bytes, "", &version));
   const size_t body_size = bytes.size() - kChecksumBytes;
-  ByteReader tail(bytes.data() + body_size, kChecksumBytes);
-  uint64_t stored_sum = 0;
-  NFA_RETURN_NOT_OK(tail.U64(&stored_sum));
-  if (Fnv1a64(bytes.data(), body_size) != stored_sum) {
-    return Status::DataLoss("checkpoint integrity checksum mismatch");
-  }
-
   ByteReader r(bytes.data() + kPreambleBytes,
                body_size - kPreambleBytes);
   uint64_t seed = 0;
@@ -369,34 +379,8 @@ Result<EngineSession> LoadSessionCheckpoint(const std::string& path,
 Status ValidateSessionCheckpoint(const std::string& path) {
   std::string bytes;
   NFA_RETURN_NOT_OK(ReadCheckpointBytes(path, &bytes));
-  if (bytes.size() < kPreambleBytes + kChecksumBytes) {
-    return Status::DataLoss("checkpoint truncated: shorter than preamble: " +
-                            path);
-  }
-  if (std::memcmp(bytes.data(), kMagic, sizeof(kMagic)) != 0) {
-    return Status::Invalid("not a session checkpoint (bad magic): " + path);
-  }
-  ByteReader preamble(bytes.data() + sizeof(kMagic), 8);
   uint32_t version = 0;
-  uint32_t endian = 0;
-  NFA_RETURN_NOT_OK(preamble.U32(&version));
-  NFA_RETURN_NOT_OK(preamble.U32(&endian));
-  if (version < 1 || version > kCheckpointVersion) {
-    return Status::Invalid("unsupported checkpoint version " +
-                           std::to_string(version) + ": " + path);
-  }
-  if (endian != kEndianMarker) {
-    return Status::Invalid(
-        "checkpoint byte order is not canonical little-endian: " + path);
-  }
-  const size_t body_size = bytes.size() - kChecksumBytes;
-  ByteReader tail(bytes.data() + body_size, kChecksumBytes);
-  uint64_t stored_sum = 0;
-  NFA_RETURN_NOT_OK(tail.U64(&stored_sum));
-  if (Fnv1a64(bytes.data(), body_size) != stored_sum) {
-    return Status::DataLoss("checkpoint integrity checksum mismatch: " + path);
-  }
-  return Status::Ok();
+  return CheckEnvelope(bytes, ": " + path, &version);
 }
 
 }  // namespace nfacount

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cmath>
 #include <cstdlib>
+#include <memory>
 #include <utility>
 
 #include "counting/union_mc.hpp"
@@ -600,15 +601,6 @@ Status FprasEngine::AdvanceLevel(ThreadPool& pool) {
   // Release-publish: a serve-mode reader that acquire-loads computed_level()
   // and sees `level` also sees every write the cell fan-out made above.
   computed_level_.store(level, std::memory_order_release);
-  if (level == params_.n) {
-    // Final answer. Single accepting state: N(q_F^n) (Alg. 3 line 31).
-    // Multiple accepting states: |L(A_n)| = |∪_{f∈F} L(f^n)| via one more
-    // AppUnion over the accepting states' (S, N) pairs (footnote 1: the
-    // single final state assumption is WLOG). Content-keyed, so resumed
-    // and uninterrupted runs agree exactly.
-    final_estimate_ =
-        EstimateUnionOfStates(nfa_->accepting(), params_.n, workers_[0]);
-  }
   return Status::Ok();
 }
 
@@ -631,7 +623,6 @@ Status FprasEngine::Prepare() {
   }
   prepared_ = false;
   computed_level_ = -1;
-  final_estimate_ = 0.0;
   run_wall_seconds_ = 0.0;
   pool_.reset();
 
@@ -695,10 +686,6 @@ Status FprasEngine::Prepare() {
   levels_[0].level = 0;
   computed_level_ = 0;
   prepared_ = true;
-  if (params_.n == 0) {
-    // Degenerate horizon: the pipeline is already complete.
-    final_estimate_ = EstimateUnionOfStates(nfa_->accepting(), 0, workers_[0]);
-  }
   run_wall_seconds_ += timer.ElapsedSeconds();
   return Status::Ok();
 }
@@ -772,10 +759,6 @@ Status FprasEngine::RestoreComputedState(int computed_level,
   }
   computed_level_.store(computed_level, std::memory_order_release);
   post_attempt_counter_ = draw_cursor;
-  if (computed_level == params_.n) {
-    final_estimate_ =
-        EstimateUnionOfStates(nfa_->accepting(), params_.n, workers_[0]);
-  }
   return Status::Ok();
 }
 
@@ -801,7 +784,8 @@ double FprasEngine::EstimateUnionOfStates(const Bitset& targets, int level,
   for (const auto& in : inputs) ptrs.push_back(&in);
   AppUnionParams au = MakeUnionParams(params_, params_.eta, level + 1);
   // Content-keyed stream: repeated estimates of the same (targets, level)
-  // union agree exactly (e.g. the all-lengths slice at n equals Estimate()).
+  // union agree exactly (e.g. every EstimateAtLength(n) call, and the
+  // draw path's γ0 union over the accepting states).
   Rng rng = Rng::ForSubstream(seed_, HashCombine(kFinalUnionTag, alive.Hash()),
                               static_cast<uint64_t>(level));
   AppUnionOutcome outcome = AppUnionBatched(ptrs, au, ws.union_scratch, rng);
@@ -818,9 +802,10 @@ double FprasEngine::EstimateAtLength(int level) {
             "EstimateAtLength: level out of [0, n]");
   NFA_CHECK(level <= computed_level_,
             "EstimateAtLength: level not yet computed");
-  if (level == 0) {
-    return nfa_->IsAccepting(nfa_->initial()) ? 1.0 : 0.0;
-  }
+  // Single accepting state: N(q_F^ℓ) (Alg. 3 line 31). Several: one
+  // AppUnion over the accepting states' (S, N) pairs (footnote 1: the
+  // single-final-state assumption is WLOG). At ℓ = 0 only the initial
+  // state is reachable, so this is N(I⁰) = 1 or 0.
   return EstimateUnionOfStates(nfa_->accepting(), level, workers_[0]);
 }
 
@@ -853,10 +838,11 @@ int64_t FprasEngine::SampleAcceptedInto(const Bitset& targets, int level,
                                         int64_t max_attempts,
                                         int64_t min_accepts,
                                         std::vector<Word>* out) {
-  NFA_CHECK(prepared_, "SampleWord requires a prepared engine (Run)");
+  NFA_CHECK(prepared_, "SampleAcceptedInto requires a prepared engine (Run)");
   NFA_CHECK(level >= 0 && level <= params_.n,
-            "SampleWord: level out of [0, n]");
-  NFA_CHECK(level <= computed_level_, "SampleWord: level not yet computed");
+            "SampleAcceptedInto: level out of [0, n]");
+  NFA_CHECK(level <= computed_level_,
+            "SampleAcceptedInto: level not yet computed");
   Bitset alive = targets;
   alive &= unrolled_.ReachableAt(level);
   if (alive.None()) return 0;
@@ -898,16 +884,6 @@ int64_t FprasEngine::SampleAcceptedInto(const Bitset& targets, int level,
   return appended;
 }
 
-std::optional<Word> FprasEngine::SampleWord(const Bitset& targets, int level) {
-  // One attempt of the counter-keyed stream, exactly like the pre-batching
-  // API: nullopt = that attempt rejected.
-  std::vector<Word> words;
-  SampleAcceptedInto(targets, level, /*max_attempts=*/1, /*min_accepts=*/1,
-                     &words);
-  if (words.empty()) return std::nullopt;
-  return std::move(words.front());
-}
-
 // ---------------------------------------------------------------------------
 // Facade
 // ---------------------------------------------------------------------------
@@ -928,45 +904,43 @@ Result<FprasParams> ParamsFromOptions(const CountOptions& options, int m,
   return params;
 }
 
-Result<CountEstimate> ApproxCount(const Nfa& nfa, int n,
-                                  const CountOptions& options) {
+namespace {
+
+/// The one-shot body shared by ApproxCount and ApproxCountAllLengths: one
+/// validation, one parameter derivation, one engine run to the horizon.
+Result<std::unique_ptr<FprasEngine>> RunToHorizon(const Nfa& nfa, int n,
+                                                  const CountOptions& options) {
   NFA_RETURN_NOT_OK(nfa.Validate());
   if (n < 0) return Status::Invalid("n must be >= 0");
-
   FprasParams params;
   NFA_ASSIGN_OR_RETURN(params, ParamsFromOptions(options, nfa.num_states(), n));
-  CountEstimate out;
-  if (n == 0) {
-    // L(A_0) = {λ} iff the initial state accepts.
-    out.estimate = nfa.IsAccepting(nfa.initial()) ? 1.0 : 0.0;
-    out.params = params;
-    return out;
-  }
+  auto engine = std::make_unique<FprasEngine>(&nfa, params, options.seed);
+  NFA_RETURN_NOT_OK(engine->Run());
+  return engine;
+}
 
-  FprasEngine engine(&nfa, params, options.seed);
-  NFA_RETURN_NOT_OK(engine.Run());
-  out.estimate = engine.Estimate();
-  out.params = engine.params();
-  out.diagnostics = engine.diagnostics();
+}  // namespace
+
+Result<CountEstimate> ApproxCount(const Nfa& nfa, int n,
+                                  const CountOptions& options) {
+  std::unique_ptr<FprasEngine> engine;
+  NFA_ASSIGN_OR_RETURN(engine, RunToHorizon(nfa, n, options));
+  CountEstimate out;
+  // The estimate before the diagnostics: its accepting-state union
+  // (|F| > 1) is part of the run's counters.
+  out.estimate = engine->EstimateAtLength(n);
+  out.params = engine->params();
+  out.diagnostics = engine->diagnostics();
   return out;
 }
 
 Result<std::vector<double>> ApproxCountAllLengths(const Nfa& nfa, int n,
                                                   const CountOptions& options) {
-  NFA_RETURN_NOT_OK(nfa.Validate());
-  if (n < 0) return Status::Invalid("n must be >= 0");
+  std::unique_ptr<FprasEngine> engine;
+  NFA_ASSIGN_OR_RETURN(engine, RunToHorizon(nfa, n, options));
   std::vector<double> out(static_cast<size_t>(n) + 1, 0.0);
-  if (n == 0) {
-    out[0] = nfa.IsAccepting(nfa.initial()) ? 1.0 : 0.0;
-    return out;
-  }
-
-  FprasParams params;
-  NFA_ASSIGN_OR_RETURN(params, ParamsFromOptions(options, nfa.num_states(), n));
-  FprasEngine engine(&nfa, params, options.seed);
-  NFA_RETURN_NOT_OK(engine.Run());
   for (int level = 0; level <= n; ++level) {
-    out[static_cast<size_t>(level)] = engine.EstimateAtLength(level);
+    out[static_cast<size_t>(level)] = engine->EstimateAtLength(level);
   }
   return out;
 }

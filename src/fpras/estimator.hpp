@@ -8,8 +8,10 @@
 //       N(qℓ) = Σ_b sz_b          (w.p. 1−η/2n; else perturbed — line 16-19)
 //       S(qℓ) = up to ns words from sample(ℓ, {q}, λ, 2/(3e·N(qℓ)), β, ·),
 //               padded with a fixed witness word on shortfall (lines 27-30);
-//   output:   N(q_F^n), or an AppUnion over accepting states when |F| > 1
-//             (the paper's single-final-state assumption is WLOG).
+//   output:   |L(A_ℓ)| for any computed ℓ — N(q_F^ℓ), or an AppUnion over
+//             accepting states when |F| > 1 (the paper's single-final-state
+//             assumption is WLOG). The horizon count |L(A_n)| is the ℓ = n
+//             slice of the same per-length answer (EstimateAtLength(n)).
 //
 // sample() (Algorithm 2) extends a suffix backwards: at level i it estimates
 // sz_b = |∪_{p∈P_b} L(p^{i-1})| for each symbol b, draws b proportionally,
@@ -71,7 +73,6 @@
 #include <atomic>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -325,10 +326,9 @@ class FprasEngine {
 
   /// Advances the pipeline level by level until `target` is computed
   /// (no-op when target <= computed_level()). Requires Prepare(); target
-  /// must be in [0, horizon()] or Status::OutOfRange is returned. Reaching
-  /// the horizon finalizes Estimate(). Splitting the sweep across any
-  /// sequence of RunToLevel calls — or across a checkpoint save/load — is
-  /// invisible in every estimate, table, and draw.
+  /// must be in [0, horizon()] or Status::OutOfRange is returned. Splitting
+  /// the sweep across any sequence of RunToLevel calls — or across a
+  /// checkpoint save/load — is invisible in every estimate, table, and draw.
   Status RunToLevel(int target);
 
   /// Highest level whose LevelState is computed; -1 before Prepare().
@@ -344,15 +344,15 @@ class FprasEngine {
   /// derivation fixed β, ns, xns for this horizon at construction.
   int horizon() const { return params_.n; }
 
-  /// Final estimate of |L(A_n)| (AppUnion over accepting states if |F| > 1).
-  /// 0.0 until the horizon level has been computed.
-  double Estimate() const { return final_estimate_; }
-
   /// Estimate of |L(A_ℓ)| for any computed ℓ: the DP maintains AccurateN at
   /// every level, so per-length counts come for free (each carries the same
-  /// per-level (1±β)^ℓ ⊆ (1±ε) envelope). `level` must be in
-  /// [0, computed_level()] — violations abort via NFA_CHECK instead of
-  /// reading out of bounds.
+  /// per-level (1±β)^ℓ ⊆ (1±ε) envelope). The horizon count |L(A_n)| is
+  /// EstimateAtLength(horizon()) — N(q_F^n), or one AppUnion over the
+  /// accepting states when |F| > 1 (Alg. 3 line 31 / footnote 1). The union
+  /// draws from a content-keyed substream, so every call at one level
+  /// returns the same bits; EngineSession computes each level's value once
+  /// and caches it. `level` must be in [0, computed_level()] — violations
+  /// abort via NFA_CHECK instead of reading out of bounds.
   double EstimateAtLength(int level);
 
   /// N(q^ℓ); 0 for unreachable copies. The level must be computed; q and
@@ -383,31 +383,28 @@ class FprasEngine {
                               int64_t draw_cursor);
 
   /// Next post-run sampling attempt id (the "RNG cursor" of the draw
-  /// streams): checkpoint state, advanced by SampleWord/SampleAcceptedInto.
+  /// streams): checkpoint state, advanced by SampleAcceptedInto.
   int64_t draw_cursor() const { return post_attempt_counter_; }
 
-  /// Draws one word almost-uniformly from ∪_{q ∈ targets} L(q^level) using
-  /// Algorithm 2 against the tables built by Run(); nullopt = rejection
-  /// (caller retries; Theorem 2(2) bounds the rejection rate). Consumes one
-  /// attempt of the counter-keyed post-run stream.
-  std::optional<Word> SampleWord(const Bitset& targets, int level);
-
-  /// Batched post-run draws: launches candidate walks in lockstep batches of
-  /// the engine's batch width until at least `min_accepts` walks accept (or
-  /// `max_attempts` walks have been tried), appending accepted words to
-  /// `out` in attempt order. Returns the number appended. Because each
-  /// attempt draws from its own counter-keyed substream, the appended
-  /// sequence is bit-identical for every batch width, thread count, and
-  /// kernel table. Consumption is exact: appending stops at the accept that
+  /// Post-run draws of almost-uniform words from ∪_{q ∈ targets} L(q^level)
+  /// (Algorithm 2 against the computed tables): launches candidate walks in
+  /// lockstep batches of the engine's batch width until at least
+  /// `min_accepts` walks accept (or `max_attempts` walks have been tried),
+  /// appending accepted words to `out` in attempt order. Returns the number
+  /// appended. Because each attempt draws from its own counter-keyed
+  /// substream, the appended sequence is bit-identical for every batch
+  /// width, thread count, and kernel table. Consumption is exact: appending stops at the accept that
   /// satisfies `min_accepts`, and the cursor, the attempt budget, and the
   /// per-walk diagnostics advance only through that attempt — exactly a
   /// sequential batch_width = 1 run. Speculative later walks of the final
   /// batch are discarded unseen and are re-derived bit-identically if a
   /// later call reaches their attempt ids, so the draw stream is invariant
   /// across batch widths even for arbitrary call/length interleavings (the
-  /// EngineSession contract).
+  /// EngineSession contract). (max_attempts, min_accepts) = (1, 1) is one
+  /// attempt: it appends a word or nothing (a rejection; Theorem 2(2) bounds
+  /// the rate).
   ///
-  /// Same preconditions as SampleWord.
+  /// The level must be computed; it is range-checked (NFA_CHECK).
   int64_t SampleAcceptedInto(const Bitset& targets, int level,
                              int64_t max_attempts, int64_t min_accepts,
                              std::vector<Word>* out);
@@ -517,8 +514,7 @@ class FprasEngine {
 
   /// One pipeline step: computes LevelState computed_level_+1 by fanning its
   /// reachable cells over the pool and joining (the level barrier), reading
-  /// only the frozen LevelState below, then advances the cursor. Reaching
-  /// the horizon finalizes final_estimate_.
+  /// only the frozen LevelState below, then advances the cursor.
   Status AdvanceLevel(ThreadPool& pool);
 
   double PerturbedCount(int level, Rng& rng);
@@ -534,7 +530,7 @@ class FprasEngine {
   FprasParams params_;
   UnrolledNfa unrolled_;
   uint64_t seed_;
-  /// Next post-run attempt id: every SampleWord/SampleAcceptedInto attempt
+  /// Next post-run attempt id: every SampleAcceptedInto attempt
   /// draws from Rng::ForSubstream(seed, draw-tag, counter++), so the draw
   /// sequence depends only on how many attempts ran before — not on batch
   /// width, thread count, or kernel table.
@@ -547,11 +543,10 @@ class FprasEngine {
   /// AdvanceLevel, and workers_[0] serves the sequential query accessors
   /// (EstimateAtLength and friends) between sweeps.
   std::vector<WorkerScratch> workers_;
-  /// Dedicated scratch for the post-run draw path (SampleWord /
-  /// SampleAcceptedInto): draws never share scratch with the sweep workers,
-  /// so serve-mode readers may draw against published levels while one
-  /// writer thread runs AdvanceLevel above them (see the "Serve-mode seam"
-  /// file comment).
+  /// Dedicated scratch for the post-run draw path (SampleAcceptedInto):
+  /// draws never share scratch with the sweep workers, so serve-mode readers
+  /// may draw against published levels while one writer thread runs
+  /// AdvanceLevel above them (see the "Serve-mode seam" file comment).
   WorkerScratch draw_;
   /// Lazily-created level-sweep pool, reused across every RunToLevel call of
   /// one prepared run (incremental extensions must not respawn threads per
@@ -569,7 +564,6 @@ class FprasEngine {
   /// frontier)), shared across workers. Reset by Prepare() from
   /// params_.descent_cache_capacity.
   DescentCache descent_;
-  double final_estimate_ = 0.0;
   double run_wall_seconds_ = 0.0;
   mutable FprasDiagnostics diag_;  ///< diagnostics() merge target
   bool prepared_ = false;  ///< Prepare() succeeded (accessor precondition)
@@ -623,7 +617,8 @@ Result<CountEstimate> ApproxCount(const Nfa& nfa, int n,
 /// Estimates |L(A_ℓ)| for every ℓ in 0..n from a single FPRAS run (index ℓ
 /// of the result holds the length-ℓ estimate). One engine execution: the
 /// level-by-level dynamic program computes all slices on the way to n, so
-/// this costs the same as ApproxCount(nfa, n) plus n cheap union estimates.
+/// this costs the same as ApproxCount(nfa, n) plus n − 1 cheap union
+/// estimates; index n is ApproxCount's estimate, bit for bit.
 Result<std::vector<double>> ApproxCountAllLengths(
     const Nfa& nfa, int n, const CountOptions& options = CountOptions());
 

@@ -97,24 +97,23 @@ Status EngineSession::ExtendTo(int level) {
   return Status::Ok();
 }
 
+// The writer-side queries are ExtendTo + the Shared* read: once extended,
+// `length` is published and its cached estimate is the one value
+// EstimateAtLength computed for it, so the writer reads what readers read
+// and runs no AppUnion of its own (the draw mutex is uncontended here).
+
 Result<double> EngineSession::CountAtLength(int length) {
   NFA_RETURN_NOT_OK(ExtendTo(length));
-  return engine_->EstimateAtLength(length);
+  return SharedCountAtLength(length);
 }
 
 Result<double> EngineSession::CountFor(StateId q, int length) {
   NFA_RETURN_NOT_OK(ExtendTo(length));
-  if (q < 0 || q >= nfa_->num_states()) {
-    return Status::Invalid("CountFor: state out of [0, m)");
-  }
-  return engine_->CountEstimateFor(q, length);
+  return SharedCountFor(q, length);
 }
 
 Result<std::vector<Word>> EngineSession::SampleWords(int length,
                                                      int64_t count) {
-  // Once extended, `length` is published and its cached estimate equals
-  // EstimateAtLength bit for bit, so the writer draws through the reader
-  // path (its draw mutex is uncontended here).
   NFA_RETURN_NOT_OK(ExtendTo(length));
   return SharedSampleWords(length, count);
 }
@@ -135,7 +134,7 @@ Result<double> EngineSession::SharedCountAtLength(int length) const {
 Result<double> EngineSession::SharedCountFor(StateId q, int length) const {
   NFA_RETURN_NOT_OK(CheckLength(length));
   if (q < 0 || q >= nfa_->num_states()) {
-    return Status::Invalid("SharedCountFor: state out of [0, m)");
+    return Status::Invalid("CountFor: state out of [0, m)");
   }
   if (length > published_level()) {
     return Status::FailedPrecondition(

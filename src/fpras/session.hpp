@@ -9,7 +9,7 @@
 //
 //   auto session = EngineSession::Create(nfa, /*horizon=*/64, options);
 //   session->CountAtLength(16);   // runs levels 1..16, answers
-//   session->CountAtLength(12);   // already computed: O(1) + one union
+//   session->CountAtLength(12);   // already computed: O(1) cached read
 //   session->SampleWords(16, 10); // draws against the same tables
 //   session->CountAtLength(32);   // extends 17..32 — no recomputation
 //   session->Save("run.ckpt");    // binary checkpoint (fpras/checkpoint.hpp)
@@ -30,7 +30,8 @@
 // Concurrent-read seam (serve mode, docs/ARCHITECTURE.md "Serve mode"): the
 // Shared* accessors answer queries from the published prefix of computed
 // levels while at most ONE thread extends the session (ExtendTo /
-// CountAtLength / CountFor / SampleWords are writer-side). ExtendTo
+// CountAtLength / CountFor / SampleWords are writer-side, and each writer
+// query is ExtendTo followed by its Shared* read — one query path). ExtendTo
 // publishes each level — and its cached |L(A_ℓ)| estimate — with release
 // ordering as soon as the sweep finishes it, so readers see level-complete
 // prefixes mid-extension and never block each other: SharedCountAtLength /
@@ -100,21 +101,24 @@ class EngineSession {
   /// horizon instead).
   Status ExtendTo(int level);
 
-  /// (ε,δ)-estimate of |L(A_length)| — extends the sweep as needed. Every
-  /// length shares the horizon's accuracy envelope.
+  /// (ε,δ)-estimate of |L(A_length)| — ExtendTo(length), then
+  /// SharedCountAtLength: the published per-length estimate, computed once
+  /// when the level was published (no AppUnion per query). Every length
+  /// shares the horizon's accuracy envelope.
   Result<double> CountAtLength(int length);
 
-  /// N(q^length), the per-state count estimate (0 for unreachable copies);
-  /// extends the sweep as needed.
+  /// N(q^length), the per-state count estimate (0 for unreachable copies):
+  /// ExtendTo(length), then SharedCountFor.
   Result<double> CountFor(StateId q, int length);
 
-  /// Draws `count` almost-uniform words from L(A_length), extending the
-  /// sweep as needed. Consumes the session's counter-keyed draw streams, so
-  /// the concatenation of all SampleWords results is one deterministic
-  /// sequence — checkpoint save/restore continues it seamlessly. NotFound
-  /// when the language at this length is estimated empty; ResourceExhausted
-  /// when the per-draw rejection budget is exceeded (inaccurate tables);
-  /// Invalid when `count` is negative or exceeds kMaxDrawsPerCall. Request
+  /// Draws `count` almost-uniform words from L(A_length): ExtendTo(length),
+  /// then SharedSampleWords. Consumes the session's counter-keyed draw
+  /// streams, so the concatenation of all SampleWords results is one
+  /// deterministic sequence — checkpoint save/restore continues it
+  /// seamlessly. NotFound when the language at this length is estimated
+  /// empty; ResourceExhausted when the per-draw rejection budget is exceeded
+  /// (inaccurate tables); Invalid when `count` is negative or exceeds
+  /// kMaxDrawsPerCall. Request
   /// all the words a caller needs in one call (chunked at kMaxDrawsPerCall):
   /// each call estimates the target union once and discards the speculative
   /// walks of its final batch, so one-word calls in a loop cost several

@@ -129,16 +129,8 @@ Status ServeClient::Register(const RegisterRequest& req) {
 
 Result<double> ServeClient::CountAtLength(const std::string& name,
                                           int length) {
-  CountRequest req;
-  req.name = name;
-  req.length = length;
-  Result<std::string> body = RoundTrip(MsgType::kCount, EncodeCount(req));
-  if (!body.ok()) return body.status();
-  ByteReader r(body.value().data(), body.value().size());
-  double estimate = 0.0;
-  NFA_RETURN_NOT_OK(r.F64(&estimate));
-  NFA_RETURN_NOT_OK(RejectTrailing(r));
-  return estimate;
+  NFA_RETURN_NOT_OK(SendCount(name, length));
+  return ReadCountReply();
 }
 
 Result<double> ServeClient::CountFor(const std::string& name, int32_t state,
@@ -147,14 +139,8 @@ Result<double> ServeClient::CountFor(const std::string& name, int32_t state,
   req.name = name;
   req.state = state;
   req.length = length;
-  Result<std::string> body =
-      RoundTrip(MsgType::kCountState, EncodeCountState(req));
-  if (!body.ok()) return body.status();
-  ByteReader r(body.value().data(), body.value().size());
-  double estimate = 0.0;
-  NFA_RETURN_NOT_OK(r.F64(&estimate));
-  NFA_RETURN_NOT_OK(RejectTrailing(r));
-  return estimate;
+  NFA_RETURN_NOT_OK(SendRequest(MsgType::kCountState, EncodeCountState(req)));
+  return ReadCountReply();  // the same F64 reply body as kCount
 }
 
 Result<SampleResult> ServeClient::SampleWords(const std::string& name,

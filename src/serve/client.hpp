@@ -3,7 +3,7 @@
 // a time; the Send*/Read* split lets a caller pipeline N requests onto the
 // wire before reading the N replies back (the daemon answers in request
 // order). Open several clients for connection-level concurrency. Used by
-// tests, bench_e16_serve, bench_e18_serve_scaling, and the nfa_client
+// tests, perfbench, bench_e18_serve_scaling, and the nfa_client
 // example binary.
 
 #ifndef NFACOUNT_SERVE_CLIENT_HPP_
@@ -91,7 +91,7 @@ class ServeClient {
   Result<std::string> ReadReplyBody();
   /// Sends a kCount request for |L(A_length)| (pair with ReadCountReply).
   Status SendCount(const std::string& name, int length);
-  /// Reads a kCount reply and decodes the F64 estimate.
+  /// Reads a kCount (or kCountState) reply and decodes the F64 estimate.
   Result<double> ReadCountReply();
   /// @}
 

@@ -337,117 +337,73 @@ Result<std::shared_lock<std::shared_mutex>> SessionRegistry::PinResident(
   }
 }
 
-Result<double> SessionRegistry::CountAtLength(const std::string& name,
-                                              int length) {
+template <typename Read>
+auto SessionRegistry::ReadOrExtend(const std::string& name, int length,
+                                   Read read) -> decltype(read(
+                                   std::declval<EngineSession&>())) {
+  using Out = decltype(read(std::declval<EngineSession&>()));
   Slot* slot = nullptr;
   NFA_ASSIGN_OR_RETURN(slot, FindSlot(name));
   slot->last_used.store(clock_.fetch_add(1, std::memory_order_relaxed) + 1,
                         std::memory_order_relaxed);
-  Result<double> out = 0.0;
-  {
-    Result<std::shared_lock<std::shared_mutex>> pin = PinResident(slot);
-    if (!pin.ok()) return pin.status();
-    std::shared_lock<std::shared_mutex> lock = std::move(pin).value();
-    EngineSession* session = slot->session.get();
-    out = session->SharedCountAtLength(length);
-    if (!out.ok() && out.status().code() == StatusCode::kFailedPrecondition) {
-      // Past the published prefix: become the (single) writer and extend.
-      // A failed extension flows into `out` (no early return) so the
-      // trailing EnforceBudget() still runs — a partial extension may have
-      // grown the tables past the budget.
+  Result<std::shared_lock<std::shared_mutex>> pin = PinResident(slot);
+  if (!pin.ok()) return pin.status();
+  std::shared_lock<std::shared_mutex> lock = std::move(pin).value();
+  EngineSession& session = *slot->session;
+  Out out = read(session);
+  if (!out.ok() && out.status().code() == StatusCode::kFailedPrecondition) {
+    // Past the published prefix: become the (single) writer and extend. A
+    // failed extension flows into `out` (no early return) so the trailing
+    // EnforceBudget() still runs — a partial extension may have grown the
+    // tables past the budget.
+    Status extended;
+    {
       std::lock_guard<std::mutex> writer(slot->writer_mu);
-      const Status extended = session->ExtendTo(length);
-      slot->bytes.store(session->ApproxResidentBytes(),
+      extended = session.ExtendTo(length);
+      slot->bytes.store(session.ApproxResidentBytes(),
                         std::memory_order_relaxed);
-      out = extended.ok() ? session->SharedCountAtLength(length)
-                          : Result<double>(extended);
     }
+    out = extended.ok() ? read(session) : Out(extended);
   }
+  lock.unlock();  // EnforceBudget demotes under exclusive residency locks
   EnforceBudget();
   return out;
 }
 
+Result<double> SessionRegistry::CountAtLength(const std::string& name,
+                                              int length) {
+  return ReadOrExtend(name, length, [length](EngineSession& session) {
+    return session.SharedCountAtLength(length);
+  });
+}
+
 Result<double> SessionRegistry::CountFor(const std::string& name, StateId q,
                                          int length) {
-  Slot* slot = nullptr;
-  NFA_ASSIGN_OR_RETURN(slot, FindSlot(name));
-  slot->last_used.store(clock_.fetch_add(1, std::memory_order_relaxed) + 1,
-                        std::memory_order_relaxed);
-  Result<double> out = 0.0;
-  {
-    Result<std::shared_lock<std::shared_mutex>> pin = PinResident(slot);
-    if (!pin.ok()) return pin.status();
-    std::shared_lock<std::shared_mutex> lock = std::move(pin).value();
-    EngineSession* session = slot->session.get();
-    out = session->SharedCountFor(q, length);
-    if (!out.ok() && out.status().code() == StatusCode::kFailedPrecondition) {
-      std::lock_guard<std::mutex> writer(slot->writer_mu);
-      const Status extended = session->ExtendTo(length);
-      slot->bytes.store(session->ApproxResidentBytes(),
-                        std::memory_order_relaxed);
-      out = extended.ok() ? session->SharedCountFor(q, length)
-                          : Result<double>(extended);
-    }
-  }
-  EnforceBudget();
-  return out;
+  return ReadOrExtend(name, length, [q, length](EngineSession& session) {
+    return session.SharedCountFor(q, length);
+  });
 }
 
 Result<std::vector<Word>> SessionRegistry::SampleWords(const std::string& name,
                                                        int length,
                                                        int64_t count,
                                                        int64_t* cursor_start) {
-  Slot* slot = nullptr;
-  NFA_ASSIGN_OR_RETURN(slot, FindSlot(name));
-  slot->last_used.store(clock_.fetch_add(1, std::memory_order_relaxed) + 1,
-                        std::memory_order_relaxed);
-  Result<std::vector<Word>> out = std::vector<Word>();
-  {
-    Result<std::shared_lock<std::shared_mutex>> pin = PinResident(slot);
-    if (!pin.ok()) return pin.status();
-    std::shared_lock<std::shared_mutex> lock = std::move(pin).value();
-    EngineSession* session = slot->session.get();
-    out = session->SharedSampleWords(length, count, cursor_start);
-    if (!out.ok() && out.status().code() == StatusCode::kFailedPrecondition) {
-      Status extended;
-      {
-        std::lock_guard<std::mutex> writer(slot->writer_mu);
-        extended = session->ExtendTo(length);
-        slot->bytes.store(session->ApproxResidentBytes(),
-                          std::memory_order_relaxed);
-      }
-      out = extended.ok()
-                ? session->SharedSampleWords(length, count, cursor_start)
-                : Result<std::vector<Word>>(extended);
-    }
-  }
-  EnforceBudget();
-  return out;
+  return ReadOrExtend(name, length, [&](EngineSession& session) {
+    return session.SharedSampleWords(length, count, cursor_start);
+  });
 }
 
 Result<int> SessionRegistry::ExtendTo(const std::string& name, int level) {
-  Slot* slot = nullptr;
-  NFA_ASSIGN_OR_RETURN(slot, FindSlot(name));
-  slot->last_used.store(clock_.fetch_add(1, std::memory_order_relaxed) + 1,
-                        std::memory_order_relaxed);
-  Result<int> out = -1;
-  {
-    Result<std::shared_lock<std::shared_mutex>> pin = PinResident(slot);
-    if (!pin.ok()) return pin.status();
-    std::shared_lock<std::shared_mutex> lock = std::move(pin).value();
-    EngineSession* session = slot->session.get();
-    Status extended;
-    {
-      std::lock_guard<std::mutex> writer(slot->writer_mu);
-      extended = session->ExtendTo(level);
-      slot->bytes.store(session->ApproxResidentBytes(),
-                        std::memory_order_relaxed);
+  // The read succeeds once `level` is published; anything else (including
+  // a level outside [0, horizon]) goes through the writer half, which
+  // extends or reports ExtendTo's own status.
+  return ReadOrExtend(name, level, [level](EngineSession& session) {
+    const int published = session.published_level();
+    if (level < 0 || level > published) {
+      return Result<int>(Status::FailedPrecondition("level not published"));
     }
-    out = extended.ok() ? Result<int>(session->published_level())
-                        : Result<int>(extended);
-  }
-  EnforceBudget();
-  return out;
+    return Result<int>(published);
+  });
 }
 
 Result<bool> SessionRegistry::Evict(const std::string& name) {

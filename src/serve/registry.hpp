@@ -11,7 +11,9 @@
 //     past the published prefix becomes a writer: it takes the slot's
 //     writer mutex (one extender per session) and runs ExtendTo, which
 //     publishes each level as it completes — concurrent readers keep
-//     answering against the growing prefix throughout.
+//     answering against the growing prefix throughout. This read-or-extend
+//     policy lives in one private helper (ReadOrExtend) that every query
+//     and ExtendTo call into.
 //   - Eviction: after each operation, while the sum of resident table bytes
 //     exceeds the budget, the least-recently-used slot whose residency lock
 //     is free is demoted — EngineSession::Save to <spill_dir>/<name>.ckpt
@@ -41,6 +43,7 @@
 #include <optional>
 #include <shared_mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "fpras/session.hpp"
@@ -116,8 +119,9 @@ class SessionRegistry {
                                         int64_t count,
                                         int64_t* cursor_start = nullptr);
 
-  /// Extends session `name` to `level`; returns the resulting computed
-  /// level. The explicit form of the writer path.
+  /// Extends session `name` to `level`; returns the resulting published
+  /// level (already there: no extension, no writer lock). The explicit
+  /// form of the writer path.
   Result<int> ExtendTo(const std::string& name, int level);
 
   /// Demotes session `name` to its checkpoint now (regardless of budget).
@@ -177,8 +181,8 @@ class SessionRegistry {
     /// Residency pin: shared = a query is using `session`, exclusive =
     /// demote/revive swapping it.
     std::shared_mutex mu;
-    /// Single-writer extension fence (held with mu-shared during extension
-    /// and draws that extend).
+    /// Single-writer extension fence (held with mu shared, only inside
+    /// ReadOrExtend's extend step).
     std::mutex writer_mu;
     /// Resident session; null while demoted to `ckpt_path` (or, after
     /// Recover, while awaiting first-touch revival/recompute).
@@ -197,6 +201,18 @@ class SessionRegistry {
 
   /// Looks up a slot by (validated) name; NotFound for unknown names.
   Result<Slot*> FindSlot(const std::string& name);
+
+  /// The read-or-extend policy behind every query (CountAtLength, CountFor,
+  /// SampleWords, ExtendTo), in one place: find the slot and stamp its LRU
+  /// clock; pin it resident and try `read` (a session Shared* accessor); on
+  /// FailedPrecondition (past the published prefix) extend to `length` under
+  /// the slot's writer mutex — the only place that mutex is taken — refresh
+  /// the slot's bytes, and read again; then EnforceBudget. `read` is a
+  /// lambda over EngineSession& returning a Result; a template, so the warm
+  /// path allocates nothing.
+  template <typename Read>
+  auto ReadOrExtend(const std::string& name, int length, Read read)
+      -> decltype(read(std::declval<EngineSession&>()));
 
   /// Ensures the slot's session is resident and returns with slot->mu held
   /// shared (caller releases via the returned lock). A demoted slot revives

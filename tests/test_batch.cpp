@@ -94,20 +94,19 @@ TEST(Batch, TablesAndDrawsBitIdenticalAcrossBatchWidths) {
   ASSERT_TRUE(one.Run().ok());
   ASSERT_TRUE(sixteen.Run().ok());
 
-  EXPECT_EQ(one.Estimate(), sixteen.Estimate());
+  EXPECT_EQ(one.EstimateAtLength(n), sixteen.EstimateAtLength(n));
   ExpectTablesIdentical(one, sixteen, nfa, n);
 
   // The post-run draw sequence is counter-keyed per attempt: the j-th
   // accepted word is the same no matter how attempts were batched. B=1
-  // consumes exactly one attempt per SampleWord call; harvest the wide
+  // consumes exactly one attempt per one-attempt call; harvest the wide
   // engine's accepts over the same 64 attempts and compare the sequences.
   std::vector<Word> wide_words;
   sixteen.SampleAcceptedInto(nfa.accepting(), n, /*max_attempts=*/64,
                              /*min_accepts=*/64, &wide_words);
   std::vector<Word> narrow_words;
   for (int attempt = 0; attempt < 64; ++attempt) {
-    std::optional<Word> w = one.SampleWord(nfa.accepting(), n);
-    if (w.has_value()) narrow_words.push_back(*w);
+    one.SampleAcceptedInto(nfa.accepting(), n, 1, 1, &narrow_words);
   }
   EXPECT_EQ(narrow_words, wide_words);
 }

@@ -40,6 +40,21 @@ std::string TempPath(const char* name) {
   return ::testing::TempDir() + name;
 }
 
+/// ValidateSessionCheckpoint over in-memory bytes: the file probe of the
+/// registry's recovery triage, run on the same defective inputs as the
+/// loader.
+Status ValidateBytes(const std::string& bytes) {
+  const std::string path = TempPath("validate_probe.ckpt");
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  EXPECT_NE(f, nullptr) << path;
+  if (f == nullptr) return Status::Internal("cannot write " + path);
+  EXPECT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
+  std::fclose(f);
+  const Status probed = ValidateSessionCheckpoint(path);
+  std::remove(path.c_str());
+  return probed;
+}
+
 TEST(Checkpoint, RoundTripRestoresFullState) {
   // Property: save → load reproduces every structural field, every table
   // cell, and the draw-cursor position (so draw streams continue in step).
@@ -175,13 +190,18 @@ TEST(Checkpoint, TruncationIsDataLoss) {
   const std::string bytes = SerializeSessionCheckpoint(*session);
 
   // Every proper prefix must be rejected as data loss (a handful of cut
-  // points covers the preamble, the header, the tables, and the checksum).
+  // points covers the preamble, the header, the tables, and the checksum),
+  // by the loader and by the file probe alike.
+  EXPECT_TRUE(ValidateBytes(bytes).ok());
   for (size_t cut : {size_t{0}, size_t{5}, size_t{11}, size_t{40},
                      bytes.size() / 2, bytes.size() - 1}) {
     Result<EngineSession> r =
         DeserializeSessionCheckpoint(bytes.substr(0, cut));
     ASSERT_FALSE(r.ok()) << "cut=" << cut;
     EXPECT_EQ(r.status().code(), StatusCode::kDataLoss) << "cut=" << cut;
+    EXPECT_EQ(ValidateBytes(bytes.substr(0, cut)).code(),
+              StatusCode::kDataLoss)
+        << "cut=" << cut;
   }
 }
 
@@ -207,6 +227,8 @@ TEST(Checkpoint, BitCorruptionIsDetected) {
     Result<EngineSession> r = DeserializeSessionCheckpoint(corrupt);
     ASSERT_FALSE(r.ok()) << "pos=" << pos;
     EXPECT_EQ(r.status().code(), StatusCode::kDataLoss) << "pos=" << pos;
+    EXPECT_EQ(ValidateBytes(corrupt).code(), StatusCode::kDataLoss)
+        << "pos=" << pos;
   }
 }
 
@@ -224,6 +246,9 @@ TEST(Checkpoint, PreambleDefectsGetPreciseDiagnostics) {
   ASSERT_FALSE(r1.ok());
   EXPECT_EQ(r1.status().code(), StatusCode::kInvalidArgument);
   EXPECT_NE(r1.status().message().find("magic"), std::string::npos);
+  const Status v1 = ValidateBytes(bad_magic);
+  EXPECT_EQ(v1.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(v1.message().find("magic"), std::string::npos);
 
   std::string bad_version = bytes;
   bad_version[4] = 99;  // version precedes the checksum check by design
@@ -231,6 +256,9 @@ TEST(Checkpoint, PreambleDefectsGetPreciseDiagnostics) {
   ASSERT_FALSE(r2.ok());
   EXPECT_EQ(r2.status().code(), StatusCode::kInvalidArgument);
   EXPECT_NE(r2.status().message().find("version"), std::string::npos);
+  const Status v2 = ValidateBytes(bad_version);
+  EXPECT_EQ(v2.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(v2.message().find("version"), std::string::npos);
 
   // The canonical marker 0x01020304 serializes little-endian as the byte
   // run 04 03 02 01; a writer emitting native big-endian order would
@@ -244,6 +272,11 @@ TEST(Checkpoint, PreambleDefectsGetPreciseDiagnostics) {
   ASSERT_FALSE(r3.ok());
   EXPECT_EQ(r3.status().code(), StatusCode::kInvalidArgument);
   EXPECT_NE(r3.status().message().find("endian"), std::string::npos);
+  const Status v3 = ValidateBytes(bad_endian);
+  EXPECT_EQ(v3.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(v3.message().find("endian"), std::string::npos);
+  // The probe names the file it rejected.
+  EXPECT_NE(v3.message().find("validate_probe.ckpt"), std::string::npos);
 }
 
 TEST(Checkpoint, RetiredFlagBytesAreIgnored) {

@@ -108,8 +108,9 @@ TEST(FailureInjection, ForcedPerturbationStaysFinite) {
   forced.eta = 2.0 * n;  // perturbation probability η/2n = 1: always perturb
   FprasEngine engine(&nfa, forced, 5);
   ASSERT_TRUE(engine.Run().ok());
-  EXPECT_TRUE(std::isfinite(engine.Estimate()));
-  EXPECT_GE(engine.Estimate(), 0.0);
+  const double estimate = engine.EstimateAtLength(engine.horizon());
+  EXPECT_TRUE(std::isfinite(estimate));
+  EXPECT_GE(estimate, 0.0);
   EXPECT_GT(engine.diagnostics().perturbed_counts, 0);
 }
 
@@ -216,7 +217,7 @@ TEST(FailureInjection, MemoCapacityZeroStillCorrect) {
   no_cache.descent_cache_capacity = 0;  // the cache stores nothing
   FprasEngine engine(&nfa, no_cache, 9);
   ASSERT_TRUE(engine.Run().ok());
-  EXPECT_NEAR(engine.Estimate() / 64.0, 1.0, 0.5);  // 2^{n-1}
+  EXPECT_NEAR(engine.EstimateAtLength(n) / 64.0, 1.0, 0.5);  // 2^{n-1}
 }
 
 TEST(FailureInjection, RerunningEngineIsIdempotent) {
@@ -227,10 +228,11 @@ TEST(FailureInjection, RerunningEngineIsIdempotent) {
   ASSERT_TRUE(params.ok());
   FprasEngine engine(&nfa, *params, 11);
   ASSERT_TRUE(engine.Run().ok());
-  double first = engine.Estimate();
+  double first = engine.EstimateAtLength(engine.horizon());
   ASSERT_TRUE(engine.Run().ok());  // re-run resets and recomputes
-  EXPECT_TRUE(std::isfinite(engine.Estimate()));
-  EXPECT_GT(engine.Estimate(), 0.0);
+  const double second = engine.EstimateAtLength(engine.horizon());
+  EXPECT_TRUE(std::isfinite(second));
+  EXPECT_GT(second, 0.0);
   (void)first;
 }
 

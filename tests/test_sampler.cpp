@@ -198,8 +198,10 @@ TEST(Sampler, EngineSampleWordTargetsArbitraryStateSets) {
   ASSERT_TRUE(targets.Any());
   int successes = 0;
   for (int i = 0; i < 300; ++i) {
-    std::optional<Word> w = engine.SampleWord(targets, level);
-    if (!w.has_value()) continue;
+    std::vector<Word> drawn;  // one attempt: a word or a rejection
+    engine.SampleAcceptedInto(targets, level, 1, 1, &drawn);
+    if (drawn.empty()) continue;
+    const Word* w = &drawn.front();
     ++successes;
     ASSERT_EQ(static_cast<int>(w->size()), level);
     // Word must reach at least one target state.

@@ -173,13 +173,22 @@ TEST(Session, QueriesAtEarlierLengthsNeedNoRecomputation) {
       EngineSession::Create(nfa, n, SessionTestOptions(TestSeed(842)));
   ASSERT_TRUE(session.ok());
   ASSERT_TRUE(session->ExtendTo(n).ok());
+  // Several accepting states are live at the horizon, so |L(A_n)| is an
+  // AppUnion over them rather than one cell's N: recomputing it per query
+  // would show in appunion_calls.
+  Bitset live_accepting = nfa.accepting();
+  live_accepting &= session->engine().unrolled().ReachableAt(n);
+  ASSERT_GE(live_accepting.Count(), 2u);
   const int64_t states_after_sweep =
       session->diagnostics().states_processed;
+  const int64_t unions_after_sweep = session->diagnostics().appunion_calls;
   for (int level = 0; level <= n; ++level) {
     ASSERT_TRUE(session->CountAtLength(level).ok());
   }
-  // No cell was reprocessed by the queries.
+  // No cell was reprocessed by the queries, and no per-length union was
+  // re-estimated: every count reads the estimate published by the sweep.
   EXPECT_EQ(session->diagnostics().states_processed, states_after_sweep);
+  EXPECT_EQ(session->diagnostics().appunion_calls, unions_after_sweep);
 }
 
 TEST(Session, CountForMatchesEngineTable) {
