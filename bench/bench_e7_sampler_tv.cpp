@@ -65,18 +65,17 @@ void PerLevelTv() {
   FprasEngine engine(&nfa, *params, 7);
   if (!engine.Run().ok()) return;
 
-  // Target: the accepting sink state (index 3 in SubstringNfa construction).
+  // The accepting sink state (index 3 in SubstringNfa construction) is the
+  // only accepting state, so L(A_level) = L(3^level).
   const StateId target = 3;
   for (int level = 3; level <= n; ++level) {
     Result<std::vector<Word>> lang = EnumerateStateLevel(nfa, target, level);
     if (!lang.ok() || lang->empty()) continue;
-    Bitset targets(nfa.num_states());
-    targets.Set(target);
     std::map<std::string, int64_t> histogram;
     int64_t got = 0;
     for (int64_t i = 0; i < 3 * kDraws && got < kDraws; ++i) {
       std::vector<Word> w;  // one attempt: a word or a rejection
-      engine.SampleAcceptedInto(targets, level, 1, 1, &w);
+      engine.SampleAcceptedInto(level, 1, 1, &w);
       if (w.empty()) continue;
       ++histogram[WordToString(w.front())];
       ++got;

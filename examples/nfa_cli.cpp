@@ -448,8 +448,8 @@ int main(int argc, char** argv) {
   if (command == "sample") {
     Result<EngineSession> session = EngineSession::Create(*nfa, n, options);
     if (!session.ok()) return Fail(session.status());
-    // One SampleWords call per chunk, never per word (each call re-estimates
-    // the target union).
+    // One SampleWords call per chunk, never per word (each call discards the
+    // speculative walks of its final batch).
     for (int64_t left = count; left > 0;) {
       const int64_t chunk = std::min(left, EngineSession::kMaxDrawsPerCall);
       Result<std::vector<Word>> words = session->SampleWords(n, chunk);

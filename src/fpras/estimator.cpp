@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cctype>
+#include <cerrno>
 #include <cmath>
 #include <cstdlib>
 #include <memory>
@@ -56,6 +58,20 @@ void AccumulateDiag(const FprasDiagnostics& from, FprasDiagnostics* into) {
   into->perturbed_counts += from.perturbed_counts;
   into->states_processed += from.states_processed;
   into->walk_batches += from.walk_batches;
+}
+
+/// NFACOUNT_DESCENT_CACHE must be a whole non-negative decimal entry budget
+/// (a leading digit rules out the whitespace and sign strtoll would accept).
+Result<int64_t> ParseDescentCacheEnv(const char* env) {
+  char* end = nullptr;
+  errno = 0;
+  const long long parsed = std::strtoll(env, &end, 10);
+  if (!std::isdigit(static_cast<unsigned char>(*env)) || *end != '\0' ||
+      errno == ERANGE) {
+    return Status::Invalid(
+        "NFACOUNT_DESCENT_CACHE must be a non-negative decimal integer");
+  }
+  return static_cast<int64_t>(parsed);
 }
 
 }  // namespace
@@ -598,8 +614,10 @@ Status FprasEngine::AdvanceLevel(ThreadPool& pool) {
         return Status::Ok();
       }));
   levels_[level].level = level;
+  ComputeAcceptedCount(level);
   // Release-publish: a serve-mode reader that acquire-loads computed_level()
-  // and sees `level` also sees every write the cell fan-out made above.
+  // and sees `level` also sees every write the cell fan-out and the
+  // |L(A_ℓ)| union made above.
   computed_level_.store(level, std::memory_order_release);
   return Status::Ok();
 }
@@ -620,6 +638,17 @@ Status FprasEngine::Prepare() {
   }
   if (params_.descent_cache_capacity < 0) {
     return Status::Invalid("descent_cache_capacity must be >= 0");
+  }
+  // Descent cache: process-wide env override first (CI runs the whole tier-1
+  // suite with NFACOUNT_DESCENT_CACHE=0 to keep the uncached engine covered,
+  // same idiom as NFACOUNT_FORCE_SCALAR), then the params knob. Results are
+  // bit-identical at every capacity, so the override can never change what a
+  // test asserts about estimates, tables, or draws. A malformed value is an
+  // error rather than silently ignored: a typo must not run the cached
+  // engine under a leg that claims to test the uncached one.
+  int64_t descent_capacity = params_.descent_cache_capacity;
+  if (const char* env = std::getenv("NFACOUNT_DESCENT_CACHE")) {
+    NFA_ASSIGN_OR_RETURN(descent_capacity, ParseDescentCacheEnv(env));
   }
   prepared_ = false;
   computed_level_ = -1;
@@ -655,17 +684,6 @@ Status FprasEngine::Prepare() {
   for (LevelState& state : levels_) {
     state.cells.resize(static_cast<size_t>(m));
   }
-  // Descent cache: process-wide env override first (CI runs the whole tier-1
-  // suite with NFACOUNT_DESCENT_CACHE=0 to keep the uncached engine covered,
-  // same idiom as NFACOUNT_FORCE_SCALAR), then the params knob. Results are
-  // bit-identical at every capacity, so the override can never change what a
-  // test asserts about estimates, tables, or draws.
-  int64_t descent_capacity = params_.descent_cache_capacity;
-  if (const char* env = std::getenv("NFACOUNT_DESCENT_CACHE")) {
-    char* end = nullptr;
-    const long long parsed = std::strtoll(env, &end, 10);
-    if (end != env && *end == '\0' && parsed >= 0) descent_capacity = parsed;
-  }
   descent_.Reset(descent_capacity, (static_cast<size_t>(m) + 63) / 64,
                  num_classes);
 
@@ -684,6 +702,7 @@ Status FprasEngine::Prepare() {
                               params_.ns);
   }
   levels_[0].level = 0;
+  ComputeAcceptedCount(0);
   computed_level_ = 0;
   prepared_ = true;
   run_wall_seconds_ += timer.ElapsedSeconds();
@@ -751,41 +770,54 @@ Status FprasEngine::RestoreComputedState(int computed_level,
         return Status::Invalid(
             "RestoreComputedState: sample block stride mismatch");
       }
+      // N(q^ℓ) weights AppUnion's input draw, so a negative or NaN count
+      // must not reach ComputeAcceptedCount. +inf stays legal: PerturbedCount
+      // produces it once |Σ|^ℓ overflows a double.
+      if (!(cell.count_estimate >= 0.0)) {
+        return Status::Invalid(
+            "RestoreComputedState: negative or NaN count estimate");
+      }
     }
   }
   for (int level = 0; level <= computed_level; ++level) {
     levels_[static_cast<size_t>(level)] =
         std::move(levels[static_cast<size_t>(level)]);
+    ComputeAcceptedCount(level);
   }
   computed_level_.store(computed_level, std::memory_order_release);
   post_attempt_counter_ = draw_cursor;
   return Status::Ok();
 }
 
-double FprasEngine::EstimateUnionOfStates(const Bitset& targets, int level,
-                                          WorkerScratch& ws) {
-  NFA_CHECK(prepared_, "EstimateUnionOfStates requires a prepared engine");
-  NFA_CHECK(level >= 0 && level <= computed_level_,
-            "EstimateUnionOfStates: level not yet computed");
-  Bitset alive = targets;
+void FprasEngine::ComputeAcceptedCount(int level) {
+  // Single accepting state: N(q_F^ℓ) (Alg. 3 line 31). Several: one
+  // AppUnion over the accepting states' (S, N) pairs (footnote 1: the
+  // single-final-state assumption is WLOG). At ℓ = 0 only the initial
+  // state is reachable, so this is N(I⁰) = 1 or 0.
+  LevelState& state = levels_[static_cast<size_t>(level)];
+  Bitset alive = nfa_->accepting();
   alive &= unrolled_.ReachableAt(level);
   const size_t count = alive.Count();
-  if (count == 0) return 0.0;
-  if (count == 1) return levels_[level].cells[alive.FirstSet()].count_estimate;
+  if (count <= 1) {
+    state.accepted_count =
+        count == 0 ? 0.0 : state.cells[alive.FirstSet()].count_estimate;
+    return;
+  }
 
+  WorkerScratch& ws = workers_[0];
   std::vector<PredecessorInput>& inputs = ws.union_inputs;
   inputs.clear();
   alive.ForEachSet([&](int q) {
-    inputs.push_back(PredecessorInput{&levels_[level].cells[q],
+    inputs.push_back(PredecessorInput{&state.cells[q],
                                       static_cast<StateId>(q), nfa_});
   });
   std::vector<const PredecessorInput*>& ptrs = ws.union_ptrs;
   ptrs.clear();
   for (const auto& in : inputs) ptrs.push_back(&in);
   AppUnionParams au = MakeUnionParams(params_, params_.eta, level + 1);
-  // Content-keyed stream: repeated estimates of the same (targets, level)
-  // union agree exactly (e.g. every EstimateAtLength(n) call, and the
-  // draw path's γ0 union over the accepting states).
+  // Content-keyed stream (accepting ∩ reachable, ℓ): a fresh sweep, an
+  // incremental extension and a checkpoint restore all compute the same
+  // bits for the level.
   Rng rng = Rng::ForSubstream(seed_, HashCombine(kFinalUnionTag, alive.Hash()),
                               static_cast<uint64_t>(level));
   AppUnionOutcome outcome = AppUnionBatched(ptrs, au, ws.union_scratch, rng);
@@ -793,20 +825,16 @@ double FprasEngine::EstimateUnionOfStates(const Bitset& targets, int level,
   ws.diag.appunion_trials += outcome.completed_trials;
   ws.diag.membership_checks += outcome.membership_checks;
   if (outcome.starved) ++ws.diag.starvations;
-  return outcome.estimate;
+  state.accepted_count = outcome.estimate;
 }
 
-double FprasEngine::EstimateAtLength(int level) {
+double FprasEngine::EstimateAtLength(int level) const {
   NFA_CHECK(prepared_, "EstimateAtLength requires a prepared engine (Run)");
   NFA_CHECK(level >= 0 && level <= params_.n,
             "EstimateAtLength: level out of [0, n]");
-  NFA_CHECK(level <= computed_level_,
+  NFA_CHECK(level <= computed_level(),
             "EstimateAtLength: level not yet computed");
-  // Single accepting state: N(q_F^ℓ) (Alg. 3 line 31). Several: one
-  // AppUnion over the accepting states' (S, N) pairs (footnote 1: the
-  // single-final-state assumption is WLOG). At ℓ = 0 only the initial
-  // state is reachable, so this is N(I⁰) = 1 or 0.
-  return EstimateUnionOfStates(nfa_->accepting(), level, workers_[0]);
+  return levels_[static_cast<size_t>(level)].accepted_count;
 }
 
 FprasEngine::CacheCounters FprasEngine::cache_counters() const {
@@ -834,24 +862,22 @@ int64_t FprasEngine::ApproxTableBytes() const {
   return bytes;
 }
 
-int64_t FprasEngine::SampleAcceptedInto(const Bitset& targets, int level,
-                                        int64_t max_attempts,
+int64_t FprasEngine::SampleAcceptedInto(int level, int64_t max_attempts,
                                         int64_t min_accepts,
                                         std::vector<Word>* out) {
   NFA_CHECK(prepared_, "SampleAcceptedInto requires a prepared engine (Run)");
   NFA_CHECK(level >= 0 && level <= params_.n,
             "SampleAcceptedInto: level out of [0, n]");
-  NFA_CHECK(level <= computed_level_,
+  NFA_CHECK(level <= computed_level(),
             "SampleAcceptedInto: level not yet computed");
-  Bitset alive = targets;
+  Bitset alive = nfa_->accepting();
   alive &= unrolled_.ReachableAt(level);
   if (alive.None()) return 0;
 
-  // γ0 = 2/(3e) · 1/N where N estimates |∪ L(q^level)| — computed once and
-  // amortized over every walk of this call's batches.
-  const double union_estimate = EstimateUnionOfStates(alive, level, draw_);
-  if (!(union_estimate > 0.0)) return 0;
-  const double gamma0 = kGammaNumerator / union_estimate;
+  // γ0 = 2/(3e) · 1/|L(A_level)|, from the estimate the level stored.
+  const double accepted = levels_[static_cast<size_t>(level)].accepted_count;
+  if (!(accepted > 0.0)) return 0;
+  const double gamma0 = kGammaNumerator / accepted;
 
   // Post-run draws own their dedicated scratch bundle, so they may run
   // concurrently with an extending sweep on the worker slots (serve mode);
@@ -926,8 +952,6 @@ Result<CountEstimate> ApproxCount(const Nfa& nfa, int n,
   std::unique_ptr<FprasEngine> engine;
   NFA_ASSIGN_OR_RETURN(engine, RunToHorizon(nfa, n, options));
   CountEstimate out;
-  // The estimate before the diagnostics: its accepting-state union
-  // (|F| > 1) is part of the run's counters.
   out.estimate = engine->EstimateAtLength(n);
   out.params = engine->params();
   out.diagnostics = engine->diagnostics();

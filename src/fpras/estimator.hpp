@@ -8,10 +8,11 @@
 //       N(qℓ) = Σ_b sz_b          (w.p. 1−η/2n; else perturbed — line 16-19)
 //       S(qℓ) = up to ns words from sample(ℓ, {q}, λ, 2/(3e·N(qℓ)), β, ·),
 //               padded with a fixed witness word on shortfall (lines 27-30);
-//   output:   |L(A_ℓ)| for any computed ℓ — N(q_F^ℓ), or an AppUnion over
-//             accepting states when |F| > 1 (the paper's single-final-state
-//             assumption is WLOG). The horizon count |L(A_n)| is the ℓ = n
-//             slice of the same per-length answer (EstimateAtLength(n)).
+//   output:   |L(A_ℓ)| at every level, computed once as part of the level —
+//             N(q_F^ℓ), or an AppUnion over the accepting states when
+//             |F| > 1 (the paper's single-final-state assumption is WLOG).
+//             The horizon count |L(A_n)| is the ℓ = n slice
+//             (EstimateAtLength(n)).
 //
 // sample() (Algorithm 2) extends a suffix backwards: at level i it estimates
 // sz_b = |∪_{p∈P_b} L(p^{i-1})| for each symbol b, draws b proportionally,
@@ -61,10 +62,11 @@
 // readers only touch levels the extender has already finished: frozen
 // LevelStates are immutable, the descent cache is internally locked, and
 // every estimate is content-keyed, so the interleaving is invisible in all
-// results. Callers provide the level-visibility fence (the
-// EngineSession read plane publishes levels with release/acquire ordering)
-// and must serialize draws among themselves (post_attempt_counter_ is a
-// plain cursor); diagnostics() still requires quiescence.
+// results. computed_level() is the one level-visibility fence: a level's
+// cells and its |L(A_ℓ)| are written before the release store that
+// publishes it. Callers must serialize draws among themselves
+// (post_attempt_counter_ is a plain cursor); diagnostics() still requires
+// quiescence.
 
 #ifndef NFACOUNT_FPRAS_ESTIMATOR_HPP_
 #define NFACOUNT_FPRAS_ESTIMATOR_HPP_
@@ -173,6 +175,10 @@ struct PredecessorInput {
 struct LevelState {
   int level = -1;                    ///< ℓ, or -1 when not yet computed
   std::vector<StateLevelData> cells; ///< indexed by state id, size m
+  /// |L(A_ℓ)|, computed by the engine once the cells are final (Alg. 3
+  /// line 31 / footnote 1). Not serialized: a restore recomputes it from
+  /// the restored cells, bit for bit.
+  double accepted_count = 0.0;
 
   /// True once AdvanceLevel (or a restore) has produced this level.
   bool computed() const { return level >= 0; }
@@ -347,13 +353,12 @@ class FprasEngine {
   /// Estimate of |L(A_ℓ)| for any computed ℓ: the DP maintains AccurateN at
   /// every level, so per-length counts come for free (each carries the same
   /// per-level (1±β)^ℓ ⊆ (1±ε) envelope). The horizon count |L(A_n)| is
-  /// EstimateAtLength(horizon()) — N(q_F^n), or one AppUnion over the
-  /// accepting states when |F| > 1 (Alg. 3 line 31 / footnote 1). The union
-  /// draws from a content-keyed substream, so every call at one level
-  /// returns the same bits; EngineSession computes each level's value once
-  /// and caches it. `level` must be in [0, computed_level()] — violations
-  /// abort via NFA_CHECK instead of reading out of bounds.
-  double EstimateAtLength(int level);
+  /// EstimateAtLength(horizon()). A lock-free read of the value the level
+  /// stored when it was computed (LevelState::accepted_count), so it is
+  /// safe from reader threads for any level <= computed_level(). `level`
+  /// must be in [0, computed_level()] — violations abort via NFA_CHECK
+  /// instead of reading out of bounds.
+  double EstimateAtLength(int level) const;
 
   /// N(q^ℓ); 0 for unreachable copies. The level must be computed; q and
   /// level are range-checked (NFA_CHECK).
@@ -374,10 +379,12 @@ class FprasEngine {
 
   /// Installs externally recovered levels 0..computed_level (checkpoint
   /// load): levels[ℓ] must hold exactly m cells whose SampleBlocks carry
-  /// word length ℓ and this automaton's profile stride, and `draw_cursor`
-  /// restores the post-run attempt counter so resumed draw streams continue
-  /// where the saved session stopped. Requires a successful Prepare();
-  /// validation failures leave the engine prepared-at-level-0.
+  /// word length ℓ and this automaton's profile stride and whose N(q^ℓ) is
+  /// non-negative (not NaN; +inf is a legal perturbed count), and
+  /// `draw_cursor` restores the post-run attempt counter so resumed draw
+  /// streams continue where the saved session stopped. Recomputes each
+  /// restored level's |L(A_ℓ)|. Requires a successful Prepare(); validation
+  /// failures leave the engine prepared-at-level-0.
   Status RestoreComputedState(int computed_level,
                               std::vector<LevelState> levels,
                               int64_t draw_cursor);
@@ -386,9 +393,10 @@ class FprasEngine {
   /// streams): checkpoint state, advanced by SampleAcceptedInto.
   int64_t draw_cursor() const { return post_attempt_counter_; }
 
-  /// Post-run draws of almost-uniform words from ∪_{q ∈ targets} L(q^level)
-  /// (Algorithm 2 against the computed tables): launches candidate walks in
-  /// lockstep batches of the engine's batch width until at least
+  /// Post-run draws of almost-uniform words from L(A_level) (Algorithm 2
+  /// against the computed tables, with γ0 = 2/(3e·|L(A_level)|) from the
+  /// level's stored estimate — no AppUnion per call): launches candidate
+  /// walks in lockstep batches of the engine's batch width until at least
   /// `min_accepts` walks accept (or `max_attempts` walks have been tried),
   /// appending accepted words to `out` in attempt order. Returns the number
   /// appended. Because each attempt draws from its own counter-keyed
@@ -405,9 +413,8 @@ class FprasEngine {
   /// the rate).
   ///
   /// The level must be computed; it is range-checked (NFA_CHECK).
-  int64_t SampleAcceptedInto(const Bitset& targets, int level,
-                             int64_t max_attempts, int64_t min_accepts,
-                             std::vector<Word>* out);
+  int64_t SampleAcceptedInto(int level, int64_t max_attempts,
+                             int64_t min_accepts, std::vector<Word>* out);
 
   const FprasParams& params() const { return params_; }
 
@@ -519,12 +526,11 @@ class FprasEngine {
 
   double PerturbedCount(int level, Rng& rng);
 
-  /// |∪_{q ∈ targets∩reachable(level)} L(q^level)| estimate: N for a
-  /// singleton, AppUnion over the members otherwise (drawn from the
-  /// content-keyed final-union substream, so repeated calls agree —
-  /// regardless of which scratch bundle `ws` the caller lends).
-  double EstimateUnionOfStates(const Bitset& targets, int level,
-                               WorkerScratch& ws);
+  /// Sets levels_[level].accepted_count = |L(A_ℓ)| once the level's cells
+  /// are final — the one place the value is computed, called before the
+  /// release store that publishes the level. Its AppUnion (≥ 2 live
+  /// accepting states) runs on workers_[0], idle once the sweep has joined.
+  void ComputeAcceptedCount(int level);
 
   const Nfa* nfa_;
   FprasParams params_;
@@ -540,8 +546,8 @@ class FprasEngine {
   const simd::BitsetKernels* kernels_ = nullptr;
   int batch_width_ = FprasParams::kDefaultBatchWidth;  ///< resolved by Run()
   /// Worker slot scratch; workers_[i] is owned by pool worker slot i during
-  /// AdvanceLevel, and workers_[0] serves the sequential query accessors
-  /// (EstimateAtLength and friends) between sweeps.
+  /// AdvanceLevel's fan-out, and workers_[0] runs each level's
+  /// ComputeAcceptedCount after the join.
   std::vector<WorkerScratch> workers_;
   /// Dedicated scratch for the post-run draw path (SampleAcceptedInto):
   /// draws never share scratch with the sweep workers, so serve-mode readers
@@ -615,10 +621,10 @@ Result<CountEstimate> ApproxCount(const Nfa& nfa, int n,
                                   const CountOptions& options = CountOptions());
 
 /// Estimates |L(A_ℓ)| for every ℓ in 0..n from a single FPRAS run (index ℓ
-/// of the result holds the length-ℓ estimate). One engine execution: the
-/// level-by-level dynamic program computes all slices on the way to n, so
-/// this costs the same as ApproxCount(nfa, n) plus n − 1 cheap union
-/// estimates; index n is ApproxCount's estimate, bit for bit.
+/// of the result holds the length-ℓ estimate). One engine execution: every
+/// level computes its |L(A_ℓ)| on the way to n, so this costs exactly what
+/// ApproxCount(nfa, n) costs; index n is ApproxCount's estimate, bit for
+/// bit.
 Result<std::vector<double>> ApproxCountAllLengths(
     const Nfa& nfa, int n, const CountOptions& options = CountOptions());
 

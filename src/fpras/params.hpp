@@ -117,7 +117,7 @@ struct FprasParams {
   /// knob only trades memory for repeated descent work.
   /// Runtime-only (not serialized into checkpoints — carried by
   /// SessionKnobs on restore); NFACOUNT_DESCENT_CACHE overrides it
-  /// process-wide.
+  /// process-wide (a malformed value fails Prepare with Invalid).
   int64_t descent_cache_capacity = kDefaultDescentCacheCapacity;
 
   /// δ parameter of the AppUnion calls that compute N(q^ℓ)

@@ -26,18 +26,7 @@ EngineSession::EngineSession(std::unique_ptr<Nfa> nfa,
     : nfa_(std::move(nfa)),
       engine_(std::move(engine)),
       seed_(seed),
-      plane_(std::make_unique<ReadPlane>()) {
-  // Publish whatever the engine already computed (level 0 after Create, the
-  // restored prefix after Restore). The warm-up estimates are content-keyed,
-  // so they equal — bit for bit — what any later query would compute.
-  plane_->estimates.assign(static_cast<size_t>(engine_->horizon()) + 1, 0.0);
-  const int computed = engine_->computed_level();
-  for (int level = 0; level <= computed; ++level) {
-    plane_->estimates[static_cast<size_t>(level)] =
-        engine_->EstimateAtLength(level);
-  }
-  plane_->published.store(computed, std::memory_order_release);
-}
+      draw_mu_(std::make_unique<std::mutex>()) {}
 
 Result<EngineSession> EngineSession::Create(const Nfa& nfa, int horizon,
                                             const CountOptions& options) {
@@ -84,23 +73,14 @@ Status EngineSession::CheckLength(int length) const {
 
 Status EngineSession::ExtendTo(int level) {
   NFA_RETURN_NOT_OK(CheckLength(level));
-  // Level-by-level so each finished level becomes reader-visible as soon as
-  // the sweep leaves it: cache its estimate first, then release-publish the
-  // fence (a reader that acquire-loads `published >= ℓ` sees both the frozen
-  // LevelState and estimates[ℓ]).
-  for (int next = engine_->computed_level() + 1; next <= level; ++next) {
-    NFA_RETURN_NOT_OK(engine_->RunToLevel(next));
-    plane_->estimates[static_cast<size_t>(next)] =
-        engine_->EstimateAtLength(next);
-    plane_->published.store(next, std::memory_order_release);
-  }
-  return Status::Ok();
+  // The engine release-publishes each level (cells and |L(A_ℓ)|) as its
+  // sweep finishes, so readers see level-complete prefixes mid-extension.
+  return engine_->RunToLevel(level);
 }
 
 // The writer-side queries are ExtendTo + the Shared* read: once extended,
-// `length` is published and its cached estimate is the one value
-// EstimateAtLength computed for it, so the writer reads what readers read
-// and runs no AppUnion of its own (the draw mutex is uncontended here).
+// `length` is computed and the writer reads what readers read, running no
+// AppUnion of its own (the draw mutex is uncontended here).
 
 Result<double> EngineSession::CountAtLength(int length) {
   NFA_RETURN_NOT_OK(ExtendTo(length));
@@ -118,17 +98,13 @@ Result<std::vector<Word>> EngineSession::SampleWords(int length,
   return SharedSampleWords(length, count);
 }
 
-int EngineSession::published_level() const {
-  return plane_->published.load(std::memory_order_acquire);
-}
-
 Result<double> EngineSession::SharedCountAtLength(int length) const {
   NFA_RETURN_NOT_OK(CheckLength(length));
-  if (length > published_level()) {
+  if (length > computed_level()) {
     return Status::FailedPrecondition(
-        "length not yet published; extend the session first");
+        "length not yet computed; extend the session first");
   }
-  return plane_->estimates[static_cast<size_t>(length)];
+  return engine_->EstimateAtLength(length);
 }
 
 Result<double> EngineSession::SharedCountFor(StateId q, int length) const {
@@ -136,9 +112,9 @@ Result<double> EngineSession::SharedCountFor(StateId q, int length) const {
   if (q < 0 || q >= nfa_->num_states()) {
     return Status::Invalid("CountFor: state out of [0, m)");
   }
-  if (length > published_level()) {
+  if (length > computed_level()) {
     return Status::FailedPrecondition(
-        "length not yet published; extend the session first");
+        "length not yet computed; extend the session first");
   }
   // The acquire above makes level `length` frozen and fully visible.
   return engine_->CountEstimateFor(q, length);
@@ -153,14 +129,14 @@ Result<std::vector<Word>> EngineSession::SharedSampleWords(
         "draw count exceeds kMaxDrawsPerCall; split the request into "
         "chunks (the draw stream concatenates seamlessly)");
   }
-  if (length > published_level()) {
+  if (length > computed_level()) {
     return Status::FailedPrecondition(
-        "length not yet published; extend the session first");
+        "length not yet computed; extend the session first");
   }
   // One draw chunk at a time: the counter-keyed draw stream is a single
   // sequential sequence, and each chunk consumes a contiguous attempt range
   // starting at the cursor we report back to the caller.
-  std::lock_guard<std::mutex> lock(plane_->draw_mu);
+  std::lock_guard<std::mutex> lock(*draw_mu_);
   if (cursor_start != nullptr) *cursor_start = engine_->draw_cursor();
   std::vector<Word> out;
   if (count == 0) return out;
@@ -171,7 +147,7 @@ Result<std::vector<Word>> EngineSession::SharedSampleWords(
     out.assign(static_cast<size_t>(count), Word{});
     return out;
   }
-  if (!(plane_->estimates[static_cast<size_t>(length)] > 0.0)) {
+  if (!(engine_->EstimateAtLength(length) > 0.0)) {
     return Status::NotFound("language estimated empty at this length");
   }
   out.reserve(static_cast<size_t>(count));
@@ -181,7 +157,7 @@ Result<std::vector<Word>> EngineSession::SharedSampleWords(
   // boundaries, and runtime-knob changes — is one deterministic sequence
   // (see FprasEngine::SampleAcceptedInto).
   const int64_t appended = engine_->SampleAcceptedInto(
-      nfa_->accepting(), length, kAttemptsPerDraw * count, count, &out);
+      length, kAttemptsPerDraw * count, count, &out);
   if (appended < count) {
     return Status::ResourceExhausted(
         "sampling attempts exhausted; tables likely inaccurate");

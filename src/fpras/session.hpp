@@ -28,23 +28,22 @@
 // tests/test_checkpoint.cpp).
 //
 // Concurrent-read seam (serve mode, docs/ARCHITECTURE.md "Serve mode"): the
-// Shared* accessors answer queries from the published prefix of computed
-// levels while at most ONE thread extends the session (ExtendTo /
-// CountAtLength / CountFor / SampleWords are writer-side, and each writer
-// query is ExtendTo followed by its Shared* read — one query path). ExtendTo
-// publishes each level — and its cached |L(A_ℓ)| estimate — with release
-// ordering as soon as the sweep finishes it, so readers see level-complete
-// prefixes mid-extension and never block each other: SharedCountAtLength /
-// SharedCountFor are lock-free, and SharedSampleWords serializes only
-// against other draws (one internal mutex around the shared draw cursor),
-// never against counts. Reader answers are bit-identical to a quiesced
-// session at the same length — the published values ARE the single-threaded
-// values, cached rather than recomputed.
+// Shared* accessors answer queries from the computed prefix of levels while
+// at most ONE thread extends the session (ExtendTo / CountAtLength /
+// CountFor / SampleWords are writer-side, and each writer query is ExtendTo
+// followed by its Shared* read — one query path). The engine's
+// computed_level() is the one fence: each level, with its |L(A_ℓ)|
+// estimate, is release-published as soon as the sweep finishes it, so
+// readers see level-complete prefixes mid-extension and never block each
+// other: SharedCountAtLength / SharedCountFor are lock-free, and
+// SharedSampleWords serializes only against other draws (one internal
+// mutex around the shared draw cursor), never against counts. Reader
+// answers are bit-identical to a quiesced session at the same length — the
+// engine computes each level's values once and readers only read them.
 
 #ifndef NFACOUNT_FPRAS_SESSION_HPP_
 #define NFACOUNT_FPRAS_SESSION_HPP_
 
-#include <atomic>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -102,9 +101,9 @@ class EngineSession {
   Status ExtendTo(int level);
 
   /// (ε,δ)-estimate of |L(A_length)| — ExtendTo(length), then
-  /// SharedCountAtLength: the published per-length estimate, computed once
-  /// when the level was published (no AppUnion per query). Every length
-  /// shares the horizon's accuracy envelope.
+  /// SharedCountAtLength: the per-length estimate the engine computed with
+  /// the level (no AppUnion per query). Every length shares the horizon's
+  /// accuracy envelope.
   Result<double> CountAtLength(int length);
 
   /// N(q^length), the per-state count estimate (0 for unreachable copies):
@@ -120,9 +119,9 @@ class EngineSession {
   /// (inaccurate tables); Invalid when `count` is negative or exceeds
   /// kMaxDrawsPerCall. Request
   /// all the words a caller needs in one call (chunked at kMaxDrawsPerCall):
-  /// each call estimates the target union once and discards the speculative
-  /// walks of its final batch, so one-word calls in a loop cost several
-  /// times more per word than one call for all of them.
+  /// each call discards the speculative walks of its final batch, so
+  /// one-word calls in a loop cost more per word than one call for all of
+  /// them.
   Result<std::vector<Word>> SampleWords(int length, int64_t count);
 
   /// Writes the full session state to `path` as a versioned binary
@@ -151,20 +150,17 @@ class EngineSession {
   // Save) are writer-side: callers must ensure at most one of them runs at
   // a time, and none runs concurrently with itself.
 
-  /// Highest level whose estimate is published to readers (acquire-load;
-  /// trails computed_level() only inside an ExtendTo step).
-  int published_level() const;
-
-  /// |L(A_length)| from the published estimate cache. Never extends and
-  /// never blocks: FailedPrecondition when `length` is beyond the published
-  /// prefix (the caller decides whether to extend or fail the query).
+  /// |L(A_length)| as the engine stored it with the level. Never extends and
+  /// never blocks: FailedPrecondition when `length` is beyond
+  /// computed_level() (the caller decides whether to extend or fail the
+  /// query).
   Result<double> SharedCountAtLength(int length) const;
 
-  /// N(q^length) read directly from the frozen published level (lock-free).
+  /// N(q^length) read directly from the frozen computed level (lock-free).
   /// Same visibility rule as SharedCountAtLength.
   Result<double> SharedCountFor(StateId q, int length) const;
 
-  /// Draws `count` words from L(A_length) against the published prefix,
+  /// Draws `count` words from L(A_length) against the computed prefix,
   /// serialized against other draws by an internal mutex (counts are never
   /// blocked). The chunk consumes the same counter-keyed draw stream as
   /// SampleWords: if `cursor_start` is non-null it receives the draw-cursor
@@ -174,7 +170,7 @@ class EngineSession {
                                               int64_t* cursor_start = nullptr);
 
   /// Approximate bytes held live by the computed tables (the eviction
-  /// budget's input). Reads only published levels, so it may run while an
+  /// budget's input). Reads only computed levels, so it may run while an
   /// extension is in flight — the number then trails by the level in flight.
   int64_t ApproxResidentBytes() const;
 
@@ -205,23 +201,6 @@ class EngineSession {
   const FprasEngine& engine() const { return *engine_; }
 
  private:
-  /// Reader-visible state published by the writer: the level fence and the
-  /// per-level estimate cache behind it. Held by unique_ptr so the session
-  /// stays movable (atomics and mutexes are not) and so reader threads keep
-  /// a stable address across moves of the session object itself.
-  struct ReadPlane {
-    /// Highest level whose estimate (and frozen LevelState) readers may
-    /// touch. Release-stored by the writer after estimates[ℓ] is written.
-    std::atomic<int> published{-1};
-    /// estimates[ℓ] = |L(A_ℓ)| for ℓ <= published; written once, then
-    /// immutable (the engine's content-keyed estimate is deterministic, so
-    /// the cached value equals any recomputation bit for bit).
-    std::vector<double> estimates;
-    /// Serializes SharedSampleWords chunks: the draw cursor is one shared
-    /// sequential stream (that is the determinism contract, not a limit).
-    std::mutex draw_mu;
-  };
-
   EngineSession(std::unique_ptr<Nfa> nfa, std::unique_ptr<FprasEngine> engine,
                 uint64_t seed);
 
@@ -232,7 +211,11 @@ class EngineSession {
   std::unique_ptr<Nfa> nfa_;         ///< owned copy; engine_ points into it
   std::unique_ptr<FprasEngine> engine_;
   uint64_t seed_ = 0;
-  std::unique_ptr<ReadPlane> plane_; ///< never null after construction
+  /// Serializes SharedSampleWords chunks: the draw cursor is one shared
+  /// sequential stream (that is the determinism contract, not a limit).
+  /// Held by unique_ptr so the session stays movable; never null after
+  /// construction.
+  std::unique_ptr<std::mutex> draw_mu_;
 };
 
 }  // namespace nfacount

@@ -352,7 +352,7 @@ auto SessionRegistry::ReadOrExtend(const std::string& name, int length,
   EngineSession& session = *slot->session;
   Out out = read(session);
   if (!out.ok() && out.status().code() == StatusCode::kFailedPrecondition) {
-    // Past the published prefix: become the (single) writer and extend. A
+    // Past the computed prefix: become the (single) writer and extend. A
     // failed extension flows into `out` (no early return) so the trailing
     // EnforceBudget() still runs — a partial extension may have grown the
     // tables past the budget.
@@ -394,15 +394,15 @@ Result<std::vector<Word>> SessionRegistry::SampleWords(const std::string& name,
 }
 
 Result<int> SessionRegistry::ExtendTo(const std::string& name, int level) {
-  // The read succeeds once `level` is published; anything else (including
+  // The read succeeds once `level` is computed; anything else (including
   // a level outside [0, horizon]) goes through the writer half, which
   // extends or reports ExtendTo's own status.
   return ReadOrExtend(name, level, [level](EngineSession& session) {
-    const int published = session.published_level();
-    if (level < 0 || level > published) {
-      return Result<int>(Status::FailedPrecondition("level not published"));
+    const int computed = session.computed_level();
+    if (level < 0 || level > computed) {
+      return Result<int>(Status::FailedPrecondition("level not computed"));
     }
-    return Result<int>(published);
+    return Result<int>(computed);
   });
 }
 
@@ -509,7 +509,7 @@ void SessionRegistry::RenderStats(JsonObject* out) const {
       entry.Set("resident", resident);
       if (resident) {
         entry.Set("published_level",
-                  static_cast<int64_t>(slot->session->published_level()));
+                  static_cast<int64_t>(slot->session->computed_level()));
         const FprasEngine::CacheCounters cc = slot->session->cache_counters();
         entry.Set("memo_hits", cc.memo_hits);
         entry.Set("memo_misses", cc.memo_misses);

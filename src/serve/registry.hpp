@@ -6,14 +6,14 @@
 //   - Each named session lives in one Slot. Queries pin the slot's residency
 //     with a shared lock (readers never block each other); demotion and
 //     revival take it exclusively.
-//   - Queries inside the published prefix go through the session's Shared*
+//   - Queries inside the computed prefix go through the session's Shared*
 //     surface — lock-free counts, draw-mutex-serialized samples. A query
-//     past the published prefix becomes a writer: it takes the slot's
-//     writer mutex (one extender per session) and runs ExtendTo, which
-//     publishes each level as it completes — concurrent readers keep
-//     answering against the growing prefix throughout. This read-or-extend
-//     policy lives in one private helper (ReadOrExtend) that every query
-//     and ExtendTo call into.
+//     past the computed prefix becomes a writer: it takes the slot's
+//     writer mutex (one extender per session) and runs ExtendTo, whose
+//     engine publishes each level as it completes (computed_level() is the
+//     one fence) — concurrent readers keep answering against the growing
+//     prefix throughout. This read-or-extend policy lives in one private
+//     helper (ReadOrExtend) that every query and ExtendTo call into.
 //   - Eviction: after each operation, while the sum of resident table bytes
 //     exceeds the budget, the least-recently-used slot whose residency lock
 //     is free is demoted — EngineSession::Save to <spill_dir>/<name>.ckpt
@@ -105,7 +105,7 @@ class SessionRegistry {
   Status SaveAll();
 
   /// |L(A_length)| for session `name`; extends the session when `length` is
-  /// past the published prefix (writer path), answers lock-free otherwise.
+  /// past the computed prefix (writer path), answers lock-free otherwise.
   Result<double> CountAtLength(const std::string& name, int length);
 
   /// N(q^length) for session `name`; same extension rule as CountAtLength.
@@ -119,7 +119,7 @@ class SessionRegistry {
                                         int64_t count,
                                         int64_t* cursor_start = nullptr);
 
-  /// Extends session `name` to `level`; returns the resulting published
+  /// Extends session `name` to `level`; returns the resulting computed
   /// level (already there: no extension, no writer lock). The explicit
   /// form of the writer path.
   Result<int> ExtendTo(const std::string& name, int level);
@@ -205,7 +205,7 @@ class SessionRegistry {
   /// The read-or-extend policy behind every query (CountAtLength, CountFor,
   /// SampleWords, ExtendTo), in one place: find the slot and stamp its LRU
   /// clock; pin it resident and try `read` (a session Shared* accessor); on
-  /// FailedPrecondition (past the published prefix) extend to `length` under
+  /// FailedPrecondition (past the computed prefix) extend to `length` under
   /// the slot's writer mutex — the only place that mutex is taken — refresh
   /// the slot's bytes, and read again; then EnforceBudget. `read` is a
   /// lambda over EngineSession& returning a Result; a template, so the warm

@@ -102,11 +102,11 @@ TEST(Batch, TablesAndDrawsBitIdenticalAcrossBatchWidths) {
   // consumes exactly one attempt per one-attempt call; harvest the wide
   // engine's accepts over the same 64 attempts and compare the sequences.
   std::vector<Word> wide_words;
-  sixteen.SampleAcceptedInto(nfa.accepting(), n, /*max_attempts=*/64,
-                             /*min_accepts=*/64, &wide_words);
+  sixteen.SampleAcceptedInto(n, /*max_attempts=*/64, /*min_accepts=*/64,
+                             &wide_words);
   std::vector<Word> narrow_words;
   for (int attempt = 0; attempt < 64; ++attempt) {
-    one.SampleAcceptedInto(nfa.accepting(), n, 1, 1, &narrow_words);
+    one.SampleAcceptedInto(n, 1, 1, &narrow_words);
   }
   EXPECT_EQ(narrow_words, wide_words);
 }

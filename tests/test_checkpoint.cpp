@@ -7,7 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
+#include <cstring>
+#include <limits>
 #include <optional>
 #include <string>
 #include <vector>
@@ -53,6 +56,20 @@ Status ValidateBytes(const std::string& bytes) {
   const Status probed = ValidateSessionCheckpoint(path);
   std::remove(path.c_str());
   return probed;
+}
+
+/// Re-seals patched checkpoint bytes: FNV-1a-64 over everything before the
+/// 8-byte trailer, stored little-endian.
+void Reseal(std::string* bytes) {
+  const size_t body = bytes->size() - 8;
+  uint64_t h = 14695981039346656037ULL;
+  for (size_t i = 0; i < body; ++i) {
+    h ^= static_cast<unsigned char>((*bytes)[i]);
+    h *= 1099511628211ULL;
+  }
+  for (size_t i = 0; i < 8; ++i) {
+    (*bytes)[body + i] = static_cast<char>((h >> (8 * i)) & 0xff);
+  }
 }
 
 TEST(Checkpoint, RoundTripRestoresFullState) {
@@ -313,17 +330,7 @@ TEST(Checkpoint, RetiredFlagBytesAreIgnored) {
   const std::string default_capacity("\x00\x00\x10\x00\x00\x00\x00\x00", 8);
   ASSERT_EQ(patched.substr(kReservedI64, 8), default_capacity);
   patched.replace(kReservedI64, 8, std::string(8, '\0'));
-  // Re-seal: FNV-1a-64 over everything before the 8-byte trailer, stored
-  // little-endian.
-  const size_t body = patched.size() - 8;
-  uint64_t h = 14695981039346656037ULL;
-  for (size_t i = 0; i < body; ++i) {
-    h ^= static_cast<unsigned char>(patched[i]);
-    h *= 1099511628211ULL;
-  }
-  for (size_t i = 0; i < 8; ++i) {
-    patched[body + i] = static_cast<char>((h >> (8 * i)) & 0xff);
-  }
+  Reseal(&patched);
   ASSERT_NE(patched, bytes);
 
   Result<EngineSession> plain = DeserializeSessionCheckpoint(bytes);
@@ -352,6 +359,62 @@ TEST(Checkpoint, RetiredFlagBytesAreIgnored) {
   // Re-saving writes the reserved defaults again, whatever was read.
   EXPECT_EQ(SerializeSessionCheckpoint(*retired),
             SerializeSessionCheckpoint(*plain));
+}
+
+TEST(Checkpoint, NegativeOrNaNCountIsRejected) {
+  // N(q^ℓ) weights AppUnion's input draw. Patch one live accepting cell's
+  // count at the horizon and re-seal the trailer: a negative or NaN value
+  // must be rejected as Invalid before any |L(A_ℓ)| is computed from it
+  // (otherwise -5 trips the draw table's weight check and NaN answers 0),
+  // while +inf — what PerturbedCount yields once |Σ|^ℓ overflows — loads.
+  Rng rng(TestSeed(971));
+  Nfa nfa = RandomNfa(12, 0.3, 0.3, rng);
+  const int n = 4;
+  Result<EngineSession> session =
+      EngineSession::Create(nfa, n, SessionTestOptions(TestSeed(972)));
+  ASSERT_TRUE(session.ok());
+  ASSERT_TRUE(session->ExtendTo(n).ok());
+  const std::string bytes = SerializeSessionCheckpoint(*session);
+  const FprasEngine& engine = session->engine();
+  Bitset live_accepting = nfa.accepting();
+  live_accepting &= engine.unrolled().ReachableAt(n);
+  ASSERT_TRUE(live_accepting.Any());
+  const StateId target = static_cast<StateId>(live_accepting.FirstSet());
+
+  // Level n is the last block before the 8-byte trailer; each cell is its
+  // F64 count, I64 sample count, u16 symbols and u64 profile words.
+  size_t offset = bytes.size() - 8;
+  for (StateId q = nfa.num_states() - 1; q >= target; --q) {
+    const SampleBlock& block = engine.SampleBlockFor(q, n);
+    offset -= 16 + block.symbols_slab().size() * 2 +
+              block.profiles_slab().size() * 8;
+  }
+  auto patch = [&](double value) {
+    uint64_t bits = 0;
+    std::memcpy(&bits, &value, sizeof(bits));
+    std::string patched = bytes;
+    for (size_t i = 0; i < 8; ++i) {
+      patched[offset + i] = static_cast<char>((bits >> (8 * i)) & 0xff);
+    }
+    Reseal(&patched);
+    return patched;
+  };
+  // The offset lands on the target cell: re-sealing its own value is a
+  // no-op.
+  ASSERT_EQ(patch(engine.CountEstimateFor(target, n)), bytes);
+
+  for (double bad : {-5.0, std::nan("")}) {
+    Result<EngineSession> r = DeserializeSessionCheckpoint(patch(bad));
+    ASSERT_FALSE(r.ok()) << bad;
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument) << bad;
+    EXPECT_NE(r.status().message().find("count estimate"), std::string::npos)
+        << r.status().ToString();
+  }
+  Result<EngineSession> inf = DeserializeSessionCheckpoint(
+      patch(std::numeric_limits<double>::infinity()));
+  ASSERT_TRUE(inf.ok()) << inf.status().ToString();
+  EXPECT_EQ(inf->engine().CountEstimateFor(target, n),
+            std::numeric_limits<double>::infinity());
 }
 
 TEST(Checkpoint, MissingFileIsNotFound) {

@@ -9,6 +9,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <optional>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -209,6 +211,46 @@ TEST(DescentCacheIdentity, CacheActuallyHitsOnRepeatedDescents) {
     EXPECT_GT(diag.descent_bytes, 0);
   }
   EXPECT_GE(diag.descent_hits + diag.descent_misses, diag.descent_entries);
+}
+
+TEST(DescentCacheEnv, MalformedOverrideIsInvalid) {
+  // Prepare reads NFACOUNT_DESCENT_CACHE (CI's uncached leg sets it to 0).
+  // Anything but a whole non-negative decimal must fail naming the
+  // variable, so a typo cannot silently run the cached engine.
+  struct RestoreEnv {
+    const char* name = "NFACOUNT_DESCENT_CACHE";
+    std::optional<std::string> saved;
+    RestoreEnv() {
+      if (const char* v = std::getenv(name)) saved = v;
+    }
+    ~RestoreEnv() {
+      if (saved) {
+        setenv(name, saved->c_str(), 1);
+      } else {
+        unsetenv(name);
+      }
+    }
+  } restore;
+  const Nfa nfa = ParityNfa(2);
+  const CountOptions opts = SessionTestOptions(TestSeed(1531));
+  for (const char* bad : {"off", "0 ", "-1", "", " 5", "+5", "1e3",
+                          "99999999999999999999"}) {
+    setenv(restore.name, bad, 1);
+    Result<EngineSession> s = EngineSession::Create(nfa, 3, opts);
+    ASSERT_FALSE(s.ok()) << "'" << bad << "'";
+    EXPECT_EQ(s.status().code(), StatusCode::kInvalidArgument) << bad;
+    EXPECT_NE(s.status().message().find(restore.name), std::string::npos)
+        << s.status().ToString();
+  }
+  for (const char* good : {"0", "017", "4096"}) {
+    setenv(restore.name, good, 1);
+    Result<EngineSession> s = EngineSession::Create(nfa, 3, opts);
+    ASSERT_TRUE(s.ok()) << good << ": " << s.status().ToString();
+    ASSERT_TRUE(s->SampleWords(3, 4).ok()) << good;
+    EXPECT_EQ(s->diagnostics().descent_entries == 0,
+              std::string(good) == "0")
+        << good;
+  }
 }
 
 TEST(DescentCacheIdentity, ResumedSessionMatchesWithDifferentCacheKnob) {

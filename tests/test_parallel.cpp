@@ -121,8 +121,8 @@ TEST(Parallel, TablesAndSamplesBitIdenticalAcrossThreadCounts) {
   for (int i = 0; i < 16; ++i) {
     std::vector<Word> a;  // one attempt each: a word or a rejection
     std::vector<Word> b;
-    sequential.SampleAcceptedInto(nfa.accepting(), n, 1, 1, &a);
-    parallel.SampleAcceptedInto(nfa.accepting(), n, 1, 1, &b);
+    sequential.SampleAcceptedInto(n, 1, 1, &a);
+    parallel.SampleAcceptedInto(n, 1, 1, &b);
     ASSERT_EQ(a.empty(), b.empty()) << "draw " << i;
     EXPECT_EQ(a, b) << "draw " << i;
   }

@@ -182,8 +182,10 @@ TEST(Sampler, SingletonLanguageAlwaysReturnsTheWord) {
   for (const Word& w : *words) EXPECT_EQ(w, needle);
 }
 
-TEST(Sampler, EngineSampleWordTargetsArbitraryStateSets) {
-  // Directly exercise FprasEngine::SampleWord on an interior level/state set.
+TEST(Sampler, EngineDrawsAcceptedWordsAtInteriorLevels) {
+  // Directly exercise FprasEngine::SampleAcceptedInto at a level below the
+  // horizon: draws come from L(A_level), with γ0 from the level's stored
+  // |L(A_level)|.
   Rng rng(TestSeed(10));
   Nfa nfa = RandomNfa(6, 0.35, 0.3, rng);
   const int n = 6;
@@ -193,19 +195,19 @@ TEST(Sampler, EngineSampleWordTargetsArbitraryStateSets) {
   FprasEngine engine(&nfa, *params, TestSeed(44));
   ASSERT_TRUE(engine.Run().ok());
 
-  const int level = 4;
-  Bitset targets = engine.unrolled().ReachableAt(level);
-  ASSERT_TRUE(targets.Any());
+  // The deepest interior level with a non-empty language.
+  int level = n - 1;
+  while (level > 0 && !(engine.EstimateAtLength(level) > 0.0)) --level;
+  ASSERT_GT(level, 0);
   int successes = 0;
   for (int i = 0; i < 300; ++i) {
     std::vector<Word> drawn;  // one attempt: a word or a rejection
-    engine.SampleAcceptedInto(targets, level, 1, 1, &drawn);
+    engine.SampleAcceptedInto(level, 1, 1, &drawn);
     if (drawn.empty()) continue;
-    const Word* w = &drawn.front();
+    const Word& w = drawn.front();
     ++successes;
-    ASSERT_EQ(static_cast<int>(w->size()), level);
-    // Word must reach at least one target state.
-    EXPECT_TRUE(nfa.Reach(*w).Intersects(targets));
+    ASSERT_EQ(static_cast<int>(w.size()), level);
+    EXPECT_TRUE(nfa.Accepts(w));
   }
   EXPECT_GT(successes, 30);
 }

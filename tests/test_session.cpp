@@ -191,6 +191,30 @@ TEST(Session, QueriesAtEarlierLengthsNeedNoRecomputation) {
   EXPECT_EQ(session->diagnostics().appunion_calls, unions_after_sweep);
 }
 
+TEST(Session, EngineReadsAndDrawsRunNoUnionOfTheirOwn) {
+  // The engine-level sibling of the test above: |L(A_ℓ)| is computed once,
+  // with its level, so neither a read at any level nor a draw call (whose
+  // γ0 comes from the stored value) runs an AppUnion. A zero-attempt draw
+  // isolates the per-call cost from the walks' own union sizes.
+  Rng rng(TestSeed(841));
+  Nfa nfa = RandomNfa(6, 0.3, 0.3, rng);
+  const int n = 7;
+  Result<FprasParams> params =
+      ParamsFromOptions(SessionTestOptions(TestSeed(842)), nfa.num_states(), n);
+  ASSERT_TRUE(params.ok());
+  FprasEngine engine(&nfa, *params, TestSeed(842));
+  ASSERT_TRUE(engine.Run().ok());
+  Bitset live_accepting = nfa.accepting();
+  live_accepting &= engine.unrolled().ReachableAt(n);
+  ASSERT_GE(live_accepting.Count(), 2u);
+  const int64_t unions_after_run = engine.diagnostics().appunion_calls;
+  for (int level = 0; level <= n; ++level) engine.EstimateAtLength(level);
+  std::vector<Word> out;
+  EXPECT_EQ(engine.SampleAcceptedInto(n, /*max_attempts=*/0, 1, &out), 0);
+  EXPECT_TRUE(out.empty());
+  EXPECT_EQ(engine.diagnostics().appunion_calls, unions_after_run);
+}
+
 TEST(Session, CountForMatchesEngineTable) {
   Rng rng(TestSeed(851));
   Nfa nfa = RandomNfa(5, 0.3, 0.3, rng);

@@ -16,11 +16,13 @@ namespace nfacount {
 namespace testing_support {
 
 /// Full per-(q,ℓ) table equality between two engines over levels
-/// 0..max_level: count estimates, stored words, and reach profiles, bit for
-/// bit.
+/// 0..max_level: each level's |L(A_ℓ)|, count estimates, stored words, and
+/// reach profiles, bit for bit.
 inline void ExpectTablesIdentical(const FprasEngine& a, const FprasEngine& b,
                                   const Nfa& nfa, int max_level) {
   for (int level = 0; level <= max_level; ++level) {
+    EXPECT_EQ(a.EstimateAtLength(level), b.EstimateAtLength(level))
+        << "level=" << level;
     for (StateId q = 0; q < nfa.num_states(); ++q) {
       EXPECT_EQ(a.CountEstimateFor(q, level), b.CountEstimateFor(q, level))
           << "q=" << q << " level=" << level;
