@@ -11,14 +11,25 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <ctime>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "counting/exact.hpp"
 #include "fpras/fpras.hpp"
 #include "util/json.hpp"
+#include "util/simd.hpp"
 #include "util/timer.hpp"
+
+// Set per target by bench/CMakeLists.txt at configure time.
+#ifndef NFACOUNT_GIT_SHA
+#define NFACOUNT_GIT_SHA "unavailable"
+#endif
+#ifndef NFACOUNT_BUILD_TYPE
+#define NFACOUNT_BUILD_TYPE "unknown"
+#endif
 
 namespace nfacount {
 namespace bench {
@@ -80,8 +91,27 @@ inline double ExactOrNeg(const Nfa& nfa, int n) {
 // --json) share it; the alias keeps every bench's bench::JsonObject usage.
 using nfacount::JsonObject;
 
-/// One bench's machine-readable record: {"bench": ..., "config": {...},
-/// "metrics": {...}, "tables": {"<name>": [row, ...], ...}}. Populate
+/// Where a report's numbers come from: the commit (as of configure; a
+/// "-dirty" suffix marks uncommitted changes), build type, compiler, the
+/// SIMD kernel table in use, the core count, and the UTC time of rendering.
+inline JsonObject Provenance() {
+  char date[32];
+  const std::time_t now = std::time(nullptr);
+  std::strftime(date, sizeof(date), "%Y-%m-%dT%H:%M:%SZ", std::gmtime(&now));
+  JsonObject p;
+  p.Set("git_sha", NFACOUNT_GIT_SHA)
+      .Set("build_type", NFACOUNT_BUILD_TYPE)
+      .Set("compiler", __VERSION__)
+      .Set("simd_table", simd::ActiveKernels().name)
+      .Set("hardware_concurrency",
+           static_cast<int64_t>(std::thread::hardware_concurrency()))
+      .Set("date", date);
+  return p;
+}
+
+/// One bench's machine-readable record: {"bench": ..., "provenance": {...},
+/// "config": {...}, "metrics": {...}, "tables": {"<name>": [row, ...],
+/// ...}}. The provenance block is filled in by Render itself. Populate
 /// config() once, append one row per printed table line, and call
 /// WriteTo(JsonPathArg(...)) at the end — a no-op when --json was not given,
 /// so every bench can wire it unconditionally.
@@ -105,6 +135,7 @@ class BenchReport {
   std::string Render() const {
     JsonObject root;
     root.Set("bench", name_);
+    root.SetRaw("provenance", Provenance().Render());
     if (!config_.empty()) root.SetRaw("config", config_.Render());
     if (!metrics_.empty()) root.SetRaw("metrics", metrics_.Render());
     if (!tables_.empty()) {

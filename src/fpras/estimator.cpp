@@ -81,111 +81,84 @@ Result<int64_t> ParseDescentCacheEnv(const char* env) {
 // ---------------------------------------------------------------------------
 
 void DescentCache::Reset(int64_t capacity, size_t row_words,
-                         int symbol_rows) {
+                         int num_classes) {
   for (Shard& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard.mu);
     shard.map.clear();
   }
   capacity_ = capacity;
   row_words_ = row_words;
-  symbol_rows_ = symbol_rows;
+  num_classes_ = num_classes;
   entries_.store(0, std::memory_order_relaxed);
   bytes_.store(0, std::memory_order_relaxed);
-  size_hits_.store(0, std::memory_order_relaxed);
-  size_misses_.store(0, std::memory_order_relaxed);
-  row_hits_.store(0, std::memory_order_relaxed);
-  row_misses_.store(0, std::memory_order_relaxed);
+  hits_.store(0, std::memory_order_relaxed);
+  misses_.store(0, std::memory_order_relaxed);
 }
 
-bool DescentCache::LookupSizes(int level, const Bitset& set,
-                               std::vector<double>* out) {
-  // thread_local probe: the Bitset copy-assign reuses its vector capacity, so
-  // a lookup allocates nothing once the key is warm (hot-path contract).
-  thread_local Key probe;
-  probe.level = level;
-  probe.set = set;
-  Shard& shard = ShardFor(level, set);
-  {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    auto it = shard.map.find(probe);
-    if (it != shard.map.end()) {
-      *out = it->second.sizes;
-      size_hits_.fetch_add(1, std::memory_order_relaxed);
-      return true;
+uint64_t DescentCache::KeyHash(int level, const uint64_t* set) const {
+  uint64_t h = static_cast<uint64_t>(level);
+  for (size_t i = 0; i < row_words_; ++i) h = HashCombine(h, set[i]);
+  return h;
+}
+
+const DescentEntry* DescentCache::FindLocked(const Shard& shard,
+                                             uint64_t hash, int level,
+                                             const uint64_t* set) const {
+  const auto range = shard.map.equal_range(hash);
+  for (auto it = range.first; it != range.second; ++it) {
+    const DescentEntry& entry = it->second;
+    if (entry.level == level &&
+        std::equal(entry.set.begin(), entry.set.end(), set)) {
+      return &entry;
     }
   }
-  size_misses_.fetch_add(1, std::memory_order_relaxed);
-  return false;
+  return nullptr;
 }
 
-void DescentCache::InsertSizes(int level, const Bitset& set,
-                               const std::vector<double>& sizes) {
-  if (!enabled()) return;
-  Shard& shard = ShardFor(level, set);
+const DescentEntry* DescentCache::Find(int level, const uint64_t* set) {
+  const uint64_t hash = KeyHash(level, set);
+  Shard& shard = ShardFor(hash);
+  const DescentEntry* entry;
+  {
+    std::lock_guard<std::mutex> lock(shard.mu);
+    entry = FindLocked(shard, hash, level, set);
+  }
+  (entry != nullptr ? hits_ : misses_).fetch_add(1, std::memory_order_relaxed);
+  return entry;
+}
+
+const DescentEntry* DescentCache::Insert(int level, const uint64_t* set,
+                                         const std::vector<double>& sizes,
+                                         const uint64_t* rows) {
+  if (!enabled()) return nullptr;
+  const uint64_t hash = KeyHash(level, set);
+  Shard& shard = ShardFor(hash);
   std::lock_guard<std::mutex> lock(shard.mu);
-  if (shard.map.find(Key{level, set}) != shard.map.end()) return;
+  if (const DescentEntry* existing = FindLocked(shard, hash, level, set)) {
+    return existing;
+  }
   // Reserve one entry of the shared budget before emplacing: a CAS loop on
   // the counter cannot overshoot capacity_, unlike a pre-lock
   // `entries_ >= capacity_` check, where every concurrent inserter passes
   // the gate and then all of them emplace.
   int64_t current = entries_.load(std::memory_order_relaxed);
   do {
-    if (current >= capacity_) return;
+    if (current >= capacity_) return nullptr;
   } while (!entries_.compare_exchange_weak(current, current + 1,
                                            std::memory_order_relaxed));
-  Entry entry;
+  DescentEntry entry;
+  entry.level = level;
+  entry.set.assign(set, set + row_words_);
   entry.sizes = sizes;
+  entry.rows.assign(rows, rows + static_cast<size_t>(num_classes_) *
+                                     row_words_);
   bytes_.fetch_add(
-      static_cast<int64_t>(sizeof(Entry) +
-                           set.words().size() * sizeof(uint64_t) +
-                           sizes.size() * sizeof(double)),
+      static_cast<int64_t>(sizeof(DescentEntry) +
+                           (entry.set.size() + entry.rows.size()) *
+                               sizeof(uint64_t) +
+                           entry.sizes.size() * sizeof(double)),
       std::memory_order_relaxed);
-  shard.map.emplace(Key{level, set}, std::move(entry));
-}
-
-bool DescentCache::LookupRow(int level, const Bitset& set, int symbol_class,
-                             uint64_t* out_row) {
-  thread_local Key probe;
-  probe.level = level;
-  probe.set = set;
-  Shard& shard = ShardFor(level, set);
-  {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    auto it = shard.map.find(probe);
-    if (it != shard.map.end() && !it->second.row_filled.empty() &&
-        it->second.row_filled[static_cast<size_t>(symbol_class)]) {
-      const uint64_t* src = it->second.rows.data() +
-                            static_cast<size_t>(symbol_class) * row_words_;
-      std::copy(src, src + row_words_, out_row);
-      row_hits_.fetch_add(1, std::memory_order_relaxed);
-      return true;
-    }
-  }
-  row_misses_.fetch_add(1, std::memory_order_relaxed);
-  return false;
-}
-
-void DescentCache::InsertRow(int level, const Bitset& set, int symbol_class,
-                             const uint64_t* row) {
-  if (!enabled()) return;
-  Shard& shard = ShardFor(level, set);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.map.find(Key{level, set});
-  if (it == shard.map.end()) return;  // entry never admitted (budget spent)
-  Entry& entry = it->second;
-  if (entry.rows.empty()) {
-    entry.rows.assign(static_cast<size_t>(symbol_rows_) * row_words_, 0);
-    entry.row_filled.assign(static_cast<size_t>(symbol_rows_), 0);
-    bytes_.fetch_add(
-        static_cast<int64_t>(entry.rows.size() * sizeof(uint64_t) +
-                             entry.row_filled.size()),
-        std::memory_order_relaxed);
-  }
-  if (entry.row_filled[static_cast<size_t>(symbol_class)]) return;
-  std::copy(row, row + row_words_,
-            entry.rows.data() +
-                static_cast<size_t>(symbol_class) * row_words_);
-  entry.row_filled[static_cast<size_t>(symbol_class)] = 1;
+  return &shard.map.emplace(hash, std::move(entry))->second;
 }
 
 // ---------------------------------------------------------------------------
@@ -218,8 +191,8 @@ const FprasDiagnostics& FprasEngine::diagnostics() const {
   diag_.arena_alloc_events += draw_.arena.alloc_events();
   // The descent cache's counters are authoritative (shared across workers);
   // they are the only scheduling-dependent diagnostics.
-  diag_.memo_hits = descent_.size_hits();
-  diag_.memo_misses = descent_.size_misses();
+  diag_.memo_hits = descent_.hits();
+  diag_.memo_misses = descent_.misses();
   diag_.descent_hits = descent_.hits();
   diag_.descent_misses = descent_.misses();
   diag_.descent_entries = descent_.entries();
@@ -273,7 +246,8 @@ std::vector<StoredSample> FprasEngine::SamplesFor(StateId q, int level) const {
 
 void FprasEngine::UnionSizesInto(int level, const Bitset& state_set,
                                  double delta_param, UnionPurpose purpose,
-                                 WorkerScratch& ws, std::vector<double>* out) {
+                                 WorkerScratch& ws, std::vector<double>* out,
+                                 std::vector<uint64_t>* rows) {
   assert(level >= 1 && level <= params_.n);
   std::vector<double>& sizes = *out;
   const uint64_t family =
@@ -281,6 +255,10 @@ void FprasEngine::UnionSizesInto(int level, const Bitset& state_set,
   const SymbolClassIndex& classes = unrolled_.symbol_classes();
   const int num_classes = classes.num_classes();
   sizes.assign(static_cast<size_t>(num_classes), 0.0);
+  const size_t row_words = state_set.words().size();
+  if (rows != nullptr) {
+    rows->resize(static_cast<size_t>(num_classes) * row_words);
+  }
   AppUnionParams au = MakeUnionParams(params_, delta_param, level);
 
   for (int c = 0; c < num_classes; ++c) {
@@ -290,6 +268,10 @@ void FprasEngine::UnionSizesInto(int level, const Bitset& state_set,
     // per-(class, call) allocation.
     Bitset& preds = ws.pred_scratch;
     unrolled_.PredSetInto(state_set, classes.Representative(c), level, &preds);
+    if (rows != nullptr) {
+      std::copy(preds.words().begin(), preds.words().end(),
+                rows->data() + static_cast<size_t>(c) * row_words);
+    }
     if (preds.None()) continue;
     std::vector<PredecessorInput>& inputs = ws.union_inputs;
     inputs.clear();
@@ -351,9 +333,9 @@ void FprasEngine::RunWalkBatch(int level, const Bitset& state_set, double phi0,
   const double eta_call = params_.EtaForSampleCall();
   const double delta_union = eta_call / (4.0 * std::max(params_.n, 1));
   // Cross-batch descent cache: both per-group computations below — the
-  // union-size vector and the predecessor expansion — are pure functions of
-  // (level, frontier content[, symbol]), so a hit replaces the recomputation
-  // with a copy of bit-identical data (see DescentCache's purity argument).
+  // union-size vector and the predecessor expansions — are pure functions of
+  // (level, frontier content[, class]), so one probe per group replaces them
+  // with bit-identical data (see DescentCache's purity argument).
   const bool use_descent = descent_.enabled();
 
   for (int i = level; i >= 1; --i) {
@@ -367,22 +349,39 @@ void FprasEngine::RunWalkBatch(int level, const Bitset& state_set, double phi0,
     for (int w = 0; w < count; ++w) {
       if (ar.state_of[w] != SampleArena::kAlive) continue;
       const int g = ar.group_of[w];
-      std::vector<double>& sizes = ar.group_sizes[static_cast<size_t>(g)];
+      std::vector<double>& own_sizes = ar.group_sizes[static_cast<size_t>(g)];
       if (!ar.group_ready[g]) {
-        // One union-size estimation per group — every member shares it, and
-        // the descent cache shares it across batches, cells, and draws.
-        ar.frontier_scratch.AssignWords(ar.cur.Row(g), row_words);
-        if (!use_descent ||
-            !descent_.LookupSizes(i, ar.frontier_scratch, &sizes)) {
+        // One descent-cache probe per group — every member shares it, and the
+        // cache shares the sizes and predecessor rows across batches, cells,
+        // and draws. A miss estimates the sizes, expanding every class's row
+        // on the way, and offers both to the cache.
+        const uint64_t* frontier = ar.cur.Row(g);
+        const DescentEntry* entry =
+            use_descent ? descent_.Find(i, frontier) : nullptr;
+        if (entry == nullptr) {
+          ar.frontier_scratch.AssignWords(frontier, row_words);
           UnionSizesInto(i, ar.frontier_scratch, delta_union,
-                         UnionPurpose::kSample, ws, &sizes);
-          if (use_descent) descent_.InsertSizes(i, ar.frontier_scratch, sizes);
+                         UnionPurpose::kSample, ws, &own_sizes,
+                         use_descent ? &ws.pred_rows : nullptr);
+          if (use_descent) {
+            entry = descent_.Insert(i, frontier, own_sizes,
+                                    ws.pred_rows.data());
+          }
         }
+        ar.group_entry[g] = entry;
         double total = 0.0;
-        for (double s : sizes) total += s;
+        for (double s : entry != nullptr ? entry->sizes : own_sizes) {
+          total += s;
+        }
         ar.group_total[g] = total;
         ar.group_ready[g] = 1;
       }
+      // The group's admitted entry, or nullptr when the cache is off or its
+      // budget is spent: then the sizes live in the arena and each drawn
+      // class is expanded on demand.
+      const DescentEntry* entry = ar.group_entry[g];
+      const std::vector<double>& sizes =
+          entry != nullptr ? entry->sizes : own_sizes;
       const double total = ar.group_total[g];
       if (!(total > 0.0)) {
         // Every symbol slice estimated empty: reachable only through a
@@ -415,22 +414,12 @@ void FprasEngine::RunWalkBatch(int level, const Bitset& state_set, double phi0,
         // different symbols of one class still share the child group.
         child = next_group_count++;
         uint64_t* out_row = ar.next.Row(child);
-        // Descent-cache row probe before expanding. ar.cur rows are stable
-        // for the whole level pass, but ar.frontier_scratch is overwritten by
-        // later groups' size estimations, so the probe key is re-materialized
-        // into its own scratch.
-        const Symbol rep = classes.Representative(c);
-        bool row_cached = false;
-        if (use_descent) {
-          ar.descent_scratch.AssignWords(ar.cur.Row(g), row_words);
-          row_cached = descent_.LookupRow(i, ar.descent_scratch, c, out_row);
-        }
-        if (!row_cached) {
-          unrolled_.PredSetWordsInto(ar.cur.Row(g), rep, i, out_row,
+        if (entry != nullptr) {
+          std::copy(entry->Row(c), entry->Row(c) + row_words, out_row);
+        } else {
+          unrolled_.PredSetWordsInto(ar.cur.Row(g),
+                                     classes.Representative(c), i, out_row,
                                      *kernels_);
-          if (use_descent) {
-            descent_.InsertRow(i, ar.descent_scratch, c, out_row);
-          }
         }
         // Invariant carried over from the sequential walk's assert(cur.Any()):
         // sizes[c] > 0 implies the class's predecessor slice is non-empty.
@@ -587,7 +576,7 @@ void FprasEngine::ProcessCell(StateId q, int level, WorkerScratch& ws) {
   // sample().
   std::vector<double> sizes;
   UnionSizesInto(level, singleton, params_.DeltaForCountUnion(),
-                 UnionPurpose::kCount, ws, &sizes);
+                 UnionPurpose::kCount, ws, &sizes, nullptr);
   double total = 0.0;
   for (double s : sizes) total += s;
 
@@ -839,8 +828,8 @@ double FprasEngine::EstimateAtLength(int level) const {
 
 FprasEngine::CacheCounters FprasEngine::cache_counters() const {
   CacheCounters c;
-  c.memo_hits = descent_.size_hits();
-  c.memo_misses = descent_.size_misses();
+  c.memo_hits = descent_.hits();
+  c.memo_misses = descent_.misses();
   c.descent_hits = descent_.hits();
   c.descent_misses = descent_.misses();
   c.descent_entries = descent_.entries();

@@ -24,8 +24,9 @@
 // dispatch"): instead of one rejection walk at a time, the engine advances
 // batch_width candidate walks in lockstep down the levels on a per-worker
 // FrontierPlane (fpras/plane.hpp). Walks with identical symbol histories
-// share one frontier row ("group"), so each level costs one union-size
-// estimation and one predecessor expansion per group — not per walk — and
+// share one frontier row ("group"), so each level costs one descent-cache
+// probe (or union-size estimation) per group and one predecessor row per
+// (group, drawn class) — not per walk — and
 // the reach profile of each accepted walk is built by a fused forward pass
 // over the same plane scratch, never by re-simulating the stored word. Each
 // candidate walk draws exclusively from its own attempt-indexed RNG
@@ -60,13 +61,13 @@
 // workers, and computed_level_ is an atomic, so ONE extending thread
 // (RunToLevel) may run concurrently with draw/read threads as long as the
 // readers only touch levels the extender has already finished: frozen
-// LevelStates are immutable, the descent cache is internally locked, and
-// every estimate is content-keyed, so the interleaving is invisible in all
-// results. computed_level() is the one level-visibility fence: a level's
-// cells and its |L(A_ℓ)| are written before the release store that
-// publishes it. Callers must serialize draws among themselves
-// (post_attempt_counter_ is a plain cursor); diagnostics() still requires
-// quiescence.
+// LevelStates are immutable, the descent cache is internally locked and
+// hands out immutable entries, and every estimate is content-keyed, so the
+// interleaving is invisible in all results. computed_level() is the one
+// level-visibility fence: a level's cells and its |L(A_ℓ)| are written
+// before the release store that publishes it. Callers must serialize draws
+// among themselves (post_attempt_counter_ is a plain cursor); diagnostics()
+// still requires quiescence.
 
 #ifndef NFACOUNT_FPRAS_ESTIMATOR_HPP_
 #define NFACOUNT_FPRAS_ESTIMATOR_HPP_
@@ -99,20 +100,22 @@ struct FprasDiagnostics {
   /// intersection answers).
   int64_t membership_checks = 0;
   int64_t starvations = 0;      ///< AppUnion Line-8 events
-  /// Union-size probes of the descent cache (DescentCache::LookupSizes):
-  /// sample-path (level, frontier) union-size vectors found in the cache vs
+  /// Descent-cache probes (DescentCache::Find), one per walk group per
+  /// level: sample-path (level, frontier) steps found in the cache vs
   /// estimated fresh. Both stay 0 when the cache is disabled (capacity 0).
   /// Scheduling-dependent: two threads can both miss on a key a sequential
   /// run would hit once; results never move (the cache is pure).
   int64_t memo_hits = 0;
   int64_t memo_misses = 0;
-  /// All DescentCache probes answered from the cache vs computed fresh:
-  /// union-size vectors and predecessor rows combined (so descent_hits ≥
-  /// memo_hits). Scheduling-dependent like memo_hits/memo_misses.
+  /// Equal to memo_hits/memo_misses: an entry carries its predecessor rows,
+  /// so there is no second probe. Both pairs stay because the CLI --json
+  /// report, the serve stats reply and perfbench read them.
   int64_t descent_hits = 0;
   int64_t descent_misses = 0;
   int64_t descent_entries = 0;  ///< admitted (level, frontier) cache entries
-  int64_t descent_bytes = 0;    ///< approximate descent-cache footprint
+  /// Approximate descent-cache footprint: keys, sizes and rows, counted
+  /// when an entry is admitted.
+  int64_t descent_bytes = 0;
   /// Candidate walks launched (Algorithm 2 attempts), counted exactly per
   /// consumed attempt: a lockstep batch may execute speculative walks past
   /// the attempt that fills S(q^ℓ) (or past the accept that satisfies a
@@ -184,12 +187,30 @@ struct LevelState {
   bool computed() const { return level >= 0; }
 };
 
+/// One admitted descent-cache entry: everything a walk group needs at one
+/// (level, frontier) step of Algorithm 2. Written once, before the cache
+/// hands it out, and immutable until DescentCache::Reset.
+struct DescentEntry {
+  int level = 0;
+  std::vector<uint64_t> set;    ///< the frontier's words (the key)
+  std::vector<double> sizes;    ///< weighted per-class union sizes
+  std::vector<uint64_t> rows;   ///< Pred(P, c) per class c, set.size() words
+                                ///< each, in class order
+
+  /// Class c's expanded predecessor row.
+  const uint64_t* Row(int c) const {
+    return rows.data() + static_cast<size_t>(c) * set.size();
+  }
+};
+
 /// Sharded, capacity-bounded cache of the per-(level, frontier-set) descent
 /// work the lockstep sampling plane repeats across refill batches, cells, and
-/// post-run draws: the per-symbol-class union-size vector (what Alg. 2 lines
-/// 8-11 recompute for every group that reaches the same frontier) and the
-/// expanded predecessor rows Pred(P, c) (the PredSetInto result per chosen
-/// symbol class — one row covers every member of the class).
+/// post-run draws. An entry holds both halves of one Alg. 2 step: the
+/// per-symbol-class union-size vector (lines 8-11) and every class's
+/// expanded predecessor row Pred(P, c) (one row covers every member of the
+/// class). Both come out of the one UnionSizesInto pass that misses, so an
+/// entry is complete when it is admitted and a walk group makes one probe
+/// per level.
 ///
 /// Purity argument (why this never changes a result): UnionSizes draws from a
 /// substream keyed by (purpose, level, P-set content) — never from caller
@@ -199,110 +220,82 @@ struct LevelState {
 /// therefore bit-identical with the cache on, off, or at any capacity; only
 /// the atomic hit/miss counters are scheduling-dependent.
 ///
-/// This is the engine's only (level, frontier) cache: the sample-path union
-/// sizes are looked up here before UnionSizesInto runs, so a capacity of 0
-/// is the truly uncached reference (every descent step re-estimates its
-/// union sizes and re-expands its predecessor rows).
+/// This is the engine's only (level, frontier) cache, so a capacity of 0 is
+/// the truly uncached reference (every descent step re-estimates its union
+/// sizes and re-expands its predecessor rows).
 ///
-/// Capacity discipline: entries are admitted by InsertSizes under the shard
-/// lock against a shared budget (a CAS reservation on entries_ — no
-/// overshoot under concurrency). Predecessor rows piggyback on
-/// already-admitted entries only (InsertRow never creates an entry), so one
-/// budget bounds both. A capacity of 0 disables the cache.
+/// Capacity discipline: Insert admits an entry under the shard lock against
+/// a shared budget (a CAS reservation on entries_ — no overshoot under
+/// concurrency). Entries are never mutated or evicted, and map nodes never
+/// move, so a returned pointer stays valid — and may be read without the
+/// lock — until Reset, which only FprasEngine::Prepare calls.
 class DescentCache {
  public:
   /// Clears all shards and counters and fixes the geometry: row_words words
-  /// per predecessor row, symbol_rows rows per entry (one per symbol class —
-  /// |Σ| under the trivial partition). Capacity caps the number of
-  /// (level, frontier) entries; 0 disables the cache entirely.
-  void Reset(int64_t capacity, size_t row_words, int symbol_rows);
+  /// per frontier and per predecessor row, num_classes rows per entry.
+  /// Capacity caps the number of (level, frontier) entries; 0 disables the
+  /// cache entirely.
+  void Reset(int64_t capacity, size_t row_words, int num_classes);
 
   bool enabled() const { return capacity_ > 0; }
 
-  /// If (level, set) is cached, copies its per-class sizes into *out and
-  /// returns true. Counts one size-probe hit or miss.
-  bool LookupSizes(int level, const Bitset& set, std::vector<double>* out);
+  /// The entry of (level, set) — `set` is row_words words — or nullptr.
+  /// Counts one hit or miss.
+  const DescentEntry* Find(int level, const uint64_t* set);
 
-  /// Admits (level, set) → sizes unless the budget is exhausted (first
-  /// writer wins; concurrent inserts of the same key carry identical
-  /// values because UnionSizes is content-keyed).
-  void InsertSizes(int level, const Bitset& set,
-                   const std::vector<double>& sizes);
+  /// Admits (level, set) → (sizes, rows) and returns the stored entry;
+  /// `rows` holds num_classes × row_words words in class order. The first
+  /// writer wins: an existing key returns its entry unchanged (concurrent
+  /// inserts carry identical values, because UnionSizes is content-keyed).
+  /// Returns nullptr when the budget is spent.
+  const DescentEntry* Insert(int level, const uint64_t* set,
+                             const std::vector<double>& sizes,
+                             const uint64_t* rows);
 
-  /// If the expanded row of symbol class `symbol_class` at `level` is
-  /// cached, copies its row_words words into out_row and returns true.
-  /// Counts one row-probe hit or miss.
-  bool LookupRow(int level, const Bitset& set, int symbol_class,
-                 uint64_t* out_row);
-
-  /// Stores the expanded row for an already-admitted (level, set) entry;
-  /// no-op when the entry was never admitted (budget exhausted). Concurrent
-  /// fills write identical bits (pure function of the key).
-  void InsertRow(int level, const Bitset& set, int symbol_class,
-                 const uint64_t* row);
-
-  /// All probes, sizes and rows combined.
-  int64_t hits() const {
-    return size_hits() + row_hits_.load(std::memory_order_relaxed);
-  }
-  int64_t misses() const {
-    return size_misses() + row_misses_.load(std::memory_order_relaxed);
-  }
-  /// The LookupSizes share of hits()/misses().
-  int64_t size_hits() const {
-    return size_hits_.load(std::memory_order_relaxed);
-  }
-  int64_t size_misses() const {
-    return size_misses_.load(std::memory_order_relaxed);
-  }
+  int64_t hits() const { return hits_.load(std::memory_order_relaxed); }
+  int64_t misses() const { return misses_.load(std::memory_order_relaxed); }
   int64_t entries() const { return entries_.load(std::memory_order_relaxed); }
+  /// Footprint of the admitted entries, rows included.
   int64_t bytes() const { return bytes_.load(std::memory_order_relaxed); }
 
- private:
-  struct Key {
-    int level;
-    Bitset set;
-    bool operator==(const Key& other) const {
-      return level == other.level && set == other.set;
+  /// Calls f(const DescentEntry&) for every admitted entry, one shard lock
+  /// at a time (inspection; the walk never enumerates).
+  template <typename F>
+  void ForEachEntry(F&& f) const {
+    for (const Shard& shard : shards_) {
+      std::lock_guard<std::mutex> lock(shard.mu);
+      for (const auto& kv : shard.map) f(kv.second);
     }
-  };
-  struct KeyHash {
-    size_t operator()(const Key& key) const {
-      return static_cast<size_t>(
-          HashCombine(static_cast<uint64_t>(key.level), key.set.Hash()));
-    }
-  };
-  /// One admitted (level, frontier) entry. `rows` is allocated lazily on the
-  /// first InsertRow (symbol_rows × row_words flat words); row_filled[c]
-  /// marks which symbol classes have been expanded.
-  struct Entry {
-    std::vector<double> sizes;
-    std::vector<uint64_t> rows;
-    std::vector<uint8_t> row_filled;
-  };
-  struct Shard {
-    std::mutex mu;
-    std::unordered_map<Key, Entry, KeyHash> map;
-  };
-
-  static constexpr int kNumShards = 16;
-
-  Shard& ShardFor(int level, const Bitset& set) {
-    return shards_[static_cast<size_t>(
-        HashCombine(static_cast<uint64_t>(level), set.Hash()) %
-        kNumShards)];
   }
+
+ private:
+  /// Keyed by the (level, set) hash, computed once per call: its top bits
+  /// pick the shard and the map buckets it. The entry carries its key, so a
+  /// probe compares words in place and copies nothing.
+  struct Shard {
+    mutable std::mutex mu;
+    std::unordered_multimap<uint64_t, DescentEntry> map;
+  };
+
+  static constexpr int kShardBits = 4;
+  static constexpr int kNumShards = 1 << kShardBits;
+
+  uint64_t KeyHash(int level, const uint64_t* set) const;
+  Shard& ShardFor(uint64_t hash) {
+    return shards_[hash >> (64 - kShardBits)];
+  }
+  /// The entry of (level, set) in `shard` (lock held), or nullptr.
+  const DescentEntry* FindLocked(const Shard& shard, uint64_t hash, int level,
+                                 const uint64_t* set) const;
 
   std::array<Shard, kNumShards> shards_;
   int64_t capacity_ = 0;
   size_t row_words_ = 0;
-  int symbol_rows_ = 0;
+  int num_classes_ = 0;
   std::atomic<int64_t> entries_{0};
   std::atomic<int64_t> bytes_{0};
-  std::atomic<int64_t> size_hits_{0};
-  std::atomic<int64_t> size_misses_{0};
-  std::atomic<int64_t> row_hits_{0};
-  std::atomic<int64_t> row_misses_{0};
+  std::atomic<int64_t> hits_{0};
+  std::atomic<int64_t> misses_{0};
 };
 
 /// The FPRAS over a fixed (NFA, horizon n), organized as a resumable
@@ -428,16 +421,19 @@ class FprasEngine {
   /// this reads only atomics and is safe to call from any thread at any
   /// time — it is the serve-mode stats surface.
   struct CacheCounters {
-    int64_t memo_hits = 0;       ///< DescentCache union-size probe hits
-    int64_t memo_misses = 0;     ///< DescentCache union-size probe misses
-    int64_t descent_hits = 0;    ///< DescentCache hits (sizes + rows)
-    int64_t descent_misses = 0;  ///< DescentCache misses
+    int64_t memo_hits = 0;       ///< DescentCache probe hits
+    int64_t memo_misses = 0;     ///< DescentCache probe misses
+    int64_t descent_hits = 0;    ///< == memo_hits (see FprasDiagnostics)
+    int64_t descent_misses = 0;  ///< == memo_misses
     int64_t descent_entries = 0; ///< admitted DescentCache entries
     int64_t descent_bytes = 0;   ///< approximate DescentCache footprint
   };
 
   /// Thread-safe cache-counter snapshot (see CacheCounters).
   CacheCounters cache_counters() const;
+
+  /// The descent cache itself, for inspection (DescentCache::ForEachEntry).
+  const DescentCache& descent_cache() const { return descent_; }
 
   /// Approximate bytes held live by the computed LevelStates (the flat
   /// sample slabs plus the cell array itself). Reads only levels that are
@@ -452,6 +448,9 @@ class FprasEngine {
   /// keeps the hot path allocation-free and race-free under concurrency.
   struct WorkerScratch {
     Bitset pred_scratch;          ///< PredSetInto target (UnionSizes)
+    /// UnionSizesInto's per-class predecessor rows on a descent-cache miss,
+    /// copied into the entry the cache admits.
+    std::vector<uint64_t> pred_rows;
     Bitset target_scratch;        ///< singleton {q} for RefillSamples
     AppUnionScratch union_scratch;///< batched-membership + draw-table scratch
     /// AppUnion input adapters, rebuilt per estimation but never reallocated
@@ -479,10 +478,13 @@ class FprasEngine {
   /// deterministic function of the engine seed and the arguments —
   /// independent of caller, thread, and cache state — and classes that share
   /// a predecessor set share the draws (duplicate content costs no fresh
-  /// randomness).
+  /// randomness). When `rows` is non-null it receives every class's
+  /// expansion Pred(P, c) — num_classes × row_words words in class order,
+  /// bit-identical to PredSetWordsInto — for the descent cache.
   void UnionSizesInto(int level, const Bitset& state_set, double delta_param,
                       UnionPurpose purpose, WorkerScratch& ws,
-                      std::vector<double>* out);
+                      std::vector<double>* out,
+                      std::vector<uint64_t>* rows);
 
   /// Algorithm 2 over a lockstep batch: advances `count` candidate walks
   /// (attempt ids first_attempt..first_attempt+count) down the levels on the
@@ -566,7 +568,7 @@ class FprasEngine {
   /// serve-mode readers can poll it against a concurrently extending writer;
   /// AdvanceLevel stores with release ordering after freezing the level.
   std::atomic<int> computed_level_{-1};
-  /// Cross-batch descent cache (sizes + predecessor rows per (level,
+  /// Cross-batch descent cache (sizes + all predecessor rows per (level,
   /// frontier)), shared across workers. Reset by Prepare() from
   /// params_.descent_cache_capacity.
   DescentCache descent_;

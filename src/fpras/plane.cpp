@@ -35,12 +35,12 @@ void SampleArena::PrepareRun(int max_batch, int max_word_len, size_t bits,
   Ensure(outcome_of, static_cast<size_t>(b));
   Ensure(group_total, static_cast<size_t>(b));
   Ensure(group_ready, static_cast<size_t>(b));
+  Ensure(group_entry, static_cast<size_t>(b));
   Ensure(child_of, static_cast<size_t>(b) * num_classes);
   EnsureGroupSizes(b, num_classes);
   accepted.reserve(static_cast<size_t>(b));
   if (frontier_scratch.size() != bits) {
     frontier_scratch = Bitset(bits);
-    descent_scratch = Bitset(bits);
     profile_cur = Bitset(bits);
     profile_next = Bitset(bits);
   }
@@ -62,6 +62,7 @@ void SampleArena::BeginBatch(int batch, int word_len, size_t bits,
   Ensure(outcome_of, static_cast<size_t>(batch));
   Ensure(group_total, static_cast<size_t>(batch));
   Ensure(group_ready, static_cast<size_t>(batch));
+  Ensure(group_entry, static_cast<size_t>(batch));
   Ensure(child_of, static_cast<size_t>(batch) * num_classes);
   EnsureGroupSizes(batch, num_classes);
   accepted.clear();
@@ -80,6 +81,8 @@ int64_t SampleArena::bytes_reserved() const {
       (state_of.capacity() + outcome_of.capacity() + group_ready.capacity()) *
       sizeof(uint8_t));
   total += static_cast<int64_t>(group_total.capacity() * sizeof(double));
+  total += static_cast<int64_t>(group_entry.capacity() *
+                                sizeof(const DescentEntry*));
   for (const auto& sizes : group_sizes) {
     total += static_cast<int64_t>(sizes.capacity() * sizeof(double));
   }

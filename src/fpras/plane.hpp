@@ -27,6 +27,8 @@
 
 namespace nfacount {
 
+struct DescentEntry;  // fpras/estimator.hpp
+
 /// Row-major bit-matrix of walk-group frontiers: `rows` rows of `bits` bits,
 /// each row padded to whole words, all rows in one contiguous buffer.
 /// Reshape() keeps the underlying capacity, so a plane sized once for the
@@ -130,14 +132,14 @@ class SampleArena {
   std::vector<std::vector<double>> group_sizes;  ///< weighted sz_c per group
   std::vector<double> group_total;               ///< Σ_c weight_c·sz_c
   std::vector<uint8_t> group_ready;              ///< sizes computed yet?
+  /// The group's descent-cache entry (sizes and every class's predecessor
+  /// row), or nullptr when none was admitted: then group_sizes holds the
+  /// sizes and a drawn class's row is expanded on demand.
+  std::vector<const DescentEntry*> group_entry;
   std::vector<int32_t> child_of;  ///< group × C → next-level group id
 
   // Scratch bitsets bridging plane rows into Bitset-taking APIs.
-  Bitset frontier_scratch;  ///< group frontier view (UnionSizes, cache key)
-  /// Descent-cache row-probe key. Separate from frontier_scratch because a
-  /// group's symbol expansions can run after later groups have already
-  /// overwritten frontier_scratch with their own size-estimation keys.
-  Bitset descent_scratch;
+  Bitset frontier_scratch;  ///< group frontier view (UnionSizes)
   Bitset profile_cur;       ///< fused forward reach-profile pass
   Bitset profile_next;
 

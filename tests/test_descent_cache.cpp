@@ -1,10 +1,11 @@
 // Descent-cache correctness: unit behavior of the sharded DescentCache
-// (insert/lookup roundtrips, the shared-budget capacity discipline under
-// concurrency, the disabled state), and the identity grid — estimates,
-// per-(q,ℓ) tables, and draw streams must be bit-identical with the cache
-// on, off, or at any capacity, across num_threads and batch_width (the
-// purity contract the cache is built on; see fpras/estimator.hpp
-// DescentCache).
+// (Find/Insert roundtrips, first writer wins, stable entry pointers, byte
+// accounting, the shared-budget capacity discipline under concurrency, the
+// disabled state), the purity of every admitted predecessor row, and the
+// identity grid — estimates, per-(q,ℓ) tables, and draw streams must be
+// bit-identical with the cache on, off, or at any capacity, across
+// num_threads and batch_width (the purity contract the cache is built on;
+// see fpras/estimator.hpp DescentCache).
 
 #include <gtest/gtest.h>
 
@@ -19,6 +20,7 @@
 #include "test_seed.hpp"
 #include "test_tables.hpp"
 #include "util/rng.hpp"
+#include "util/simd.hpp"
 
 namespace nfacount {
 namespace {
@@ -33,159 +35,374 @@ Bitset MakeSet(size_t bits, std::initializer_list<int> members) {
   return set;
 }
 
-TEST(DescentCacheUnit, SizesRoundTripAndCounters) {
+/// num_classes rows of row_words words, each word distinct and non-zero.
+std::vector<uint64_t> MakeRows(int num_classes, size_t row_words,
+                               uint64_t salt) {
+  std::vector<uint64_t> rows(static_cast<size_t>(num_classes) * row_words);
+  for (size_t i = 0; i < rows.size(); ++i) rows[i] = salt * 1000 + i + 1;
+  return rows;
+}
+
+/// The footprint Insert charges for one entry of this geometry.
+int64_t EntryBytes(int num_classes, size_t row_words) {
+  return static_cast<int64_t>(
+      sizeof(DescentEntry) +
+      (row_words + static_cast<size_t>(num_classes) * row_words) *
+          sizeof(uint64_t) +
+      static_cast<size_t>(num_classes) * sizeof(double));
+}
+
+void ExpectEntryHolds(const DescentEntry* entry, int level,
+                      const std::vector<double>& sizes,
+                      const std::vector<uint64_t>& rows, size_t row_words) {
+  ASSERT_NE(entry, nullptr);
+  EXPECT_EQ(entry->level, level);
+  EXPECT_EQ(entry->sizes, sizes);
+  EXPECT_EQ(entry->rows, rows);
+  for (size_t c = 0; c < sizes.size(); ++c) {
+    for (size_t k = 0; k < row_words; ++k) {
+      EXPECT_EQ(entry->Row(static_cast<int>(c))[k], rows[c * row_words + k])
+          << "class " << c << " word " << k;
+    }
+  }
+}
+
+TEST(DescentCacheUnit, FindInsertRoundTripAndCounters) {
+  constexpr size_t kRowWords = 2;
+  constexpr int kClasses = 3;
   DescentCache cache;
-  cache.Reset(/*capacity=*/8, /*row_words=*/1, /*alphabet_size=*/2);
+  cache.Reset(/*capacity=*/8, kRowWords, kClasses);
   ASSERT_TRUE(cache.enabled());
 
-  const Bitset set = MakeSet(10, {1, 4, 7});
-  const std::vector<double> sizes = {3.5, 0.25};
-  std::vector<double> out;
-  EXPECT_FALSE(cache.LookupSizes(3, set, &out));
+  const Bitset set = MakeSet(70, {1, 4, 65});
+  const std::vector<double> sizes = {3.5, 0.25, 8.0};
+  const std::vector<uint64_t> rows = MakeRows(kClasses, kRowWords, 1);
+  EXPECT_EQ(cache.Find(3, set.words().data()), nullptr);
   EXPECT_EQ(cache.misses(), 1);
 
-  cache.InsertSizes(3, set, sizes);
+  const DescentEntry* entry =
+      cache.Insert(3, set.words().data(), sizes, rows.data());
+  ExpectEntryHolds(entry, 3, sizes, rows, kRowWords);
+  EXPECT_EQ(entry->set, set.words());
   EXPECT_EQ(cache.entries(), 1);
-  EXPECT_GT(cache.bytes(), 0);
-  ASSERT_TRUE(cache.LookupSizes(3, set, &out));
-  EXPECT_EQ(out, sizes);
+  EXPECT_EQ(cache.Find(3, set.words().data()), entry);
   EXPECT_EQ(cache.hits(), 1);
 
   // Same frontier at another level is a distinct key.
-  EXPECT_FALSE(cache.LookupSizes(4, set, &out));
-  // Re-inserting an existing key neither duplicates nor spends budget.
-  cache.InsertSizes(3, set, sizes);
-  EXPECT_EQ(cache.entries(), 1);
-  // Every probe so far was a size probe: the size counters (reported as
-  // memo_hits/memo_misses) match the overall ones.
-  EXPECT_EQ(cache.size_hits(), 1);
-  EXPECT_EQ(cache.size_misses(), 2);
+  EXPECT_EQ(cache.Find(4, set.words().data()), nullptr);
+  EXPECT_EQ(cache.hits(), 1);
   EXPECT_EQ(cache.misses(), 2);
 }
 
-TEST(DescentCacheUnit, RowsPiggybackOnAdmittedEntries) {
+TEST(DescentCacheUnit, FirstWriterWins) {
+  constexpr size_t kRowWords = 1;
+  constexpr int kClasses = 2;
   DescentCache cache;
-  cache.Reset(/*capacity=*/8, /*row_words=*/2, /*alphabet_size=*/2);
-  const Bitset set = MakeSet(70, {0, 65});
-  const std::vector<double> sizes = {1.0, 2.0};
-  const uint64_t row[2] = {0x12345678u, 0x9abcdef0u};
-  uint64_t got[2] = {0, 0};
+  cache.Reset(/*capacity=*/8, kRowWords, kClasses);
+  const Bitset set = MakeSet(10, {2, 9});
+  const std::vector<double> first = {1.0, 2.0};
+  const std::vector<uint64_t> first_rows = MakeRows(kClasses, kRowWords, 1);
+  const DescentEntry* a =
+      cache.Insert(5, set.words().data(), first, first_rows.data());
+  ASSERT_NE(a, nullptr);
+  const int64_t bytes = cache.bytes();
 
-  // InsertRow on a never-admitted key is a no-op (budget already spent or
-  // sizes never inserted) — the next lookup still misses.
-  cache.InsertRow(2, set, 1, row);
-  EXPECT_FALSE(cache.LookupRow(2, set, 1, got));
+  // A second insert of the key returns the stored entry untouched and
+  // spends no budget (in the engine both writers carry identical values;
+  // different ones here show which one is kept).
+  const std::vector<double> second = {7.0, 9.0};
+  const std::vector<uint64_t> second_rows = MakeRows(kClasses, kRowWords, 2);
+  const DescentEntry* b =
+      cache.Insert(5, set.words().data(), second, second_rows.data());
+  EXPECT_EQ(b, a);
+  ExpectEntryHolds(b, 5, first, first_rows, kRowWords);
+  EXPECT_EQ(cache.entries(), 1);
+  EXPECT_EQ(cache.bytes(), bytes);
+}
 
-  cache.InsertSizes(2, set, sizes);
-  EXPECT_FALSE(cache.LookupRow(2, set, 1, got));  // sizes only, row unfilled
-  cache.InsertRow(2, set, 1, row);
-  ASSERT_TRUE(cache.LookupRow(2, set, 1, got));
-  EXPECT_EQ(got[0], row[0]);
-  EXPECT_EQ(got[1], row[1]);
-  // The other symbol of the same entry is still unfilled.
-  EXPECT_FALSE(cache.LookupRow(2, set, 0, got));
-  // Row storage is accounted once per entry.
-  const int64_t bytes_after_rows = cache.bytes();
-  cache.InsertRow(2, set, 1, row);
-  EXPECT_EQ(cache.bytes(), bytes_after_rows);
-  // Row probes count toward hits/misses but not toward the size probes.
-  EXPECT_EQ(cache.hits(), 1);
-  EXPECT_EQ(cache.misses(), 3);
-  EXPECT_EQ(cache.size_hits(), 0);
-  EXPECT_EQ(cache.size_misses(), 0);
+TEST(DescentCacheUnit, RefusedInsertReturnsNull) {
+  constexpr size_t kRowWords = 1;
+  constexpr int kClasses = 2;
+  DescentCache cache;
+  cache.Reset(/*capacity=*/2, kRowWords, kClasses);
+  const std::vector<double> sizes = {1.0, 1.0};
+  const std::vector<uint64_t> rows = MakeRows(kClasses, kRowWords, 1);
+  const Bitset s0 = MakeSet(8, {0});
+  const Bitset s1 = MakeSet(8, {1});
+  const Bitset s2 = MakeSet(8, {2});
+  const DescentEntry* e0 = cache.Insert(1, s0.words().data(), sizes,
+                                        rows.data());
+  ASSERT_NE(e0, nullptr);
+  ASSERT_NE(cache.Insert(1, s1.words().data(), sizes, rows.data()), nullptr);
+  const int64_t bytes = cache.bytes();
+
+  // The budget is spent: a new key is refused and stays absent...
+  EXPECT_EQ(cache.Insert(1, s2.words().data(), sizes, rows.data()), nullptr);
+  EXPECT_EQ(cache.Find(1, s2.words().data()), nullptr);
+  EXPECT_EQ(cache.entries(), 2);
+  EXPECT_EQ(cache.bytes(), bytes);
+  // ...while an admitted key still answers.
+  EXPECT_EQ(cache.Insert(1, s0.words().data(), sizes, rows.data()), e0);
+}
+
+TEST(DescentCacheUnit, EntryPointersSurviveLaterInserts) {
+  // The walk keeps a group's entry pointer for the whole level pass and
+  // reads it without the shard lock, while other threads insert. Thousands
+  // of later inserts rehash every shard several times; the first entry must
+  // neither move nor change.
+  constexpr size_t kRowWords = 2;
+  constexpr int kClasses = 3;
+  DescentCache cache;
+  cache.Reset(/*capacity=*/int64_t{1} << 20, kRowWords, kClasses);
+  const Bitset first = MakeSet(128, {0, 100});
+  const std::vector<double> sizes = {0.5, 1.5, 2.5};
+  const std::vector<uint64_t> rows = MakeRows(kClasses, kRowWords, 7);
+  const DescentEntry* entry =
+      cache.Insert(2, first.words().data(), sizes, rows.data());
+  ASSERT_NE(entry, nullptr);
+
+  const std::vector<double> other_sizes = {9.0, 9.0, 9.0};
+  const std::vector<uint64_t> other_rows = MakeRows(kClasses, kRowWords, 8);
+  for (int i = 0; i < 4000; ++i) {
+    Bitset set(128);
+    set.Set(static_cast<size_t>(i % 128));
+    set.Set(static_cast<size_t>((i / 128) % 128));
+    if (set == first) continue;
+    cache.Insert(2 + i % 3, set.words().data(), other_sizes,
+                 other_rows.data());
+  }
+  EXPECT_GT(cache.entries(), 1000);
+  EXPECT_EQ(cache.Find(2, first.words().data()), entry);
+  ExpectEntryHolds(entry, 2, sizes, rows, kRowWords);
+}
+
+TEST(DescentCacheUnit, BytesCountRowsOnceAtAdmission) {
+  constexpr size_t kRowWords = 2;
+  constexpr int kClasses = 4;
+  DescentCache cache;
+  cache.Reset(/*capacity=*/8, kRowWords, kClasses);
+  EXPECT_EQ(cache.bytes(), 0);
+  const std::vector<double> sizes(kClasses, 1.0);
+  const std::vector<uint64_t> rows = MakeRows(kClasses, kRowWords, 3);
+  const Bitset a = MakeSet(100, {3, 70});
+  const Bitset b = MakeSet(100, {4, 71});
+  ASSERT_NE(cache.Insert(6, a.words().data(), sizes, rows.data()), nullptr);
+  // Keys, sizes and every class's row are charged when the entry comes in.
+  EXPECT_EQ(cache.bytes(), EntryBytes(kClasses, kRowWords));
+  // Probes and repeated inserts charge nothing more.
+  ASSERT_NE(cache.Find(6, a.words().data()), nullptr);
+  cache.Insert(6, a.words().data(), sizes, rows.data());
+  EXPECT_EQ(cache.bytes(), EntryBytes(kClasses, kRowWords));
+  ASSERT_NE(cache.Insert(6, b.words().data(), sizes, rows.data()), nullptr);
+  EXPECT_EQ(cache.bytes(), 2 * EntryBytes(kClasses, kRowWords));
 }
 
 TEST(DescentCacheUnit, CapacityZeroDisables) {
   DescentCache cache;
-  cache.Reset(/*capacity=*/0, /*row_words=*/1, /*alphabet_size=*/2);
+  cache.Reset(/*capacity=*/0, /*row_words=*/1, /*num_classes=*/2);
   EXPECT_FALSE(cache.enabled());
   const Bitset set = MakeSet(8, {2});
-  cache.InsertSizes(1, set, {1.0, 1.0});
+  const std::vector<uint64_t> rows = MakeRows(2, 1, 1);
+  EXPECT_EQ(cache.Insert(1, set.words().data(), {1.0, 1.0}, rows.data()),
+            nullptr);
   EXPECT_EQ(cache.entries(), 0);
-  std::vector<double> out;
-  EXPECT_FALSE(cache.LookupSizes(1, set, &out));
+  EXPECT_EQ(cache.bytes(), 0);
+  EXPECT_EQ(cache.Find(1, set.words().data()), nullptr);
 }
 
 TEST(DescentCacheUnit, ConcurrentInsertersNeverOvershootCapacity) {
-  // The ISSUE-6 memo bug, applied to the descent cache: with the capacity
-  // check done before the shard lock, T concurrent inserters could admit up
-  // to capacity + T - 1 entries. The CAS-reserve discipline must hold the
-  // bound exactly even when every thread hammers distinct keys.
+  // With the capacity check done before the shard lock, T concurrent
+  // inserters could admit up to capacity + T - 1 entries. The CAS-reserve
+  // discipline must hold the bound exactly even when every thread hammers
+  // distinct keys, and only admitted inserts may return an entry.
   constexpr int64_t kCapacity = 64;
   constexpr int kThreads = 8;
   constexpr int kKeysPerThread = 256;
+  constexpr size_t kRowWords = 4096 / 64;
   DescentCache cache;
-  cache.Reset(kCapacity, /*row_words=*/1, /*alphabet_size=*/2);
+  cache.Reset(kCapacity, kRowWords, /*num_classes=*/2);
+  std::vector<int64_t> admitted(kThreads, 0);
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&cache, t] {
+    threads.emplace_back([&cache, &admitted, t] {
       const std::vector<double> sizes = {1.0, 2.0};
+      const std::vector<uint64_t> rows = MakeRows(2, kRowWords, 1);
       for (int i = 0; i < kKeysPerThread; ++i) {
         Bitset set(4096);
         set.Set(static_cast<size_t>(t * kKeysPerThread + i));
-        cache.InsertSizes(1, set, sizes);
+        if (cache.Insert(1, set.words().data(), sizes, rows.data()) !=
+            nullptr) {
+          ++admitted[static_cast<size_t>(t)];
+        }
       }
     });
   }
   for (std::thread& th : threads) th.join();
   EXPECT_EQ(cache.entries(), kCapacity);
+  int64_t total = 0;
+  for (int64_t a : admitted) total += a;
+  EXPECT_EQ(total, kCapacity);
 }
 
 // ---------------------------------------------------------------------------
 // Identity grid: cache on/off × capacity × num_threads × batch_width
 // ---------------------------------------------------------------------------
 
-TEST(DescentCacheIdentity, GridBitIdenticalAcrossCapacityThreadsAndWidth) {
-  Rng rng(TestSeed(1501));
-  Nfa nfa = RandomNfa(7, 0.3, 0.3, rng);
-  const int n = 6;
-
-  // Baseline: cache off, sequential, narrowest batches.
-  CountOptions base = SessionTestOptions(TestSeed(1502));
-  base.descent_cache_capacity = 0;
-  base.num_threads = 1;
-  base.batch_width = 1;
-  Result<EngineSession> baseline = EngineSession::Create(nfa, n, base);
-  ASSERT_TRUE(baseline.ok());
-  std::vector<double> base_counts;
-  for (int level = 0; level <= n; ++level) {
-    Result<double> c = baseline->CountAtLength(level);
-    ASSERT_TRUE(c.ok());
-    base_counts.push_back(*c);
+/// 66 states over a 4-symbol alphabet whose symbols 2 and 3 have identical
+/// transitions: three symbol classes, one of weight 2, and frontiers two
+/// words wide — so an entry holds three two-word rows, and a slip in the
+/// class × row_words indexing reads another class's row.
+Nfa WideThreeClassNfa(uint64_t seed) {
+  constexpr int kStates = 66;
+  Rng rng(seed);
+  Nfa nfa(/*alphabet_size=*/4);
+  nfa.AddStates(kStates);
+  nfa.SetInitial(0);
+  for (StateId q = 0; q < kStates; ++q) {
+    for (Symbol a = 0; a < 3; ++a) {
+      // One forced edge keeps every level alive; about 1.5 more per symbol.
+      std::vector<StateId> targets = {
+          static_cast<StateId>(rng.UniformU64(kStates))};
+      for (StateId r = 0; r < kStates; ++r) {
+        if (rng.Bernoulli(1.5 / kStates)) targets.push_back(r);
+      }
+      for (StateId r : targets) {
+        nfa.AddTransition(q, a, r);
+        if (a == 2) nfa.AddTransition(q, 3, r);
+      }
+    }
   }
-  Result<std::vector<Word>> base_draws = baseline->SampleWords(n, 12);
-  ASSERT_TRUE(base_draws.ok());
+  nfa.AddAccepting(static_cast<StateId>(rng.UniformU64(kStates)));
+  nfa.AddAccepting(65);
+  return nfa;
+}
 
-  const int64_t capacities[] = {0, 4, int64_t{1} << 20};
-  const int thread_counts[] = {1, 4};
-  const int widths[] = {1, 32};
-  for (int64_t capacity : capacities) {
-    for (int threads : thread_counts) {
-      for (int width : widths) {
-        CountOptions opts = SessionTestOptions(TestSeed(1502));
-        opts.descent_cache_capacity = capacity;
-        opts.num_threads = threads;
-        opts.batch_width = width;
-        Result<EngineSession> session = EngineSession::Create(nfa, n, opts);
-        ASSERT_TRUE(session.ok())
-            << "capacity=" << capacity << " threads=" << threads
-            << " width=" << width;
-        for (int level = 0; level <= n; ++level) {
-          Result<double> c = session->CountAtLength(level);
-          ASSERT_TRUE(c.ok());
-          EXPECT_EQ(*c, base_counts[static_cast<size_t>(level)])
+struct GridCase {
+  const char* name;
+  Nfa nfa;
+  int n;
+  CountOptions options;
+};
+
+std::vector<GridCase> GridCases() {
+  Rng rng(TestSeed(1501));
+  std::vector<GridCase> cases;
+  cases.push_back({"random7", RandomNfa(7, 0.3, 0.3, rng), 6,
+                   SessionTestOptions(TestSeed(1502))});
+  // Smaller sample and trial floors keep the uncached legs of the 66-state
+  // case at unit-test cost; identity does not depend on the accuracy point.
+  CountOptions lean = SessionTestOptions(TestSeed(1504));
+  lean.calibration.ns_floor = 32;
+  lean.calibration.trial_floor = 64;
+  cases.push_back({"wide66x3classes", WideThreeClassNfa(TestSeed(1503)), 3,
+                   lean});
+  return cases;
+}
+
+TEST(DescentCacheIdentity, WideAutomatonHasThreeClassesAndTwoWordRows) {
+  const Nfa nfa = WideThreeClassNfa(TestSeed(1503));
+  const UnrolledNfa unrolled(&nfa, 5);
+  EXPECT_EQ(unrolled.symbol_classes().num_classes(), 3);
+  EXPECT_GT(nfa.num_states(), 64);
+}
+
+TEST(DescentCacheIdentity, GridBitIdenticalAcrossCapacityThreadsAndWidth) {
+  for (const GridCase& gc : GridCases()) {
+    SCOPED_TRACE(gc.name);
+    const Nfa& nfa = gc.nfa;
+    const int n = gc.n;
+
+    // Baseline: cache off, sequential, narrowest batches.
+    CountOptions base = gc.options;
+    base.descent_cache_capacity = 0;
+    base.num_threads = 1;
+    base.batch_width = 1;
+    Result<EngineSession> baseline = EngineSession::Create(nfa, n, base);
+    ASSERT_TRUE(baseline.ok());
+    std::vector<double> base_counts;
+    for (int level = 0; level <= n; ++level) {
+      Result<double> c = baseline->CountAtLength(level);
+      ASSERT_TRUE(c.ok());
+      base_counts.push_back(*c);
+    }
+    Result<std::vector<Word>> base_draws = baseline->SampleWords(n, 12);
+    ASSERT_TRUE(base_draws.ok());
+
+    const int64_t capacities[] = {0, 4, int64_t{1} << 20};
+    const int thread_counts[] = {1, 4};
+    const int widths[] = {1, 32};
+    for (int64_t capacity : capacities) {
+      for (int threads : thread_counts) {
+        for (int width : widths) {
+          CountOptions opts = gc.options;
+          opts.descent_cache_capacity = capacity;
+          opts.num_threads = threads;
+          opts.batch_width = width;
+          Result<EngineSession> session = EngineSession::Create(nfa, n, opts);
+          ASSERT_TRUE(session.ok())
               << "capacity=" << capacity << " threads=" << threads
-              << " width=" << width << " level=" << level;
+              << " width=" << width;
+          for (int level = 0; level <= n; ++level) {
+            Result<double> c = session->CountAtLength(level);
+            ASSERT_TRUE(c.ok());
+            EXPECT_EQ(*c, base_counts[static_cast<size_t>(level)])
+                << "capacity=" << capacity << " threads=" << threads
+                << " width=" << width << " level=" << level;
+          }
+          ExpectTablesIdentical(session->engine(), baseline->engine(), nfa,
+                                n);
+          Result<std::vector<Word>> draws = session->SampleWords(n, 12);
+          ASSERT_TRUE(draws.ok());
+          ASSERT_EQ(draws->size(), base_draws->size());
+          for (size_t i = 0; i < draws->size(); ++i) {
+            EXPECT_EQ((*draws)[i], (*base_draws)[i])
+                << "capacity=" << capacity << " threads=" << threads
+                << " width=" << width << " draw=" << i;
+          }
         }
-        ExpectTablesIdentical(session->engine(), baseline->engine(), nfa, n);
-        Result<std::vector<Word>> draws = session->SampleWords(n, 12);
-        ASSERT_TRUE(draws.ok());
-        ASSERT_EQ(draws->size(), base_draws->size());
-        for (size_t i = 0; i < draws->size(); ++i) {
-          EXPECT_EQ((*draws)[i], (*base_draws)[i])
-              << "capacity=" << capacity << " threads=" << threads
-              << " width=" << width << " draw=" << i;
+      }
+    }
+  }
+}
+
+TEST(DescentCacheIdentity, EveryAdmittedRowIsThePredecessorExpansion) {
+  // The walk copies a drawn class's row straight out of the entry, so each
+  // stored row must be exactly what the uncached path expands on demand.
+  for (const GridCase& gc : GridCases()) {
+    SCOPED_TRACE(gc.name);
+    Result<EngineSession> session =
+        EngineSession::Create(gc.nfa, gc.n, gc.options);
+    ASSERT_TRUE(session.ok());
+    ASSERT_TRUE(session->SampleWords(gc.n, 16).ok());
+    const FprasEngine& engine = session->engine();
+    const UnrolledNfa& unrolled = engine.unrolled();
+    const SymbolClassIndex& classes = unrolled.symbol_classes();
+    const size_t row_words =
+        (static_cast<size_t>(gc.nfa.num_states()) + 63) / 64;
+    std::vector<uint64_t> expected(row_words);
+    int64_t checked = 0;
+    bool high_word_used = false;  // some row reaches a state id >= 64
+    engine.descent_cache().ForEachEntry([&](const DescentEntry& entry) {
+      ASSERT_EQ(entry.set.size(), row_words);
+      ASSERT_EQ(entry.rows.size(),
+                static_cast<size_t>(classes.num_classes()) * row_words);
+      for (int c = 0; c < classes.num_classes(); ++c) {
+        unrolled.PredSetWordsInto(entry.set.data(), classes.Representative(c),
+                                  entry.level, expected.data(),
+                                  simd::ActiveKernels());
+        for (size_t k = 0; k < row_words; ++k) {
+          EXPECT_EQ(entry.Row(c)[k], expected[k])
+              << "level=" << entry.level << " class=" << c << " word=" << k;
+          if (k > 0 && expected[k] != 0) high_word_used = true;
         }
+      }
+      ++checked;
+    });
+    EXPECT_EQ(checked, engine.diagnostics().descent_entries);
+    if (std::getenv("NFACOUNT_DESCENT_CACHE") == nullptr) {
+      EXPECT_GT(checked, 0);
+      if (row_words > 1) {
+        EXPECT_TRUE(high_word_used);
       }
     }
   }
@@ -211,6 +428,10 @@ TEST(DescentCacheIdentity, CacheActuallyHitsOnRepeatedDescents) {
     EXPECT_GT(diag.descent_bytes, 0);
   }
   EXPECT_GE(diag.descent_hits + diag.descent_misses, diag.descent_entries);
+  // An entry carries its rows, so the walk makes one probe per group per
+  // level and the two counter pairs agree.
+  EXPECT_EQ(diag.descent_hits, diag.memo_hits);
+  EXPECT_EQ(diag.descent_misses, diag.memo_misses);
 }
 
 TEST(DescentCacheEnv, MalformedOverrideIsInvalid) {

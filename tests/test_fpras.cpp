@@ -167,7 +167,7 @@ TEST(Fpras, DiagnosticsAreConsistent) {
                 d.fail_dead_branch);
   EXPECT_GT(d.states_processed, 0);
   EXPECT_GE(d.wall_seconds, 0.0);
-  // memo_hits/memo_misses count descent-cache union-size probes, which a
+  // memo_hits/memo_misses count descent-cache probes, which a
   // process-wide NFACOUNT_DESCENT_CACHE=0 switches off.
   if (std::getenv("NFACOUNT_DESCENT_CACHE") == nullptr) {
     EXPECT_GT(d.memo_hits + d.memo_misses, 0);
