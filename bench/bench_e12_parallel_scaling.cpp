@@ -9,6 +9,12 @@
 //         swept over {1, 2, 4, 8}; speedup is T(1)/T(k) per m.
 //   E12b: one E4-style deeper instance (m = 64, n = 16) for the long-level
 //         shape (fewer, fatter levels stress the per-level barrier less).
+//   E12c: post-run draws/s of SampleWords vs the session's thread count
+//         {1, 2, 4} on a built session: E3 at m = 96, n = 10 and
+//         SparseRandomNfa(64, 2, 1.8) at n = 12. Each cell is the median of
+//         kDrawRuns timed SampleWords(n, kDrawWords) calls after one
+//         warm-up call; bit_identical_to_t1 compares every drawn word with
+//         the 1-thread session's.
 //
 // Methodology (bench/README.md): Release build, one warm-up run per (m,
 // threads) cell, fixed seed. Speedup is hardware-bound: on a single-core
@@ -18,6 +24,7 @@
 // --json <path> writes the full trajectory (config + per-cell rows) as one
 // JSON object, e.g. `bench_e12_parallel_scaling --json BENCH_e12.json`.
 
+#include <algorithm>
 #include <cstdint>
 #include <thread>
 #include <vector>
@@ -37,6 +44,8 @@ Nfa E3Automaton(int m) {
 }
 
 constexpr uint64_t kSeed = 31;
+constexpr int64_t kDrawWords = 20000;
+constexpr int kDrawRuns = 5;
 
 struct Cell {
   double seconds = 0.0;
@@ -89,6 +98,74 @@ void SweepInstance(const char* family, int m, int n,
   }
 }
 
+/// One E12c cell: the words a session at `threads` draws in kDrawRuns timed
+/// calls, and the median draws/s over those calls.
+struct DrawCell {
+  double draws_per_s = 0.0;
+  std::vector<Word> words;
+};
+
+DrawCell DrawWithThreads(const Nfa& nfa, int n, int threads) {
+  CountOptions o = DefaultOptions(kSeed);
+  o.num_threads = threads;
+  DrawCell cell;
+  Result<EngineSession> session = EngineSession::Create(nfa, n, o);
+  if (!session.ok() || !session->ExtendTo(n).ok() ||
+      !session->SampleWords(n, kDrawWords).ok()) {
+    std::fprintf(stderr, "E12c: session set-up failed\n");
+    return cell;
+  }
+  std::vector<double> rates;
+  for (int run = 0; run < kDrawRuns; ++run) {
+    WallTimer timer;
+    Result<std::vector<Word>> drawn = session->SampleWords(n, kDrawWords);
+    const double seconds = timer.ElapsedSeconds();
+    if (!drawn.ok()) {
+      std::fprintf(stderr, "E12c: SampleWords failed: %s\n",
+                   drawn.status().ToString().c_str());
+      return cell;
+    }
+    rates.push_back(static_cast<double>(kDrawWords) / seconds);
+    cell.words.insert(cell.words.end(), drawn->begin(), drawn->end());
+  }
+  std::sort(rates.begin(), rates.end());
+  cell.draws_per_s = rates[rates.size() / 2];
+  return cell;
+}
+
+void SweepDraws(const char* family, const Nfa& nfa, int n,
+                BenchReport* report) {
+  const int m = nfa.num_states();
+  std::vector<DrawCell> cells;
+  for (int threads : {1, 2, 4}) {
+    cells.push_back(DrawWithThreads(nfa, n, threads));
+    const DrawCell& cell = cells.back();
+    const bool identical =
+        !cell.words.empty() && cell.words == cells.front().words;
+    const double speedup = cells.front().draws_per_s > 0.0
+                               ? cell.draws_per_s / cells.front().draws_per_s
+                               : 0.0;
+    Row({family, FmtInt(m), FmtInt(n), FmtInt(threads),
+         Fmt(cell.draws_per_s, "%.0f"), Fmt(speedup, "%.2fx"),
+         identical ? "yes" : "NO"});
+    JsonObject row;
+    row.Set("family", family)
+        .Set("m", m)
+        .Set("n", n)
+        .Set("threads", threads)
+        .Set("draws_per_s", cell.draws_per_s)
+        .Set("speedup_vs_1", speedup)
+        .Set("bit_identical_to_t1", identical);
+    report->AddRow("draws", std::move(row));
+    if (!identical) {
+      std::fprintf(stderr,
+                   "E12c: DRAW STREAM DIFFERS FROM 1 THREAD on %s m=%d n=%d "
+                   "threads=%d\n",
+                   family, m, n, threads);
+    }
+  }
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -106,7 +183,10 @@ int main(int argc, char** argv) {
       .Set("delta", 0.2)
       .Set("seed", kSeed)
       .Set("hardware_threads", static_cast<int>(hw))
-      .SetRaw("thread_counts", "[1,2,4,8]");
+      .SetRaw("thread_counts", "[1,2,4,8]")
+      .Set("draw_family_sparse", "SparseRandomNfa(64, 2, 1.8), Rng(2024)")
+      .Set("draw_words_per_run", kDrawWords)
+      .Set("draw_runs", kDrawRuns);
 
   Section("E12a: Run() wall time vs threads, E3 family n=8");
   Row({"family", "m", "n", "threads", "wall_s", "speedup", "estimate",
@@ -120,6 +200,18 @@ int main(int argc, char** argv) {
        "identical"});
   SweepInstance("E4", 64, 16, thread_counts, &report);
 
+  Section("E12c: SampleWords draws/s vs session threads (median of " +
+          std::to_string(kDrawRuns) + " x " + std::to_string(kDrawWords) +
+          " words)");
+  Row({"family", "m", "n", "threads", "draws_per_s", "speedup",
+       "identical"});
+  SweepDraws("E3", E3Automaton(96), 10, &report);
+  {
+    Rng rng(2024);
+    SweepDraws("sparse", SparseRandomNfa(64, /*k=*/2, /*d=*/1.8, rng), 12,
+               &report);
+  }
+
   const bool json_ok = report.WriteTo(json_path);
 
   std::printf(
@@ -127,6 +219,8 @@ int main(int argc, char** argv) {
       "workload — the estimates column must agree bit-for-bit across every\n"
       "row of one (m, n) block ('identical' = yes). Scaling saturates at the\n"
       "host's physical core count; per-level cell counts (≈ m) bound the\n"
-      "available parallelism at small m.\n");
+      "available parallelism at small m. E12c's draws split each request\n"
+      "into attempt-ordered windows of walk batches, so every thread count\n"
+      "draws the 1-thread word stream ('identical' = yes).\n");
   return json_ok ? 0 : 1;
 }

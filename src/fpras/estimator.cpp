@@ -28,6 +28,14 @@ constexpr uint64_t kFinalUnionTag = 0xF1F1F1F1F1F1F1F1ULL;
 constexpr uint64_t kDrawStreamTag = 0xD12AD12AD12AD12AULL;
 constexpr uint64_t kRefillWalkTag = 0xB47CB47CB47CB47CULL;
 
+// Parallel draw windows (FprasEngine::DrawWindowBatches): consumed attempts
+// before the running accept ratio replaces the 2/(3e) prior, the fewest
+// batches per draw worker worth a pool wake, and the attempt cap of one
+// window (it bounds the window's result slabs).
+constexpr int64_t kDrawRatioHistory = 256;
+constexpr int64_t kMinDrawBatchesPerThread = 4;
+constexpr double kMaxDrawWindowAttempts = 8192.0;
+
 /// Shared AppUnion parameterization for a given level and δ.
 AppUnionParams MakeUnionParams(const FprasParams& p, double delta_param,
                                int level) {
@@ -85,14 +93,30 @@ void DescentCache::Reset(int64_t capacity, size_t row_words,
   for (Shard& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard.mu);
     shard.map.clear();
+    shard.hits.store(0, std::memory_order_relaxed);
+    shard.misses.store(0, std::memory_order_relaxed);
   }
   capacity_ = capacity;
   row_words_ = row_words;
   num_classes_ = num_classes;
   entries_.store(0, std::memory_order_relaxed);
   bytes_.store(0, std::memory_order_relaxed);
-  hits_.store(0, std::memory_order_relaxed);
-  misses_.store(0, std::memory_order_relaxed);
+}
+
+int64_t DescentCache::hits() const {
+  int64_t total = 0;
+  for (const Shard& shard : shards_) {
+    total += shard.hits.load(std::memory_order_relaxed);
+  }
+  return total;
+}
+
+int64_t DescentCache::misses() const {
+  int64_t total = 0;
+  for (const Shard& shard : shards_) {
+    total += shard.misses.load(std::memory_order_relaxed);
+  }
+  return total;
 }
 
 uint64_t DescentCache::KeyHash(int level, const uint64_t* set) const {
@@ -101,29 +125,56 @@ uint64_t DescentCache::KeyHash(int level, const uint64_t* set) const {
   return h;
 }
 
+bool DescentCache::Matches(const DescentEntry& entry, int level,
+                           const uint64_t* set) {
+  return entry.level == level &&
+         std::equal(entry.set.begin(), entry.set.end(), set);
+}
+
 const DescentEntry* DescentCache::FindLocked(const Shard& shard,
                                              uint64_t hash, int level,
                                              const uint64_t* set) const {
   const auto range = shard.map.equal_range(hash);
   for (auto it = range.first; it != range.second; ++it) {
-    const DescentEntry& entry = it->second;
-    if (entry.level == level &&
-        std::equal(entry.set.begin(), entry.set.end(), set)) {
-      return &entry;
-    }
+    if (Matches(it->second, level, set)) return &it->second;
   }
   return nullptr;
 }
 
 const DescentEntry* DescentCache::Find(int level, const uint64_t* set) {
+  return FindHashed(KeyHash(level, set), level, set);
+}
+
+const DescentEntry* DescentCache::Find(int level, const uint64_t* set,
+                                       Lookaside* lookaside) {
   const uint64_t hash = KeyHash(level, set);
-  Shard& shard = ShardFor(hash);
-  const DescentEntry* entry;
-  {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    entry = FindLocked(shard, hash, level, set);
+  const DescentEntry*& slot = lookaside->slots_[hash % Lookaside::kSlots];
+  if (slot != nullptr && Matches(*slot, level, set)) {
+    ++lookaside->pending_hits_[hash >> (64 - kShardBits)];
+    return slot;
   }
-  (entry != nullptr ? hits_ : misses_).fetch_add(1, std::memory_order_relaxed);
+  const DescentEntry* entry = FindHashed(hash, level, set);
+  if (entry != nullptr) slot = entry;
+  return entry;
+}
+
+void DescentCache::Flush(Lookaside* lookaside) {
+  for (int s = 0; s < kNumShards; ++s) {
+    int64_t& pending = lookaside->pending_hits_[static_cast<size_t>(s)];
+    if (pending == 0) continue;
+    shards_[static_cast<size_t>(s)].hits.fetch_add(pending,
+                                                   std::memory_order_relaxed);
+    pending = 0;
+  }
+}
+
+const DescentEntry* DescentCache::FindHashed(uint64_t hash, int level,
+                                             const uint64_t* set) {
+  Shard& shard = ShardFor(hash);
+  std::lock_guard<std::mutex> lock(shard.mu);
+  const DescentEntry* entry = FindLocked(shard, hash, level, set);
+  (entry != nullptr ? shard.hits : shard.misses)
+      .fetch_add(1, std::memory_order_relaxed);
   return entry;
 }
 
@@ -174,21 +225,21 @@ FprasEngine::FprasEngine(const Nfa* nfa, FprasParams params, uint64_t seed)
   assert(params_.m == nfa->num_states());
   workers_.resize(1);
   workers_[0].pred_scratch = Bitset(static_cast<size_t>(nfa->num_states()));
-  draw_.pred_scratch = Bitset(static_cast<size_t>(nfa->num_states()));
+  draws_.resize(1);
+  draws_[0].pred_scratch = Bitset(static_cast<size_t>(nfa->num_states()));
 }
 
 const FprasDiagnostics& FprasEngine::diagnostics() const {
   diag_ = FprasDiagnostics{};
-  for (const WorkerScratch& ws : workers_) {
-    AccumulateDiag(ws.diag, &diag_);
-    diag_.arena_bytes_reserved += ws.arena.bytes_reserved();
-    diag_.arena_alloc_events += ws.arena.alloc_events();
+  // The draw bundles' counters are part of the same totals (a sequential
+  // run would have accumulated them on worker 0).
+  for (const std::vector<WorkerScratch>* bundles : {&workers_, &draws_}) {
+    for (const WorkerScratch& ws : *bundles) {
+      AccumulateDiag(ws.diag, &diag_);
+      diag_.arena_bytes_reserved += ws.arena.bytes_reserved();
+      diag_.arena_alloc_events += ws.arena.alloc_events();
+    }
   }
-  // The draw path's dedicated scratch: its counters are part of the same
-  // totals (a sequential run would have accumulated them on worker 0).
-  AccumulateDiag(draw_.diag, &diag_);
-  diag_.arena_bytes_reserved += draw_.arena.bytes_reserved();
-  diag_.arena_alloc_events += draw_.arena.alloc_events();
   // The descent cache's counters are authoritative (shared across workers);
   // they are the only scheduling-dependent diagnostics.
   diag_.memo_hits = descent_.hits();
@@ -309,7 +360,8 @@ void FprasEngine::UnionSizesInto(int level, const Bitset& state_set,
 
 void FprasEngine::RunWalkBatch(int level, const Bitset& state_set, double phi0,
                                uint64_t walk_key, int64_t first_attempt,
-                               int count, WorkerScratch& ws) {
+                               int count, WorkerScratch& ws,
+                               DescentCache::Lookaside* lookaside) {
   SampleArena& ar = ws.arena;
   const size_t m_bits = static_cast<size_t>(nfa_->num_states());
   const size_t row_words = (m_bits + 63) / 64;
@@ -356,8 +408,11 @@ void FprasEngine::RunWalkBatch(int level, const Bitset& state_set, double phi0,
         // and draws. A miss estimates the sizes, expanding every class's row
         // on the way, and offers both to the cache.
         const uint64_t* frontier = ar.cur.Row(g);
-        const DescentEntry* entry =
-            use_descent ? descent_.Find(i, frontier) : nullptr;
+        const DescentEntry* entry = nullptr;
+        if (use_descent) {
+          entry = lookaside != nullptr ? descent_.Find(i, frontier, lookaside)
+                                       : descent_.Find(i, frontier);
+        }
         if (entry == nullptr) {
           ar.frontier_scratch.AssignWords(frontier, row_words);
           UnionSizesInto(i, ar.frontier_scratch, delta_union,
@@ -432,7 +487,7 @@ void FprasEngine::RunWalkBatch(int level, const Bitset& state_set, double phi0,
       ar.next_group_of[w] = child;
       any_alive = true;
     }
-    if (!any_alive) return;  // the whole batch died mid-walk
+    if (!any_alive) break;  // the whole batch died mid-walk
     std::swap(ar.cur, ar.next);
     std::swap(ar.group_of, ar.next_group_of);
     group_count = next_group_count;
@@ -465,17 +520,19 @@ void FprasEngine::RunWalkBatch(int level, const Bitset& state_set, double phi0,
     ar.state_of[w] = SampleArena::kAccepted;
     ar.accepted.push_back(w);
   }
+  if (lookaside != nullptr) descent_.Flush(lookaside);
 }
 
-void FprasEngine::ConsumeWalkDiagnostics(int consumed, WorkerScratch& ws) {
-  const SampleArena& ar = ws.arena;
-  ws.diag.sample_calls += consumed;
+void FprasEngine::ConsumeWalkDiagnostics(const uint8_t* outcomes,
+                                         int consumed,
+                                         FprasDiagnostics* diag) {
+  diag->sample_calls += consumed;
   for (int w = 0; w < consumed; ++w) {
-    switch (ar.outcome_of[w]) {
-      case SampleArena::kOutcomeAccepted: ++ws.diag.sample_success; break;
-      case SampleArena::kOutcomePhi: ++ws.diag.fail_phi_gt_1; break;
-      case SampleArena::kOutcomeBernoulli: ++ws.diag.fail_bernoulli; break;
-      default: ++ws.diag.fail_dead_branch; break;
+    switch (outcomes[w]) {
+      case SampleArena::kOutcomeAccepted: ++diag->sample_success; break;
+      case SampleArena::kOutcomePhi: ++diag->fail_phi_gt_1; break;
+      case SampleArena::kOutcomeBernoulli: ++diag->fail_bernoulli; break;
+      default: ++diag->fail_dead_branch; break;
     }
   }
 }
@@ -545,7 +602,7 @@ void FprasEngine::RefillSamples(StateId q, int level, WorkerScratch& ws) {
           break;
         }
       }
-      ConsumeWalkDiagnostics(consumed, ws);
+      ConsumeWalkDiagnostics(ws.arena.outcome_of.data(), consumed, &ws.diag);
       attempt += batch;
     }
   }
@@ -654,21 +711,21 @@ Status FprasEngine::Prepare() {
   batch_width_ = params_.ResolvedBatchWidth();
   kernels_ = &simd::ActiveKernels();
   post_attempt_counter_ = 0;
-  workers_.clear();
-  workers_.resize(static_cast<size_t>(threads));
-  for (WorkerScratch& ws : workers_) {
-    ws.pred_scratch = Bitset(static_cast<size_t>(m));
-    ws.target_scratch = Bitset(static_cast<size_t>(m));
-    ws.arena.PrepareRun(batch_width_, std::max(n, 1),
-                        static_cast<size_t>(m), num_classes);
+  draw_pool_.reset();
+  draw_lookasides_.clear();
+  window_ = DrawWindow{};
+  // Draw-path scratch: its own bundles so post-run draws never contend
+  // with (or corrupt) a concurrently extending sweep's worker slots.
+  for (std::vector<WorkerScratch>* bundles : {&workers_, &draws_}) {
+    bundles->clear();
+    bundles->resize(static_cast<size_t>(threads));
+    for (WorkerScratch& ws : *bundles) {
+      ws.pred_scratch = Bitset(static_cast<size_t>(m));
+      ws.target_scratch = Bitset(static_cast<size_t>(m));
+      ws.arena.PrepareRun(batch_width_, std::max(n, 1),
+                          static_cast<size_t>(m), num_classes);
+    }
   }
-  // Draw-path scratch: its own bundle so post-run draws never contend with
-  // (or corrupt) a concurrently extending sweep's worker slots.
-  draw_ = WorkerScratch{};
-  draw_.pred_scratch = Bitset(static_cast<size_t>(m));
-  draw_.target_scratch = Bitset(static_cast<size_t>(m));
-  draw_.arena.PrepareRun(batch_width_, std::max(n, 1), static_cast<size_t>(m),
-                         num_classes);
   levels_.assign(static_cast<size_t>(n) + 1, LevelState{});
   for (LevelState& state : levels_) {
     state.cells.resize(static_cast<size_t>(m));
@@ -851,6 +908,78 @@ int64_t FprasEngine::ApproxTableBytes() const {
   return bytes;
 }
 
+int64_t FprasEngine::DrawWindowBatches(int64_t owed,
+                                       int64_t attempts_left) const {
+  const int64_t threads = static_cast<int64_t>(draws_.size());
+  if (threads == 1) return 1;
+  // The accept ratio of the draw attempts consumed so far, or 2/(3e) — the
+  // ratio of exact tables (γ0·|L(A_ℓ)|) — until there is a history.
+  const FprasDiagnostics& history = draws_[0].diag;
+  const double ratio =
+      history.sample_calls >= kDrawRatioHistory
+          ? static_cast<double>(history.sample_success) /
+                static_cast<double>(history.sample_calls)
+          : kGammaNumerator;
+  const double width = static_cast<double>(batch_width_);
+  // The batches the owed words need at that ratio: a window that size ends
+  // within a batch or two of its last needed accept, so the speculative
+  // tail is at most one window (and a short one is finished inline).
+  double batches = ratio > 0.0 ? std::ceil(static_cast<double>(owed) /
+                                           (ratio * width))
+                               : kMaxDrawWindowAttempts / width;
+  batches = std::min({batches, std::ceil(attempts_left / width),
+                      std::floor(kMaxDrawWindowAttempts / width)});
+  // Below a few batches per thread the pool wake costs more than the split
+  // saves.
+  if (batches < static_cast<double>(kMinDrawBatchesPerThread * threads)) {
+    return 1;
+  }
+  return static_cast<int64_t>(batches);
+}
+
+void FprasEngine::RunDrawWindow(int level, const Bitset& alive, double gamma0,
+                                int64_t batches, int64_t attempts_left) {
+  if (draw_pool_ == nullptr) {
+    draw_pool_ = std::make_unique<ThreadPool>(static_cast<int>(draws_.size()));
+    draw_lookasides_.resize(draws_.size());
+  }
+  const size_t width = static_cast<size_t>(batch_width_);
+  const size_t word_len = static_cast<size_t>(level);
+  DrawWindow& win = window_;
+  win.counts.resize(static_cast<size_t>(batches));
+  win.num_accepted.resize(static_cast<size_t>(batches));
+  win.outcomes.resize(static_cast<size_t>(batches) * width);
+  win.accepted.resize(static_cast<size_t>(batches) * width);
+  win.words.resize(static_cast<size_t>(batches) * width * word_len);
+  const int64_t first_attempt = post_attempt_counter_;
+  const Status status = draw_pool_->ParallelFor(
+      batches, [&](int64_t k, int worker) {
+        WorkerScratch& ws = draws_[static_cast<size_t>(worker)];
+        const int64_t offset = k * batch_width_;
+        const int count = static_cast<int>(
+            std::min<int64_t>(batch_width_, attempts_left - offset));
+        RunWalkBatch(level, alive, gamma0, kDrawStreamTag,
+                     first_attempt + offset, count, ws,
+                     &draw_lookasides_[static_cast<size_t>(worker)]);
+        const SampleArena& ar = ws.arena;
+        const size_t slot = static_cast<size_t>(k) * width;
+        win.counts[static_cast<size_t>(k)] = count;
+        win.num_accepted[static_cast<size_t>(k)] =
+            static_cast<int>(ar.accepted.size());
+        std::copy(ar.outcome_of.begin(), ar.outcome_of.begin() + count,
+                  win.outcomes.begin() + slot);
+        std::copy(ar.accepted.begin(), ar.accepted.end(),
+                  win.accepted.begin() + slot);
+        for (int32_t w : ar.accepted) {
+          std::copy(ar.WordOf(w), ar.WordOf(w) + level,
+                    win.words.begin() + (slot + w) * word_len);
+        }
+        return Status::Ok();
+      });
+  // RunWalkBatch returns no Status; only an exception (bad_alloc) lands here.
+  NFA_CHECK(status.ok(), "SampleAcceptedInto: draw window failed");
+}
+
 int64_t FprasEngine::SampleAcceptedInto(int level, int64_t max_attempts,
                                         int64_t min_accepts,
                                         std::vector<Word>* out) {
@@ -868,33 +997,58 @@ int64_t FprasEngine::SampleAcceptedInto(int level, int64_t max_attempts,
   if (!(accepted > 0.0)) return 0;
   const double gamma0 = kGammaNumerator / accepted;
 
-  // Post-run draws own their dedicated scratch bundle, so they may run
+  // Post-run draws own their scratch bundles and pool, so they may run
   // concurrently with an extending sweep on the worker slots (serve mode);
   // callers serialize draws among themselves (the attempt cursor is plain).
-  WorkerScratch& ws = draw_;
+  WorkerScratch& lead = draws_[0];
   int64_t appended = 0;
   int64_t attempts_left = max_attempts;
-  while (attempts_left > 0 && appended < min_accepts) {
-    const int batch =
-        static_cast<int>(std::min<int64_t>(batch_width_, attempts_left));
-    RunWalkBatch(level, alive, gamma0, kDrawStreamTag, post_attempt_counter_,
-                 batch, ws);
-    // Stop at the accept that satisfies the request; the cursor and budget
-    // advance only through it, so the walks after it are as if they never
-    // ran (a later call re-derives them from their per-attempt substreams,
-    // bit for bit).
-    int consumed = batch;
-    for (int32_t w : ws.arena.accepted) {
-      out->emplace_back(ws.arena.WordOf(w), ws.arena.WordOf(w) + level);
-      ++appended;
-      if (appended >= min_accepts) {
+  // Scans one finished batch in attempt order. It stops at the accept that
+  // satisfies the request; the cursor and budget advance only through it,
+  // so the walks after it are as if they never ran (a later call re-derives
+  // them from their per-attempt substreams, bit for bit).
+  const auto consume = [&](const DrawBatchView& batch) {
+    int consumed = batch.count;
+    for (int i = 0; i < batch.num_accepted; ++i) {
+      const int32_t w = batch.accepted[i];
+      const Symbol* word = batch.words + static_cast<size_t>(w) *
+                                             batch.word_stride;
+      out->emplace_back(word, word + level);
+      if (++appended >= min_accepts) {
         consumed = w + 1;
         break;
       }
     }
     post_attempt_counter_ += consumed;
     attempts_left -= consumed;
-    ConsumeWalkDiagnostics(consumed, ws);
+    ConsumeWalkDiagnostics(batch.outcomes, consumed, &lead.diag);
+  };
+  while (attempts_left > 0 && appended < min_accepts) {
+    const int64_t batches =
+        DrawWindowBatches(min_accepts - appended, attempts_left);
+    if (batches == 1) {
+      const int count =
+          static_cast<int>(std::min<int64_t>(batch_width_, attempts_left));
+      RunWalkBatch(level, alive, gamma0, kDrawStreamTag,
+                   post_attempt_counter_, count, lead);
+      const SampleArena& ar = lead.arena;
+      consume(DrawBatchView{count, ar.outcome_of.data(), ar.accepted.data(),
+                            static_cast<int>(ar.accepted.size()),
+                            ar.WordOf(0), ar.word_stride()});
+      continue;
+    }
+    RunDrawWindow(level, alive, gamma0, batches, attempts_left);
+    const size_t width = static_cast<size_t>(batch_width_);
+    for (int64_t k = 0; k < batches && appended < min_accepts; ++k) {
+      const size_t slot = static_cast<size_t>(k) * width;
+      consume(DrawBatchView{window_.counts[static_cast<size_t>(k)],
+                            window_.outcomes.data() + slot,
+                            window_.accepted.data() + slot,
+                            window_.num_accepted[static_cast<size_t>(k)],
+                            window_.words.data() +
+                                slot * static_cast<size_t>(level),
+                            static_cast<size_t>(level)});
+    }
   }
   return appended;
 }

@@ -57,17 +57,18 @@
 // user-facing wrapper over this contract.
 //
 // Serve-mode seam (docs/ARCHITECTURE.md "Serve mode"): the post-run draw
-// path owns a dedicated scratch bundle (draw_) distinct from the sweep
-// workers, and computed_level_ is an atomic, so ONE extending thread
-// (RunToLevel) may run concurrently with draw/read threads as long as the
-// readers only touch levels the extender has already finished: frozen
-// LevelStates are immutable, the descent cache is internally locked and
-// hands out immutable entries, and every estimate is content-keyed, so the
-// interleaving is invisible in all results. computed_level() is the one
-// level-visibility fence: a level's cells and its |L(A_ℓ)| are written
-// before the release store that publishes it. Callers must serialize draws
-// among themselves (post_attempt_counter_ is a plain cursor); diagnostics()
-// still requires quiescence.
+// path owns its scratch bundles (draws_, one per draw worker) and its own
+// lazily created pool, both distinct from the sweep's workers_ and pool_,
+// and computed_level_ is an atomic, so ONE extending thread (RunToLevel) may
+// run concurrently with draw/read threads as long as the readers only touch
+// levels the extender has already finished: frozen LevelStates are
+// immutable, the descent cache is internally locked and hands out immutable
+// entries, and every estimate is content-keyed, so the interleaving is
+// invisible in all results. computed_level() is the one level-visibility
+// fence: a level's cells and its |L(A_ℓ)| are written before the release
+// store that publishes it. Callers must serialize draws among themselves
+// (post_attempt_counter_ is a plain cursor); diagnostics() still requires
+// quiescence.
 
 #ifndef NFACOUNT_FPRAS_ESTIMATOR_HPP_
 #define NFACOUNT_FPRAS_ESTIMATOR_HPP_
@@ -105,6 +106,15 @@ struct FprasDiagnostics {
   /// estimated fresh. Both stay 0 when the cache is disabled (capacity 0).
   /// Scheduling-dependent: two threads can both miss on a key a sequential
   /// run would hit once; results never move (the cache is pure).
+  ///
+  /// Parallel draws (SampleAcceptedInto with num_threads > 1) run whole
+  /// windows of walk batches, and the batches past the accept that
+  /// completes a request are speculative. Their work shows up only in the
+  /// counters that are scheduling-dependent anyway: the descent-cache
+  /// hits/misses/entries/bytes, walk_batches, and the appunion_* and
+  /// membership_checks of a descent miss. The per-walk counters
+  /// (sample_calls, sample_success, fail_*) stay exact at every thread
+  /// count, and at num_threads = 1 no counter sees a speculative batch.
   int64_t memo_hits = 0;
   int64_t memo_misses = 0;
   /// Equal to memo_hits/memo_misses: an entry carries its predecessor rows,
@@ -135,7 +145,7 @@ struct FprasDiagnostics {
   int64_t states_processed = 0; ///< reachable (q, ℓ) copies visited
   int64_t walk_batches = 0;     ///< lockstep plane sweeps launched
   /// Bytes reserved by the per-worker SampleArenas (snapshot at the
-  /// diagnostics() call, summed over workers).
+  /// diagnostics() call, summed over sweep workers and draw bundles).
   int64_t arena_bytes_reserved = 0;
   /// Arena capacity-growth events since engine construction: flat after the
   /// first batches warm the slabs (the zero-per-sample-allocation contract).
@@ -218,7 +228,7 @@ struct DescentEntry {
 /// predecessor expansion is a pure function of (level, frontier, class) over
 /// the fixed unrolled automaton. Estimates, tables, and draw streams are
 /// therefore bit-identical with the cache on, off, or at any capacity; only
-/// the atomic hit/miss counters are scheduling-dependent.
+/// the hit/miss counters are scheduling-dependent.
 ///
 /// This is the engine's only (level, frontier) cache, so a capacity of 0 is
 /// the truly uncached reference (every descent step re-estimates its union
@@ -229,8 +239,31 @@ struct DescentEntry {
 /// concurrency). Entries are never mutated or evicted, and map nodes never
 /// move, so a returned pointer stays valid — and may be read without the
 /// lock — until Reset, which only FprasEngine::Prepare calls.
+///
+/// Parallel draw windows probe through a private Lookaside per draw worker:
+/// the entries that worker found lately, read without any lock. The hot
+/// (level, frontier) keys — the top levels of every draw walk — then cost
+/// the workers no shared-line traffic, which is what lets draw batches on
+/// several threads scale.
 class DescentCache {
+ private:
+  static constexpr int kShardBits = 4;
+  static constexpr int kNumShards = 1 << kShardBits;
+
  public:
+  /// One walker's direct-mapped front for Find (not thread-safe; one per
+  /// draw-pool slot). A slot holds an admitted entry, so a slot hit is a
+  /// cache hit without the shard lock; its count waits in the lookaside
+  /// until Flush adds it to the shard's counter. Valid until the cache's
+  /// next Reset.
+  class Lookaside {
+   private:
+    friend class DescentCache;
+    static constexpr size_t kSlots = 1024;
+    std::array<const DescentEntry*, kSlots> slots_{};
+    std::array<int64_t, kNumShards> pending_hits_{};
+  };
+
   /// Clears all shards and counters and fixes the geometry: row_words words
   /// per frontier and per predecessor row, num_classes rows per entry.
   /// Capacity caps the number of (level, frontier) entries; 0 disables the
@@ -243,6 +276,16 @@ class DescentCache {
   /// Counts one hit or miss.
   const DescentEntry* Find(int level, const uint64_t* set);
 
+  /// Find through `lookaside`: a slot hit takes no lock and counts its hit
+  /// in the lookaside; anything else is a locked Find whose entry, once
+  /// found, takes the slot. The same hit/miss outcome as Find, so the
+  /// totals after Flush are Find's.
+  const DescentEntry* Find(int level, const uint64_t* set,
+                           Lookaside* lookaside);
+
+  /// Adds the lookaside's pending hits to the shard counters.
+  void Flush(Lookaside* lookaside);
+
   /// Admits (level, set) → (sizes, rows) and returns the stored entry;
   /// `rows` holds num_classes × row_words words in class order. The first
   /// writer wins: an existing key returns its entry unchanged (concurrent
@@ -252,8 +295,10 @@ class DescentCache {
                              const std::vector<double>& sizes,
                              const uint64_t* rows);
 
-  int64_t hits() const { return hits_.load(std::memory_order_relaxed); }
-  int64_t misses() const { return misses_.load(std::memory_order_relaxed); }
+  /// Probe totals, summed over the shards: lock-free and safe from any
+  /// thread while others probe.
+  int64_t hits() const;
+  int64_t misses() const;
   int64_t entries() const { return entries_.load(std::memory_order_relaxed); }
   /// Footprint of the admitted entries, rows included.
   int64_t bytes() const { return bytes_.load(std::memory_order_relaxed); }
@@ -271,14 +316,15 @@ class DescentCache {
  private:
   /// Keyed by the (level, set) hash, computed once per call: its top bits
   /// pick the shard and the map buckets it. The entry carries its key, so a
-  /// probe compares words in place and copies nothing.
-  struct Shard {
+  /// probe compares words in place and copies nothing. The shard counts its
+  /// own probes on the cache line its mutex already pulled in, so concurrent
+  /// walkers on different shards share no counter line.
+  struct alignas(64) Shard {
     mutable std::mutex mu;
     std::unordered_multimap<uint64_t, DescentEntry> map;
+    std::atomic<int64_t> hits{0};
+    std::atomic<int64_t> misses{0};
   };
-
-  static constexpr int kShardBits = 4;
-  static constexpr int kNumShards = 1 << kShardBits;
 
   uint64_t KeyHash(int level, const uint64_t* set) const;
   Shard& ShardFor(uint64_t hash) {
@@ -287,6 +333,11 @@ class DescentCache {
   /// The entry of (level, set) in `shard` (lock held), or nullptr.
   const DescentEntry* FindLocked(const Shard& shard, uint64_t hash, int level,
                                  const uint64_t* set) const;
+  /// Find with the key's hash already computed.
+  const DescentEntry* FindHashed(uint64_t hash, int level,
+                                 const uint64_t* set);
+  static bool Matches(const DescentEntry& entry, int level,
+                      const uint64_t* set);
 
   std::array<Shard, kNumShards> shards_;
   int64_t capacity_ = 0;
@@ -294,8 +345,6 @@ class DescentCache {
   int num_classes_ = 0;
   std::atomic<int64_t> entries_{0};
   std::atomic<int64_t> bytes_{0};
-  std::atomic<int64_t> hits_{0};
-  std::atomic<int64_t> misses_{0};
 };
 
 /// The FPRAS over a fixed (NFA, horizon n), organized as a resumable
@@ -392,18 +441,29 @@ class FprasEngine {
   /// walks in lockstep batches of the engine's batch width until at least
   /// `min_accepts` walks accept (or `max_attempts` walks have been tried),
   /// appending accepted words to `out` in attempt order. Returns the number
-  /// appended. Because each attempt draws from its own counter-keyed
-  /// substream, the appended sequence is bit-identical for every batch
-  /// width, thread count, and kernel table. Consumption is exact: appending stops at the accept that
-  /// satisfies `min_accepts`, and the cursor, the attempt budget, and the
-  /// per-walk diagnostics advance only through that attempt — exactly a
-  /// sequential batch_width = 1 run. Speculative later walks of the final
-  /// batch are discarded unseen and are re-derived bit-identically if a
-  /// later call reaches their attempt ids, so the draw stream is invariant
-  /// across batch widths even for arbitrary call/length interleavings (the
-  /// EngineSession contract). (max_attempts, min_accepts) = (1, 1) is one
-  /// attempt: it appends a word or nothing (a rejection; Theorem 2(2) bounds
-  /// the rate).
+  /// appended.
+  ///
+  /// With T = ResolveThreadCount(num_threads) > 1 and a request worth at
+  /// least a few batches per thread, the batches run as windows: W batches
+  /// over the attempt range [c, c + W·B) on T draw workers (the draw pool
+  /// and bundles, never the sweep's), each batch keeping its outcomes and
+  /// accepted words, then a scan in attempt order. W is sized from the
+  /// draw path's running accept ratio and the words still owed, capped by
+  /// the attempt budget, so the speculative tail is at most one window.
+  /// With T = 1, or a small request, each window is one batch run inline.
+  ///
+  /// Because each attempt draws from its own counter-keyed substream, the
+  /// appended sequence is bit-identical for every batch width, thread
+  /// count, and kernel table. Consumption is exact: appending stops at the
+  /// accept that satisfies `min_accepts`, and the cursor, the attempt
+  /// budget, and the per-walk diagnostics advance only through that
+  /// attempt — exactly a sequential batch_width = 1 run. Later walks of the
+  /// final batch (or window) are discarded unseen and are re-derived
+  /// bit-identically if a later call reaches their attempt ids, so the draw
+  /// stream is invariant across batch widths and thread counts even for
+  /// arbitrary call/length interleavings (the EngineSession contract).
+  /// (max_attempts, min_accepts) = (1, 1) is one attempt: it appends a word
+  /// or nothing (a rejection; Theorem 2(2) bounds the rate).
   ///
   /// The level must be computed; it is range-checked (NFA_CHECK).
   int64_t SampleAcceptedInto(int level, int64_t max_attempts,
@@ -493,10 +553,13 @@ class FprasEngine {
   /// and applies the base-case accept/reject per walk. Walk j draws only
   /// from Rng::ForSubstream(seed, walk_key, first_attempt + j), which is
   /// what makes results invariant to the batch width. Accepted walk ids land
-  /// in ws.arena.accepted in attempt order.
+  /// in ws.arena.accepted in attempt order. A non-null `lookaside` fronts
+  /// the descent-cache probes (parallel draw windows); null probes the
+  /// shared cache directly.
   void RunWalkBatch(int level, const Bitset& state_set, double phi0,
                     uint64_t walk_key, int64_t first_attempt, int count,
-                    WorkerScratch& ws);
+                    WorkerScratch& ws,
+                    DescentCache::Lookaside* lookaside = nullptr);
 
   /// Fused reach-profile pass: computes the profile of accepted walk `w`
   /// (in ws.arena) forward over the plane scratch — MakeSample never
@@ -505,12 +568,45 @@ class FprasEngine {
   void AppendAcceptedWalk(int level, int walk, WorkerScratch& ws,
                           SampleBlock* block);
 
-  /// Folds the outcomes of the first `consumed` walks of the last
-  /// RunWalkBatch into ws.diag (sample_calls, sample_success, fail_*).
-  /// Callers pass exactly the attempts a sequential batch_width = 1 run
-  /// would have executed, which is what makes the per-walk counters
-  /// batch-width-exact (see FprasDiagnostics::sample_calls).
-  void ConsumeWalkDiagnostics(int consumed, WorkerScratch& ws);
+  /// Folds the first `consumed` per-walk outcomes of a finished batch
+  /// (SampleArena::kOutcome* codes) into `diag` (sample_calls,
+  /// sample_success, fail_*). Callers pass exactly the attempts a
+  /// sequential batch_width = 1 run would have executed, which is what
+  /// makes the per-walk counters batch-width-exact (see
+  /// FprasDiagnostics::sample_calls).
+  static void ConsumeWalkDiagnostics(const uint8_t* outcomes, int consumed,
+                                     FprasDiagnostics* diag);
+
+  /// One finished walk batch as the draw scan reads it: walk w's outcome
+  /// is outcomes[w], its word starts at words + w·word_stride, and
+  /// accepted lists the accepted walk ids in attempt order.
+  struct DrawBatchView {
+    int count = 0;
+    const uint8_t* outcomes = nullptr;
+    const int32_t* accepted = nullptr;
+    int num_accepted = 0;
+    const Symbol* words = nullptr;
+    size_t word_stride = 0;
+  };
+
+  /// Results of one parallel draw window, kept for the attempt-order scan:
+  /// batch k's walks own slot k (batch-width strided) of each slab.
+  struct DrawWindow {
+    std::vector<int> counts;        ///< walks in batch k
+    std::vector<int> num_accepted;  ///< accepted walks of batch k
+    std::vector<uint8_t> outcomes;  ///< walk outcomes, slot k
+    std::vector<int32_t> accepted;  ///< accepted walk ids, slot k
+    std::vector<Symbol> words;      ///< accepted words at w·level, slot k
+  };
+
+  /// The batches the next draw window runs for `owed` more accepts within
+  /// `attempts_left` attempts; 1 means one batch inline on draws_[0].
+  int64_t DrawWindowBatches(int64_t owed, int64_t attempts_left) const;
+
+  /// Runs `batches` walk batches over the attempts from the cursor on the
+  /// draw pool, into window_ (at most `attempts_left` attempts in all).
+  void RunDrawWindow(int level, const Bitset& alive, double gamma0,
+                     int64_t batches, int64_t attempts_left);
 
   /// Refills S(q^ℓ) with up to xns lockstep attempts, padding to ns
   /// (Alg. 3 lines 20-30).
@@ -551,11 +647,22 @@ class FprasEngine {
   /// AdvanceLevel's fan-out, and workers_[0] runs each level's
   /// ComputeAcceptedCount after the join.
   std::vector<WorkerScratch> workers_;
-  /// Dedicated scratch for the post-run draw path (SampleAcceptedInto):
-  /// draws never share scratch with the sweep workers, so serve-mode readers
-  /// may draw against published levels while one writer thread runs
-  /// AdvanceLevel above them (see the "Serve-mode seam" file comment).
-  WorkerScratch draw_;
+  /// The post-run draw path's scratch, one bundle per draw worker (T of
+  /// them): draws never share scratch with the sweep workers, so serve-mode
+  /// readers may draw against published levels while one writer thread
+  /// runs AdvanceLevel above them (see the "Serve-mode seam" file comment).
+  /// draws_[0] runs inline batches and holds the per-walk counters of
+  /// every consumed attempt; draws_[i] belongs to draw-pool slot i.
+  std::vector<WorkerScratch> draws_;
+  /// Pool of the parallel draw windows, created by the first draw that
+  /// runs one and reset by Prepare(). Separate from pool_ because a draw
+  /// may run while RunToLevel fans a level out (ParallelFor is not
+  /// reentrant); draws are serialized by their callers, so it has one
+  /// window in flight at a time.
+  std::unique_ptr<ThreadPool> draw_pool_;
+  /// Descent-cache fronts of the draw-pool slots, created with the pool.
+  std::vector<DescentCache::Lookaside> draw_lookasides_;
+  DrawWindow window_;  ///< the last parallel window's batch results
   /// Lazily-created level-sweep pool, reused across every RunToLevel call of
   /// one prepared run (incremental extensions must not respawn threads per
   /// step). Reset by Prepare(); idle (condition-wait) between sweeps.

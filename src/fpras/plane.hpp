@@ -106,6 +106,8 @@ class SampleArena {
   const Symbol* WordOf(int w) const {
     return symbols.data() + static_cast<size_t>(w) * word_stride_;
   }
+  /// Symbols between consecutive walks' buffers (WordOf(w + 1) − WordOf(w)).
+  size_t word_stride() const { return word_stride_; }
 
   /// Bytes reserved across the planes and slabs (memory diagnostics).
   int64_t bytes_reserved() const;

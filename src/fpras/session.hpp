@@ -162,10 +162,15 @@ class EngineSession {
 
   /// Draws `count` words from L(A_length) against the computed prefix,
   /// serialized against other draws by an internal mutex (counts are never
-  /// blocked). The chunk consumes the same counter-keyed draw stream as
-  /// SampleWords: if `cursor_start` is non-null it receives the draw-cursor
-  /// value at which this chunk began, so concurrent callers can reassemble
-  /// their chunks into the deterministic single-threaded sequence.
+  /// blocked). Inside the chunk, a session with num_threads > 1 runs large
+  /// requests as windows of walk batches on the engine's own draw pool and
+  /// draw bundles — never the sweep's, so a chunk may run beside an
+  /// extending writer — and scans them in attempt order (see
+  /// FprasEngine::SampleAcceptedInto). The chunk consumes the same
+  /// counter-keyed draw stream as SampleWords at every thread count: if
+  /// `cursor_start` is non-null it receives the draw-cursor value at which
+  /// this chunk began, so concurrent callers can reassemble their chunks
+  /// into the deterministic single-threaded sequence.
   Result<std::vector<Word>> SharedSampleWords(int length, int64_t count,
                                               int64_t* cursor_start = nullptr);
 

@@ -6,22 +6,34 @@
 //
 // The settings are those of `nfa_cli sample <file> 12 64 424242`: default
 // CountOptions (ε = 0.2, δ = 0.1), session seed 424242, horizon 12, one
-// SampleWords(12, 64) call. The seed is fixed, not TestSeed-shifted. To
-// regenerate, from a build with examples:
+// SampleWords(12, 64) call. The seed is fixed, not TestSeed-shifted. The
+// words and counts are rendered at num_threads 1, 2 and 4 against the same
+// fixtures: the sweep and the draw windows split work across threads, never
+// the stream.
+//
+// The work counters of the 1-thread session after its build and that draw
+// are pinned too (<name>_counters_n12.txt, "counter value" per line). They
+// are deterministic at one thread, so an accidental extra AppUnion, walk or
+// batch fails here with no timing involved. A change that moves work on
+// purpose regenerates that file and says why.
+//
+// To regenerate, from a build with examples:
 //
 //   example_nfa_cli sample tests/data/golden.nfa 12 64 424242 > FILE
 //
 // with FILE = tests/data/golden_sample_n12.txt (likewise multi_accept.nfa
 // into multi_accept_sample_n12.txt), and copy the counts text — "ℓ %.17g" per
-// line, ℓ = 0..12 — from this test's failure message into
-// tests/data/<name>_counts_n12.txt.
+// line, ℓ = 0..12 — and the counters text from this test's failure message
+// into tests/data/<name>_counts_n12.txt and <name>_counters_n12.txt.
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "automata/io.hpp"
@@ -50,19 +62,41 @@ std::string ReadFile(const std::string& path) {
   return body.str();
 }
 
-/// Draws and counts of the pinned session over `nfa_file`, rendered as the
-/// fixtures store them.
-void RenderStream(const std::string& nfa_file, std::string* words,
-                  std::string* counts) {
+/// The work counters the 1-thread fixture pins, one "name value" line each.
+std::string RenderCounters(const FprasDiagnostics& d) {
+  const std::pair<const char*, int64_t> counters[] = {
+      {"appunion_calls", d.appunion_calls},
+      {"appunion_trials", d.appunion_trials},
+      {"membership_checks", d.membership_checks},
+      {"sample_calls", d.sample_calls},
+      {"sample_success", d.sample_success},
+      {"walk_batches", d.walk_batches},
+      {"descent_misses", d.descent_misses},
+      {"padded_words", d.padded_words},
+  };
+  std::string out;
+  for (const auto& [name, value] : counters) {
+    out += std::string(name) + " " + std::to_string(value) + "\n";
+  }
+  return out;
+}
+
+/// Draws, counts and work counters of the pinned session over `nfa_file`
+/// at `threads`, rendered as the fixtures store them.
+void RenderStream(const std::string& nfa_file, int threads,
+                  std::string* words, std::string* counts,
+                  std::string* counters) {
   Result<Nfa> nfa = LoadNfaFile(DataPath(nfa_file));
   ASSERT_TRUE(nfa.ok()) << nfa.status().ToString();
   CountOptions options;
   options.seed = kSeed;
+  options.num_threads = threads;
   Result<EngineSession> session =
       EngineSession::Create(*nfa, kHorizon, options);
   ASSERT_TRUE(session.ok()) << session.status().ToString();
   Result<std::vector<Word>> drawn = session->SampleWords(kHorizon, kWords);
   ASSERT_TRUE(drawn.ok()) << drawn.status().ToString();
+  *counters = RenderCounters(session->diagnostics());
   for (const Word& w : *drawn) *words += WordToString(w) + "\n";
   for (int length = 0; length <= kHorizon; ++length) {
     Result<double> c = session->CountAtLength(length);
@@ -74,11 +108,24 @@ void RenderStream(const std::string& nfa_file, std::string* words,
 }
 
 void ExpectMatchesFixtures(const std::string& name) {
-  std::string words;
-  std::string counts;
-  RenderStream(name + ".nfa", &words, &counts);
-  EXPECT_EQ(words, ReadFile(DataPath(name + "_sample_n12.txt")));
-  EXPECT_EQ(counts, ReadFile(DataPath(name + "_counts_n12.txt")));
+  const std::string want_words = ReadFile(DataPath(name + "_sample_n12.txt"));
+  const std::string want_counts =
+      ReadFile(DataPath(name + "_counts_n12.txt"));
+  for (int threads : {1, 2, 4}) {
+    SCOPED_TRACE("num_threads " + std::to_string(threads));
+    std::string words;
+    std::string counts;
+    std::string counters;
+    RenderStream(name + ".nfa", threads, &words, &counts, &counters);
+    EXPECT_EQ(words, want_words);
+    EXPECT_EQ(counts, want_counts);
+    // The counters are those of the default engine: the process-wide
+    // NFACOUNT_DESCENT_CACHE override (CI's uncached leg) changes the work
+    // by design, though never the words or counts.
+    if (threads == 1 && std::getenv("NFACOUNT_DESCENT_CACHE") == nullptr) {
+      EXPECT_EQ(counters, ReadFile(DataPath(name + "_counters_n12.txt")));
+    }
+  }
 }
 
 // Plain tests rather than a parameterized suite, so `--smoke` runs them too.

@@ -104,7 +104,10 @@ TEST(Serve, RegistryRejectsBadNamesDuplicatesAndUnknowns) {
 // The tentpole invariant: N reader threads answer counts and draws against
 // the shared prefix while one writer extends the horizon, across the
 // knob grid (worker threads × batch width × descent cache), and every
-// single answer is bit-identical to the single-threaded session.
+// single answer is bit-identical to the single-threaded session. In the
+// multi-threaded configs reader 0 draws wide chunks first, so its parallel
+// draw windows run on the draw pool while the writer's sweep runs on its
+// own pool.
 TEST(Serve, ConcurrentReadersVsExtendingWriterGrid) {
   struct Config {
     int num_threads;
@@ -120,6 +123,7 @@ TEST(Serve, ConcurrentReadersVsExtendingWriterGrid) {
   const int kReaders = 3;
   const int kSampleLength = 5;
   const int kChunk = 2;
+  const int kWideChunk = 64;  // several draw batches per thread
   const int kChunksPerReader = 4;
 
   const std::string text = TestNfaText(TestSeed(921), 6);
@@ -131,9 +135,12 @@ TEST(Serve, ConcurrentReadersVsExtendingWriterGrid) {
     ASSERT_TRUE(want.ok());
     want_counts[static_cast<size_t>(length)] = *want;
   }
-  const int kTotalWords = kReaders * kChunksPerReader * kChunk;
+  // The draw stream is chunk-invariant, so every config's words are a
+  // prefix of one reference draw.
+  const int kMaxWords =
+      ((kReaders - 1) * kChunk + kWideChunk) * kChunksPerReader;
   Result<std::vector<Word>> want_words =
-      reference.SampleWords(kSampleLength, kTotalWords);
+      reference.SampleWords(kSampleLength, kMaxWords);
   ASSERT_TRUE(want_words.ok());
 
   for (const Config& config : kGrid) {
@@ -159,6 +166,23 @@ TEST(Serve, ConcurrentReadersVsExtendingWriterGrid) {
     std::vector<std::thread> readers;
     for (int reader = 0; reader < kReaders; ++reader) {
       readers.emplace_back([&, reader] {
+        const bool wide = reader == 0 && config.num_threads > 1;
+        const int chunk_words = wide ? kWideChunk : kChunk;
+        const auto draw_chunks = [&] {
+          for (int i = 0; i < kChunksPerReader; ++i) {
+            int64_t cursor = 0;
+            Result<std::vector<Word>> words = registry.SampleWords(
+                "s", kSampleLength, chunk_words, &cursor);
+            if (!words.ok() ||
+                words.value().size() != static_cast<size_t>(chunk_words)) {
+              failed.store(true);
+              continue;
+            }
+            chunks[static_cast<size_t>(reader)].emplace_back(
+                cursor, std::move(words).value());
+          }
+        };
+        if (wide) draw_chunks();
         // Counts at every length, racing the writer: lengths past the
         // published prefix take the writer path and extend themselves.
         for (int pass = 0; pass < 2; ++pass) {
@@ -171,18 +195,7 @@ TEST(Serve, ConcurrentReadersVsExtendingWriterGrid) {
             }
           }
         }
-        for (int i = 0; i < kChunksPerReader; ++i) {
-          int64_t cursor = 0;
-          Result<std::vector<Word>> words =
-              registry.SampleWords("s", kSampleLength, kChunk, &cursor);
-          if (!words.ok() ||
-              words.value().size() != static_cast<size_t>(kChunk)) {
-            failed.store(true);
-            continue;
-          }
-          chunks[static_cast<size_t>(reader)].emplace_back(
-              cursor, std::move(words).value());
-        }
+        if (!wide) draw_chunks();
       });
     }
     writer.join();
@@ -206,7 +219,11 @@ TEST(Serve, ConcurrentReadersVsExtendingWriterGrid) {
     for (auto& entry : by_cursor) {
       for (Word& word : entry.second) got_words.push_back(std::move(word));
     }
-    ASSERT_EQ(want_words->size(), got_words.size());
+    const size_t total_words =
+        static_cast<size_t>(config.num_threads > 1 ? kMaxWords
+                                                   : kReaders * kChunk *
+                                                         kChunksPerReader);
+    ASSERT_EQ(total_words, got_words.size());
     for (size_t i = 0; i < got_words.size(); ++i) {
       EXPECT_EQ((*want_words)[i], got_words[i]) << "draw index " << i;
     }

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "automata/generators.hpp"
@@ -131,38 +132,103 @@ TEST(Session, DrawSequenceSurvivesExtensionSplits) {
 }
 
 TEST(Session, DrawStreamInvariantAcrossBatchWidthsAndLengths) {
-  // The session consumes draw attempts exactly (never batch-rounded), so
-  // repeated SampleWords calls — even interleaved across lengths — yield
-  // one identical sequence for every batch width, and the exact per-walk
-  // counters stay aligned call by call.
+  // The session consumes draw attempts exactly (never batch- or
+  // window-rounded), so repeated SampleWords calls — even interleaved across
+  // lengths — yield one identical sequence for every batch width and every
+  // draw thread count, and the cursor and the exact per-walk counters stay
+  // aligned call by call. The larger calls are worth several batches per
+  // thread, so the 2- and 4-thread sessions run parallel windows there.
   Rng rng(TestSeed(891));
   Nfa nfa = RandomNfa(6, 0.3, 0.35, rng);
   const int n = 6;
-  CountOptions narrow_opts = SessionTestOptions(TestSeed(892));
-  narrow_opts.batch_width = 1;
-  CountOptions wide_opts = SessionTestOptions(TestSeed(892));
-  wide_opts.batch_width = 32;
-
-  Result<EngineSession> narrow = EngineSession::Create(nfa, n, narrow_opts);
-  Result<EngineSession> wide = EngineSession::Create(nfa, n, wide_opts);
-  ASSERT_TRUE(narrow.ok() && wide.ok());
-  ASSERT_TRUE(narrow->ExtendTo(n).ok());
-  ASSERT_TRUE(wide->ExtendTo(n).ok());
-
-  const int lengths[] = {n, n, n - 2, n, n - 2};
-  const int64_t counts[] = {2, 3, 1, 4, 2};
-  for (size_t i = 0; i < 5; ++i) {
-    Result<std::vector<Word>> wn = narrow->SampleWords(lengths[i], counts[i]);
-    Result<std::vector<Word>> ww = wide->SampleWords(lengths[i], counts[i]);
-    ASSERT_TRUE(wn.ok() && ww.ok()) << "call " << i;
-    EXPECT_EQ(*wn, *ww) << "call " << i;
-    EXPECT_EQ(narrow->diagnostics().sample_calls,
-              wide->diagnostics().sample_calls)
-        << "call " << i;
-    EXPECT_EQ(narrow->diagnostics().sample_success,
-              wide->diagnostics().sample_success)
-        << "call " << i;
+  struct Config {
+    int batch_width;
+    int num_threads;
+  };
+  const Config kConfigs[] = {{1, 1},  {1, 2},  {1, 4},  {4, 2},
+                             {32, 1}, {32, 2}, {32, 4}};
+  std::vector<EngineSession> sessions;
+  for (const Config& config : kConfigs) {
+    CountOptions opts = SessionTestOptions(TestSeed(892));
+    opts.batch_width = config.batch_width;
+    opts.num_threads = config.num_threads;
+    Result<EngineSession> session = EngineSession::Create(nfa, n, opts);
+    ASSERT_TRUE(session.ok());
+    ASSERT_TRUE(session->ExtendTo(n).ok());
+    sessions.push_back(std::move(session).value());
   }
+
+  const int lengths[] = {n, n, n - 2, n, n - 2, n, n - 2, n};
+  const int64_t counts[] = {2, 3, 1, 4, 2, 40, 64, 5};
+  EngineSession& reference = sessions.front();
+  for (size_t i = 0; i < 8; ++i) {
+    Result<std::vector<Word>> want =
+        reference.SampleWords(lengths[i], counts[i]);
+    ASSERT_TRUE(want.ok()) << "call " << i;
+    const FprasDiagnostics want_diag = reference.diagnostics();
+    for (size_t c = 1; c < sessions.size(); ++c) {
+      const std::string where =
+          "call " + std::to_string(i) + " batch_width " +
+          std::to_string(kConfigs[c].batch_width) + " threads " +
+          std::to_string(kConfigs[c].num_threads);
+      EngineSession& session = sessions[c];
+      Result<std::vector<Word>> got =
+          session.SampleWords(lengths[i], counts[i]);
+      ASSERT_TRUE(got.ok()) << where;
+      EXPECT_EQ(*want, *got) << where;
+      EXPECT_EQ(reference.engine().draw_cursor(),
+                session.engine().draw_cursor())
+          << where;
+      const FprasDiagnostics& g = session.diagnostics();
+      EXPECT_EQ(want_diag.sample_calls, g.sample_calls) << where;
+      EXPECT_EQ(want_diag.sample_success, g.sample_success) << where;
+      EXPECT_EQ(want_diag.fail_phi_gt_1, g.fail_phi_gt_1) << where;
+      EXPECT_EQ(want_diag.fail_bernoulli, g.fail_bernoulli) << where;
+      EXPECT_EQ(want_diag.fail_dead_branch, g.fail_dead_branch) << where;
+    }
+  }
+}
+
+TEST(Session, DrawBudgetEndsIdenticallyAtEveryThreadCount) {
+  // A call that runs out of attempts before it has its words ends on the
+  // budget, mid-window when the window was cut to fit it: every thread
+  // count appends the same words and leaves the cursor at the same
+  // attempt.
+  Rng rng(TestSeed(891));
+  Nfa nfa = RandomNfa(6, 0.3, 0.35, rng);
+  const int n = 6;
+  const int64_t kBudgets[] = {37, 200, 5, 1000};
+  std::vector<std::vector<Word>> want_words;
+  std::vector<int64_t> want_appended;
+  std::vector<int64_t> want_cursor;
+  for (int threads : {1, 2, 4}) {
+    CountOptions opts = SessionTestOptions(TestSeed(892));
+    opts.num_threads = threads;
+    Result<FprasParams> params =
+        ParamsFromOptions(opts, nfa.num_states(), n);
+    ASSERT_TRUE(params.ok());
+    FprasEngine engine(&nfa, *params, opts.seed);
+    ASSERT_TRUE(engine.Run().ok());
+    for (size_t i = 0; i < 4; ++i) {
+      std::vector<Word> out;
+      // More accepts than the budget has attempts: the budget ends it.
+      const int64_t appended =
+          engine.SampleAcceptedInto(n, kBudgets[i], kBudgets[i] + 1, &out);
+      if (threads == 1) {
+        want_words.push_back(out);
+        want_appended.push_back(appended);
+        want_cursor.push_back(engine.draw_cursor());
+        continue;
+      }
+      EXPECT_EQ(want_appended[i], appended)
+          << "threads " << threads << " call " << i;
+      EXPECT_EQ(want_words[i], out) << "threads " << threads << " call " << i;
+      EXPECT_EQ(want_cursor[i], engine.draw_cursor())
+          << "threads " << threads << " call " << i;
+    }
+  }
+  // The budget is the only stop, so the cursor ends at their sum.
+  EXPECT_EQ(want_cursor.back(), 37 + 200 + 5 + 1000);
 }
 
 TEST(Session, QueriesAtEarlierLengthsNeedNoRecomputation) {
