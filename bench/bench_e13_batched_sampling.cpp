@@ -8,10 +8,13 @@
 // bit-identical for every B (asserted here, not assumed). Draws are timed
 // as SampleWords chunks of kDrawChunk words, one call per chunk. Family and
 // sizes follow E3 (RandomNfa density 0.3, accept 0.25) at m = 64..128.
+// `build_seconds` is the median of kBuildRepeats table builds per (m, B)
+// cell: one build on a shared host moves ±50% between back-to-back runs.
 //
 // The kernel section times the dispatched SIMD table against the scalar
 // reference on the three frontier-row widths the engine actually touches.
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstring>
 #include <thread>
@@ -32,6 +35,7 @@ constexpr int kN = 12;                     // word length (E3 regime)
 constexpr int kBatchWidths[] = {1, 4, 16, 64};
 constexpr int kIdentityDraws = 200;        // draws compared bit-for-bit
 constexpr int64_t kDrawChunk = 256;        // words per timed SampleWords
+constexpr int kBuildRepeats = 3;           // builds per cell (median kept)
 constexpr int64_t kMinDraws = 1000;
 constexpr double kMinSeconds = 0.25;
 
@@ -59,15 +63,30 @@ SweepPoint MeasureOne(const Nfa& nfa, int batch_width) {
   options.seed = 17;
   options.batch_width = batch_width;
 
-  WallTimer build_timer;
-  Result<EngineSession> session = EngineSession::Create(nfa, kN, options);
-  const Status built = session.ok() ? session->ExtendTo(kN) : session.status();
-  point.build_seconds = build_timer.ElapsedSeconds();
-  if (!built.ok()) {
-    std::fprintf(stderr, "build failed: %s\n", built.ToString().c_str());
-    std::exit(1);
+  // Every build of a cell is the same deterministic table; the last one
+  // serves the draws.
+  std::vector<double> build_seconds;
+  Result<EngineSession> session = Status::Invalid("not built");
+  for (int r = 0; r < kBuildRepeats; ++r) {
+    WallTimer build_timer;
+    session = EngineSession::Create(nfa, kN, options);
+    const Status built =
+        session.ok() ? session->ExtendTo(kN) : session.status();
+    build_seconds.push_back(build_timer.ElapsedSeconds());
+    if (!built.ok()) {
+      std::fprintf(stderr, "build failed: %s\n", built.ToString().c_str());
+      std::exit(1);
+    }
+    const double estimate = session->CountAtLength(kN).value();
+    if (r > 0 && estimate != point.estimate) {
+      std::fprintf(stderr, "FATAL: rebuild changed the estimate at B=%d\n",
+                   batch_width);
+      std::exit(1);
+    }
+    point.estimate = estimate;
   }
-  point.estimate = session->CountAtLength(kN).value();
+  std::sort(build_seconds.begin(), build_seconds.end());
+  point.build_seconds = build_seconds[build_seconds.size() / 2];
 
   Result<std::vector<Word>> prefix = session->SampleWords(kN, kIdentityDraws);
   if (!prefix.ok()) {
@@ -206,6 +225,7 @@ int main(int argc, char** argv) {
       .Set("delta", 0.2)
       .Set("seed", static_cast<int64_t>(17))
       .Set("draw_chunk", kDrawChunk)
+      .Set("build_repeats", static_cast<int64_t>(kBuildRepeats))
       .Set("hardware_threads",
            static_cast<int64_t>(std::thread::hardware_concurrency()))
       .Set("active_kernels", simd::ActiveKernels().name);

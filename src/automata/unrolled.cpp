@@ -25,10 +25,12 @@ inline void ForEachSetWord(const uint64_t* words, size_t nwords, Fn&& fn) {
   }
 }
 
-/// Shared CSR assembly over a row-visitor: `for_each_edge(q, a, fn)` must call
-/// fn(target) for every edge of row (q, a) in ascending target order.
+/// Shared CSR assembly over a row-visitor: `edges_of_row(q, a)` must return
+/// the targets of row (q, a) in ascending order. `with_masks` asks for the
+/// per-row Bitset masks (kept only when they fit the budget).
 template <typename EdgeSource>
-CsrTransitions BuildCsr(const Nfa& nfa, EdgeSource&& edges_of_row) {
+CsrTransitions BuildCsr(const Nfa& nfa, bool with_masks,
+                        EdgeSource&& edges_of_row) {
   CsrTransitions csr;
   csr.num_states = nfa.num_states();
   csr.alphabet_size = nfa.alphabet_size();
@@ -59,7 +61,8 @@ CsrTransitions BuildCsr(const Nfa& nfa, EdgeSource&& edges_of_row) {
 
   // Word-parallel row masks, when the m·|Σ| rows of m bits fit the budget.
   const size_t mask_bits = rows * static_cast<size_t>(csr.num_states);
-  if (mask_bits > 0 && mask_bits <= CsrTransitions::kMaskBitBudget) {
+  if (with_masks && mask_bits > 0 &&
+      mask_bits <= CsrTransitions::kMaskBitBudget) {
     csr.row_masks.reserve(rows);
     for (size_t r = 0; r < rows; ++r) {
       Bitset mask(static_cast<size_t>(csr.num_states));
@@ -75,40 +78,30 @@ CsrTransitions BuildCsr(const Nfa& nfa, EdgeSource&& edges_of_row) {
 }  // namespace
 
 CsrTransitions CsrTransitions::FromSuccessors(const Nfa& nfa) {
-  return BuildCsr(nfa, [&nfa](StateId q, Symbol a) -> const std::vector<StateId>& {
-    return nfa.Successors(q, a);
-  });
+  return BuildCsr(nfa, /*with_masks=*/false,
+                  [&nfa](StateId q, Symbol a) -> const std::vector<StateId>& {
+                    return nfa.Successors(q, a);
+                  });
 }
 
 CsrTransitions CsrTransitions::FromPredecessors(const Nfa& nfa) {
-  return BuildCsr(nfa, [&nfa](StateId q, Symbol a) -> const std::vector<StateId>& {
-    return nfa.Predecessors(q, a);
-  });
+  return BuildCsr(nfa, /*with_masks=*/true,
+                  [&nfa](StateId q, Symbol a) -> const std::vector<StateId>& {
+                    return nfa.Predecessors(q, a);
+                  });
 }
 
 void CsrTransitions::StepInto(const Bitset& from, Symbol symbol,
                               Bitset* out) const {
   assert(out != nullptr && out->size() == static_cast<size_t>(num_states));
   out->Clear();
-  if (has_masks()) {
-    // One kernel-table fetch for the whole frontier, not one per set bit.
-    const simd::BitsetKernels& kern = simd::ActiveKernels();
-    uint64_t* dst = out->mutable_words();
-    const size_t nwords = out->words().size();
-    from.ForEachSet([&](int q) {
-      kern.or_into(dst,
-                   row_masks[Row(static_cast<StateId>(q), symbol)].words().data(),
-                   nwords);
-    });
-  } else {
-    from.ForEachSet([&](int q) {
-      const StateId* end = RowEnd(static_cast<StateId>(q), symbol);
-      for (const StateId* t = RowBegin(static_cast<StateId>(q), symbol);
-           t != end; ++t) {
-        out->Set(static_cast<size_t>(*t));
-      }
-    });
-  }
+  from.ForEachSet([&](int q) {
+    const StateId* end = RowEnd(static_cast<StateId>(q), symbol);
+    for (const StateId* t = RowBegin(static_cast<StateId>(q), symbol);
+         t != end; ++t) {
+      out->Set(static_cast<size_t>(*t));
+    }
+  });
 }
 
 UnrolledNfa::UnrolledNfa(const Nfa* nfa, int n)
@@ -119,6 +112,7 @@ UnrolledNfa::UnrolledNfa(const Nfa* nfa, int n)
   classes_ = SymbolClassIndex::Compute(*nfa);
   forward_ = CsrTransitions::FromSuccessors(*nfa);
   reverse_ = CsrTransitions::FromPredecessors(*nfa);
+  BuildSuccessorTable();
   reachable_.reserve(n + 1);
   Bitset cur(nfa->num_states());
   cur.Set(nfa->initial());
@@ -130,11 +124,53 @@ UnrolledNfa::UnrolledNfa(const Nfa* nfa, int n)
     // Class members step identically, so one representative per class covers
     // the union — bit-identical to stepping every symbol.
     for (int c = 0; c < classes_.num_classes(); ++c) {
-      forward_.StepInto(cur, classes_.Representative(c), &step);
+      SuccSetInto(cur, classes_.Representative(c), &step);
       next |= step;
     }
     reachable_.push_back(next);
     cur.CopyFrom(next);
+  }
+}
+
+void UnrolledNfa::BuildSuccessorTable() {
+  const size_t m = static_cast<size_t>(nfa_->num_states());
+  row_words_ = RowWords(nfa_->num_states());
+  succ_chunks_ = (m + 7) / 8;
+  const size_t entry_words = row_words_;
+  const size_t class_words = succ_chunks_ * 256 * entry_words;
+  const size_t num_classes = static_cast<size_t>(classes_.num_classes());
+  if (class_words == 0 ||
+      num_classes * class_words > CsrTransitions::kMaskBitBudget / 64) {
+    return;  // over budget: forward steps scatter the CSR rows
+  }
+  succ_table_.assign(num_classes * class_words, 0);
+  for (size_t c = 0; c < num_classes; ++c) {
+    const Symbol rep = classes_.Representative(static_cast<int>(c));
+    for (size_t k = 0; k < succ_chunks_; ++k) {
+      uint64_t* chunk = succ_table_.data() + (c * succ_chunks_ + k) * 256 *
+                                                 entry_words;
+      // Single-state entries b = 1 << j are the rows themselves (a chunk's
+      // bits past m stay empty; no frontier ever sets them).
+      for (size_t j = 0; j < 8 && 8 * k + j < m; ++j) {
+        uint64_t* entry = chunk + (size_t{1} << j) * entry_words;
+        const StateId q = static_cast<StateId>(8 * k + j);
+        for (const StateId* t = forward_.RowBegin(q, rep);
+             t != forward_.RowEnd(q, rep); ++t) {
+          entry[static_cast<size_t>(*t) >> 6] |=
+              uint64_t{1} << (static_cast<size_t>(*t) & 63);
+        }
+      }
+      // T[b] = T[b & (b − 1)] | T[b & −b]: both operands have fewer bits
+      // than b, so one ascending pass fills the chunk in O(256·words).
+      for (size_t b = 3; b < 256; ++b) {
+        const size_t low = b & (~b + 1);
+        if (low == b) continue;  // single state, already a row
+        uint64_t* entry = chunk + b * entry_words;
+        const uint64_t* rest = chunk + (b & (b - 1)) * entry_words;
+        const uint64_t* row = chunk + low * entry_words;
+        for (size_t w = 0; w < entry_words; ++w) entry[w] = rest[w] | row[w];
+      }
+    }
   }
 }
 
@@ -194,16 +230,26 @@ void UnrolledNfa::PredSetWordsInto(const uint64_t* from, Symbol symbol,
 }
 
 void UnrolledNfa::SuccSetWordsInto(const uint64_t* from, Symbol symbol,
-                                   uint64_t* out,
-                                   const simd::BitsetKernels& kern) const {
-  const size_t nwords = RowWords(nfa_->num_states());
+                                   uint64_t* out) const {
+  const size_t nwords = row_words_;
   std::fill(out, out + nwords, 0);
-  if (forward_.has_masks()) {
-    ForEachSetWord(from, nwords, [&](int q) {
-      const Bitset& mask =
-          forward_.row_masks[forward_.Row(static_cast<StateId>(q), symbol)];
-      kern.or_into(out, mask.words().data(), nwords);
-    });
+  if (has_successor_table()) {
+    // One entry per non-zero frontier byte: byte i of word w is chunk
+    // 8w + i, and its value indexes the chunk's 256 entries.
+    const uint64_t* table =
+        succ_table_.data() + static_cast<size_t>(classes_.ClassOf(symbol)) *
+                                 succ_chunks_ * 256 * nwords;
+    for (size_t w = 0; w < nwords; ++w) {
+      uint64_t bits = from[w];
+      while (bits) {
+        const int shift = __builtin_ctzll(bits) & ~7;
+        const size_t byte = (bits >> shift) & 0xff;
+        bits &= ~(uint64_t{0xff} << shift);
+        const size_t chunk = w * 8 + static_cast<size_t>(shift >> 3);
+        const uint64_t* entry = table + (chunk * 256 + byte) * nwords;
+        for (size_t x = 0; x < nwords; ++x) out[x] |= entry[x];
+      }
+    }
   } else {
     ForEachSetWord(from, nwords, [&](int q) {
       const StateId* end = forward_.RowEnd(static_cast<StateId>(q), symbol);
@@ -225,7 +271,8 @@ Bitset UnrolledNfa::PredSet(const Bitset& states, Symbol symbol,
 
 void UnrolledNfa::SuccSetInto(const Bitset& states, Symbol symbol,
                               Bitset* out) const {
-  forward_.StepInto(states, symbol, out);
+  assert(out != nullptr && out->size() == states.size());
+  SuccSetWordsInto(states.words().data(), symbol, out->mutable_words());
 }
 
 Bitset UnrolledNfa::ReachProfile(const Word& word) const {
@@ -233,7 +280,7 @@ Bitset UnrolledNfa::ReachProfile(const Word& word) const {
   cur.Set(nfa_->initial());
   Bitset next(nfa_->num_states());
   for (Symbol s : word) {
-    forward_.StepInto(cur, s, &next);
+    SuccSetInto(cur, s, &next);
     std::swap(cur, next);
     if (cur.None()) break;
   }

@@ -9,9 +9,11 @@
 // (compressed sparse row) arrays — contiguous `offsets`/`targets`/`symbols` —
 // in both directions: forward CSR for membership/reach recomputation, reverse
 // CSR for the predecessor expansions that dominate Algorithm 2's walk. When
-// the automaton is small enough, each (state, symbol) row additionally carries
-// its target set as a Bitset mask so one frontier-propagation step is a
-// word-parallel OR of contiguous masks instead of a per-edge scatter.
+// the automaton is small enough, each reverse (state, symbol) row
+// additionally carries its source set as a Bitset mask, so one predecessor
+// step is a word-parallel OR of contiguous masks instead of a per-edge
+// scatter, and forward steps read a byte-indexed successor table: one OR per
+// 8-state chunk of the frontier instead of one per set state.
 //
 // This module also provides the membership-oracle machinery: a stored sample
 // carries the reachable-state set of its word, making every membership query
@@ -166,12 +168,14 @@ class SampleBlock {
 /// recomputing row boundaries). Construction cost is one pass over Δ; the
 /// arrays never change afterwards.
 ///
-/// When num_states·|Σ|·num_states bits fit kMaskBitBudget, `row_masks`
-/// additionally stores each row's target set as a Bitset, enabling
-/// word-parallel frontier propagation (64 states per OR) in Step/PredSet.
+/// When built with masks (the reverse CSR) and num_states·|Σ|·num_states
+/// bits fit kMaskBitBudget, `row_masks` additionally stores each row's
+/// target set as a Bitset, enabling word-parallel frontier propagation
+/// (64 states per OR) in UnrolledNfa's PredSet.
 struct CsrTransitions {
-  /// Mask materialization budget in bits (32 MiB): above this the per-row
-  /// Bitset masks are skipped and stepping falls back to span scatter.
+  /// Word-parallel table budget in bits (32 MiB): above this the per-row
+  /// Bitset masks (and UnrolledNfa's successor table) are skipped and
+  /// stepping falls back to span scatter.
   static constexpr size_t kMaskBitBudget = size_t{1} << 28;
 
   int num_states = 0;            ///< number of automaton states m
@@ -182,8 +186,10 @@ struct CsrTransitions {
   std::vector<Bitset> row_masks; ///< per-row target Bitsets (empty if over budget)
 
   /// CSR over the successor relation: row (q, a) lists {r : (q,a,r) ∈ Δ}.
+  /// No row masks: forward steps read UnrolledNfa's successor table.
   static CsrTransitions FromSuccessors(const Nfa& nfa);
-  /// CSR over the predecessor relation: row (q, a) lists {p : (p,a,q) ∈ Δ}.
+  /// CSR over the predecessor relation: row (q, a) lists {p : (p,a,q) ∈ Δ},
+  /// with row masks when they fit the budget.
   static CsrTransitions FromPredecessors(const Nfa& nfa);
 
   /// Index of row (q, a).
@@ -200,9 +206,10 @@ struct CsrTransitions {
   /// True when per-row Bitset masks were materialized.
   bool has_masks() const { return !row_masks.empty(); }
 
-  /// One frontier step: out = ∪_{q ∈ from} row(q, symbol), word-parallel via
-  /// masks when available, span scatter otherwise. `out` must be sized
-  /// num_states; it is cleared first.
+  /// One frontier step by span scatter: out = ∪_{q ∈ from} row(q, symbol).
+  /// The engine's mask-backed and table-backed steps live in UnrolledNfa;
+  /// this is their fallback when neither fits the budget. `out` must be
+  /// sized num_states; it is cleared first.
   void StepInto(const Bitset& from, Symbol symbol, Bitset* out) const;
 };
 
@@ -256,15 +263,21 @@ class UnrolledNfa {
                         uint64_t* out, const simd::BitsetKernels& kern) const;
 
   /// One plain successor step over raw word spans (the fused reach-profile
-  /// pass of the batched plane). Bit-identical to SuccSetInto.
-  void SuccSetWordsInto(const uint64_t* from, Symbol symbol, uint64_t* out,
-                        const simd::BitsetKernels& kern) const;
+  /// pass of the batched plane): `from` and `out` are (num_states+63)/64
+  /// words (distinct spans). Reads the successor table when present, the
+  /// forward CSR rows otherwise; bit-identical to SuccSetInto.
+  void SuccSetWordsInto(const uint64_t* from, Symbol symbol,
+                        uint64_t* out) const;
 
-  /// One forward step clipped to nothing (plain successor image), CSR-backed.
+  /// One forward step clipped to nothing (plain successor image).
   void SuccSetInto(const Bitset& states, Symbol symbol, Bitset* out) const;
 
-  /// The reach profile {q : word ∈ L(q^{|word|})} via forward-CSR stepping.
+  /// The reach profile {q : word ∈ L(q^{|word|})} by forward stepping.
   Bitset ReachProfile(const Word& word) const;
+
+  /// True when the byte-indexed successor table fits kMaskBitBudget and
+  /// forward steps read it; false when they scatter the forward CSR rows.
+  bool has_successor_table() const { return !succ_table_.empty(); }
 
   /// Some witness word in L(q^ℓ), or nullopt if L(q^ℓ) is empty. Used to pad
   /// sample sets (Algorithm 3, lines 27-30). Deterministic.
@@ -275,11 +288,22 @@ class UnrolledNfa {
   StoredSample MakeSample(Word word) const;
 
  private:
+  /// Fills succ_table_ when it fits the budget (see below).
+  void BuildSuccessorTable();
+
   const Nfa* nfa_;
   int n_;
   SymbolClassIndex classes_;
   CsrTransitions forward_;
   CsrTransitions reverse_;
+  /// Byte-indexed successor table: entry (c, k, b) — row_words_ words at
+  /// ((c·succ_chunks_ + k)·256 + b)·row_words_ — is the union of the successor
+  /// rows of the states {8k + j : bit j of b} under class c's symbols, so a
+  /// forward step ORs one entry per non-zero frontier byte. Empty when
+  /// C·⌈m/8⌉·256·row_words_·64 bits exceed CsrTransitions::kMaskBitBudget.
+  std::vector<uint64_t> succ_table_;
+  size_t succ_chunks_ = 0;  ///< ⌈m/8⌉ 8-state chunks
+  size_t row_words_ = 0;    ///< ⌈m/64⌉ words per state set
   std::vector<Bitset> reachable_;  // [0..n]
 };
 

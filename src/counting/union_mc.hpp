@@ -17,6 +17,7 @@
 #ifndef NFACOUNT_COUNTING_UNION_MC_HPP_
 #define NFACOUNT_COUNTING_UNION_MC_HPP_
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <cstdint>
@@ -24,7 +25,6 @@
 
 #include "util/bitset.hpp"
 #include "util/rng.hpp"
-#include "util/simd.hpp"
 
 namespace nfacount {
 
@@ -56,14 +56,9 @@ class MembershipBatch {
     return profile.Intersects(prefix_[i]);
   }
 
-  /// Same check over a raw profile-word span (the SampleBlock slab form; no
-  /// per-sample Bitset needs to exist). The caller passes the kernel table
-  /// so a trial loop fetches the dispatch once, not once per trial.
-  bool CoveredBefore(const uint64_t* profile, size_t profile_words,
-                     size_t i, const simd::BitsetKernels& kern) const {
-    assert(profile_words == prefix_[i].words().size());
-    return kern.intersects(profile, prefix_[i].words().data(), profile_words);
-  }
+  /// Prefix mask i, {owners[0..i)}, as raw words (the SampleBlock slab form
+  /// of a profile is ANDed against it inline, with no per-sample Bitset).
+  const Bitset& Prefix(size_t i) const { return prefix_[i]; }
 
   /// Number of inputs the current prefix masks cover.
   size_t size() const { return prefix_.size(); }
@@ -73,17 +68,19 @@ class MembershipBatch {
 };
 
 /// Caller-owned scratch for AppUnionBatched, reused across the thousands of
-/// calls one FPRAS run makes: the prefix-mask membership index and the
-/// guide-table trial-draw index (both rebuild in place without reallocating
-/// when sizes repeat).
+/// calls one FPRAS run makes: the prefix-mask membership index, the
+/// guide-table trial-draw index and the per-input draw counts (all rebuild
+/// in place without reallocating when sizes repeat).
 ///
 /// Thread safety: the AppUnion* estimators are pure functions of (inputs,
 /// params, scratch, rng) — concurrent calls are safe iff each thread owns
 /// its scratch and its Rng (the level-sweep executor keeps one
 /// AppUnionScratch per worker slot; see FprasEngine::WorkerScratch).
 struct AppUnionScratch {
-  MembershipBatch batch;  ///< covered-earlier prefix masks
-  DiscreteTable table;    ///< guide-table index draws over the k sizes
+  MembershipBatch batch;      ///< covered-earlier prefix masks
+  DiscreteTable table;        ///< guide-table index draws over the k sizes
+  std::vector<int64_t> draws; ///< c_i: completed trials drawn from input i
+  std::vector<int64_t> limit; ///< draws of input i before the loop stops
 };
 
 /// What to do when an input's sample list runs out mid-call.
@@ -209,10 +206,21 @@ inline size_t ProfileWordsCount(const S& s) {
 
 /// Algorithm 1 with batched membership (the CSR-hot-path variant of
 /// AppUnion). Identical estimator and identical RNG stream — given the same
-/// inputs, params, and rng state it returns the same estimate as AppUnion —
-/// but the covered-earlier loop is replaced by one word-parallel prefix-mask
-/// intersection per trial (see MembershipBatch). Input extends the AppUnion
-/// concept with:
+/// inputs, params, and rng state it returns the same estimate as AppUnion and
+/// leaves the generator in the same state — but it runs as draw-then-scan:
+///
+///   * Pass 1 makes the t index draws, the only randomness a trial uses, and
+///     counts c_i, the completed trials drawn from input i. It stops exactly
+///     where the trial-by-trial loop breaks on starvation.
+///   * Pass 2 reads each input's profile slab once. A trial drawn from input
+///     i reads sample (its draw index mod |S_i|) under kRecycle, and the
+///     break policies never read past |S_i|, so input i contributes
+///     ⌊c_i/|S_i|⌋·U_i plus the uncovered samples among its first
+///     c_i mod |S_i|, where U_i counts the samples of S_i covered by no
+///     earlier input. Each covered-earlier check is an inline word AND
+///     against prefix mask i (see MembershipBatch).
+///
+/// Input extends the AppUnion concept with:
 ///   int    owner()    const;  // dense id of the set's owning state
 ///   size_t universe() const;  // owner-id universe size (m for NFA states)
 /// and Sample(idx) must return a value whose membership profile over that
@@ -221,9 +229,10 @@ inline size_t ProfileWordsCount(const S& s) {
 /// `.reach` Bitset, or a SampleRef's raw slab span.
 ///
 /// `scratch` is caller-owned so repeated calls (one per (q, ℓ, b) in
-/// Algorithm 3) reuse the prefix-mask and draw-table storage.
-/// `membership_checks` counts answered probes (i per trial): an upper bound
-/// on AppUnion's probe-until-first-hit count for the same trials.
+/// Algorithm 3) reuse the prefix-mask, draw-table and count storage.
+/// `membership_checks` counts answered probes (i per completed trial from
+/// input i): an upper bound on AppUnion's probe-until-first-hit count for
+/// the same trials.
 template <typename Input>
 AppUnionOutcome AppUnionBatched(const std::vector<const Input*>& inputs,
                                 const AppUnionParams& params,
@@ -250,28 +259,60 @@ AppUnionOutcome AppUnionBatched(const std::vector<const Input*>& inputs,
   const int64_t t = AppUnionTrialCount(params, sum_sz, max_sz);
   out.trials = t;
 
-  const simd::BitsetKernels& kern = simd::ActiveKernels();
-  std::vector<int64_t> cursor(k, 0);
-  for (int64_t trial = 0; trial < t; ++trial) {
-    int i = scratch.table.Draw(rng);
+  // Pass 1. The trial-by-trial loop stops on a draw of input i once it has
+  // read |S_i| samples (Line 8), except that kRecycle wraps the cursor of a
+  // non-empty list; that draw is consumed but its trial does not complete.
+  const bool recycle = params.starvation == StarvationPolicy::kRecycle;
+  std::vector<int64_t>& draws = scratch.draws;
+  std::vector<int64_t>& limit = scratch.limit;
+  draws.assign(static_cast<size_t>(k), 0);
+  limit.resize(static_cast<size_t>(k));
+  for (int i = 0; i < k; ++i) {
+    const int64_t ns = inputs[i]->num_samples();
+    limit[i] = recycle && ns > 0 ? t : ns;
+  }
+  const DiscreteTable& table = scratch.table;
+  int64_t completed = 0;
+  for (; completed < t; ++completed) {
+    const int i = table.Draw(rng);
     if (i < 0) break;
-    if (cursor[i] >= inputs[i]->num_samples()) {  // Line 8: starvation
+    if (draws[i] >= limit[i]) {
       out.starved = true;
-      if (params.starvation == StarvationPolicy::kRecycle &&
-          inputs[i]->num_samples() > 0) {
-        cursor[i] = 0;  // wrap: re-read the list from the front
-      } else {
-        break;
-      }
+      break;
     }
-    const auto& sample = inputs[i]->Sample(cursor[i]++);
-    out.membership_checks += i;
-    const bool covered_earlier =
-        i > 0 && scratch.batch.CoveredBefore(ProfileWordsData(sample),
-                                             ProfileWordsCount(sample),
-                                             static_cast<size_t>(i), kern);
-    if (!covered_earlier) ++out.hits;
-    ++out.completed_trials;
+    ++draws[i];
+  }
+  out.completed_trials = completed;
+
+  // Pass 2: hits and probes from the counts, one slab read per input.
+  for (int i = 0; i < k; ++i) {
+    const int64_t c = draws[i];
+    if (c == 0) continue;
+    const int64_t ns = inputs[i]->num_samples();
+    if (c > ns) out.starved = true;  // kRecycle wrapped this cursor
+    out.membership_checks += static_cast<int64_t>(i) * c;
+    if (i == 0) {  // nothing is earlier: every trial hits
+      out.hits += c;
+      continue;
+    }
+    const int64_t laps = c / ns;
+    const int64_t rest = c % ns;
+    const uint64_t* mask =
+        scratch.batch.Prefix(static_cast<size_t>(i)).words().data();
+    int64_t uncovered = 0;       // among the samples scanned so far
+    int64_t uncovered_rest = 0;  // among the first `rest`, once laps > 0
+    for (int64_t j = 0; j < std::min(c, ns); ++j) {
+      if (j == rest) uncovered_rest = uncovered;
+      const auto& sample = inputs[i]->Sample(j);
+      const uint64_t* profile = ProfileWordsData(sample);
+      const size_t nwords = ProfileWordsCount(sample);
+      assert(nwords == scratch.batch.Prefix(static_cast<size_t>(i))
+                           .words().size());
+      uint64_t covered = 0;
+      for (size_t w = 0; w < nwords; ++w) covered |= profile[w] & mask[w];
+      uncovered += covered == 0;
+    }
+    out.hits += laps > 0 ? laps * uncovered + uncovered_rest : uncovered;
   }
 
   const double denom =

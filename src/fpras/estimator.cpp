@@ -547,7 +547,7 @@ void FprasEngine::AppendAcceptedWalk(int level, int walk, WorkerScratch& ws,
   ar.profile_cur.Set(static_cast<size_t>(nfa_->initial()));
   for (int j = 0; j < level; ++j) {
     unrolled_.SuccSetWordsInto(ar.profile_cur.words().data(), word[j],
-                               ar.profile_next.mutable_words(), *kernels_);
+                               ar.profile_next.mutable_words());
     std::swap(ar.profile_cur, ar.profile_next);
   }
   block->Append(word, ar.profile_cur.words().data());

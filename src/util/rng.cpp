@@ -4,11 +4,6 @@
 #include <cstddef>
 
 namespace nfacount {
-namespace {
-
-inline uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
-
-}  // namespace
 
 uint64_t Mix64(uint64_t z) {
   z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
@@ -30,18 +25,6 @@ Rng Rng::ForSubstream(uint64_t seed, uint64_t a, uint64_t b) {
   key = HashCombine(key, a);
   key = HashCombine(key, b);
   return Rng(key);
-}
-
-uint64_t Rng::NextU64() {
-  const uint64_t result = Rotl(s_[1] * 5, 7) * 9;
-  const uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = Rotl(s_[3], 45);
-  return result;
 }
 
 uint64_t Rng::UniformU64(uint64_t bound) {
@@ -113,11 +96,12 @@ void DiscreteTable::Rebuild(const std::vector<double>& weights) {
   }
   total_ = acc;
 
-  // G = 2^g buckets: the smallest power of two >= 2k, capped at 2^16. The
+  // G = 2^g buckets: the smallest power of two >= 16k, capped at 2^16. The
   // k prefix sums split among G equally likely buckets, so a draw's expected
-  // scan is <= 1 + k/G steps: <= 1.5 below the cap.
+  // scan is <= 1 + k/G steps: <= 1 + 1/16 below the cap, which keeps the
+  // scan's exit branch predictable.
   int g = 1;
-  while (g < 16 && (size_t{1} << g) < 2 * k) ++g;
+  while (g < 16 && (size_t{1} << g) < 16 * k) ++g;
   guide_shift_ = 53 - g;
   guide_.resize(size_t{1} << g);
   // Bucket b holds r in [b << shift, (b + 1) << shift). u_min is the u its
@@ -132,25 +116,6 @@ void DiscreteTable::Rebuild(const std::vector<double>& weights) {
     while (i < k && !(u_min < prefix_[i])) ++i;
     guide_[b] = static_cast<uint32_t>(i);
   }
-}
-
-int DiscreteTable::Draw(Rng& rng) const {
-  if (!(total_ > 0.0)) return -1;
-  // Bit for bit UniformDouble() * total_, keeping r to pick the bucket.
-  const uint64_t r = rng.NextU64() >> 11;
-  const double u = static_cast<double>(r) * 0x1.0p-53 * total_;
-  // First i with u < prefix_[i] — the same condition DiscreteIndex's linear
-  // scan tests, on the same partial sums; no index below the guide entry can
-  // satisfy it.
-  const size_t k = prefix_.size();
-  size_t i = guide_[r >> guide_shift_];
-  while (i < k && !(u < prefix_[i])) ++i;
-  if (i < k) return static_cast<int>(i);
-  // Floating-point slack (or an infinite total): DiscreteIndex's exact
-  // fallback, the last positive weight. A tiny weight can be absorbed by the
-  // running sum and leave no strict prefix increase, so it is found on the
-  // weights, not the prefix sums.
-  return last_positive_;
 }
 
 }  // namespace nfacount

@@ -6,6 +6,7 @@
 #ifndef NFACOUNT_UTIL_RNG_HPP_
 #define NFACOUNT_UTIL_RNG_HPP_
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -51,8 +52,18 @@ class Rng {
   /// level sweep bit-identical for every thread count (including 1).
   static Rng ForSubstream(uint64_t seed, uint64_t a, uint64_t b);
 
-  /// Raw 64 uniform bits.
-  uint64_t NextU64();
+  /// Raw 64 uniform bits. Inline: AppUnion's trial loop draws one per trial.
+  uint64_t NextU64() {
+    const uint64_t result = Rotl(s_[1] * 5, 7) * 9;
+    const uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = Rotl(s_[3], 45);
+    return result;
+  }
 
   /// Uniform integer in [0, bound) without modulo bias (Lemire's method).
   /// `bound` must be > 0.
@@ -82,6 +93,10 @@ class Rng {
   uint64_t operator()() { return NextU64(); }
 
  private:
+  static uint64_t Rotl(uint64_t x, int k) {
+    return (x << k) | (x >> (64 - k));
+  }
+
   uint64_t s_[4];
 };
 
@@ -91,12 +106,14 @@ class Rng {
 /// DiscreteIndex's O(k) scan: a guide table (indexed search) of G = 2^g
 /// buckets over the top g of the 53 uniform bits maps each bucket to the
 /// first index its smallest value can select, and a forward scan of at most
-/// 1 + k/G expected steps finishes. It consumes exactly one NextU64 (the bits
-/// of one UniformDouble) and selects the bit-identical index for the same
-/// generator state: the prefix sums accumulate in DiscreteIndex's order, the
-/// scan tests DiscreteIndex's `u < prefix` condition, and the floating-point-
-/// slack fallback picks the same last positive weight. Rebuild() reuses the
-/// table's storage across calls.
+/// 1 + k/G expected steps finishes; G >= min(16k, 2^16), so the scan
+/// usually stops at its first test and rarely mispredicts. It consumes
+/// exactly one NextU64 (the bits of one UniformDouble) and selects the
+/// bit-identical index for the same generator state: the prefix sums
+/// accumulate in DiscreteIndex's order, the scan tests DiscreteIndex's
+/// `u < prefix` condition, and the floating-point-slack fallback picks the
+/// same last positive weight. Rebuild() reuses the table's storage across
+/// calls.
 class DiscreteTable {
  public:
   DiscreteTable() = default;
@@ -114,7 +131,25 @@ class DiscreteTable {
 
   /// Index i drawn with probability weights[i] / total, or -1 when !valid().
   /// Identical selection to Rng::DiscreteIndex on the same weights and rng.
-  int Draw(Rng& rng) const;
+  /// Inline: it is the whole body of AppUnion's first pass.
+  int Draw(Rng& rng) const {
+    if (!(total_ > 0.0)) return -1;
+    // Bit for bit UniformDouble() * total_, keeping r to pick the bucket.
+    const uint64_t r = rng.NextU64() >> 11;
+    const double u = static_cast<double>(r) * 0x1.0p-53 * total_;
+    // First i with u < prefix_[i] — the same condition DiscreteIndex's
+    // linear scan tests, on the same partial sums; no index below the guide
+    // entry can satisfy it.
+    const size_t k = prefix_.size();
+    size_t i = guide_[r >> guide_shift_];
+    while (i < k && !(u < prefix_[i])) ++i;
+    if (i < k) return static_cast<int>(i);
+    // Floating-point slack (or an infinite total): DiscreteIndex's exact
+    // fallback, the last positive weight. A tiny weight can be absorbed by
+    // the running sum and leave no strict prefix increase, so it is found on
+    // the weights, not the prefix sums.
+    return last_positive_;
+  }
 
  private:
   std::vector<double> prefix_;

@@ -1,7 +1,8 @@
 // Tests for the flat CSR transition layout and the batched membership path:
-// construction equivalence against the per-state Nfa adjacency, PredSet
-// equivalence on random frontiers, per-level counts cross-checked against the
-// exact subset DP, and MembershipBatch prefix coverage.
+// construction equivalence against the per-state Nfa adjacency, PredSet and
+// successor-table equivalence on random frontiers, per-level counts
+// cross-checked against the exact subset DP, and MembershipBatch prefix
+// coverage.
 
 #include <gtest/gtest.h>
 
@@ -48,14 +49,14 @@ TEST(Csr, RowsMatchLegacyAdjacency) {
   }
 }
 
-// Row masks (when materialized) hold exactly the row's target set, and
-// StepInto equals the legacy one-step image either way.
+// The forward CSR carries no row masks (forward steps read UnrolledNfa's
+// successor table), so StepInto scatters its rows; it must equal the
+// pointer-walk one-step image.
 TEST(Csr, StepIntoMatchesNfaStep) {
   Rng rng(TestSeed(102));
   for (int trial = 0; trial < 8; ++trial) {
     Nfa nfa = RandomNfa(4 + static_cast<int>(rng.UniformU64(16)), 0.3, 0.3, rng);
     CsrTransitions fwd = CsrTransitions::FromSuccessors(nfa);
-    ASSERT_TRUE(fwd.has_masks());  // tiny automata are always under budget
     Bitset out(nfa.num_states());
     for (int rep = 0; rep < 10; ++rep) {
       Bitset from(nfa.num_states());
@@ -68,6 +69,90 @@ TEST(Csr, StepIntoMatchesNfaStep) {
       }
     }
   }
+}
+
+/// m states over 4 symbols with random rows of the given density, where
+/// symbol 3 copies every row of symbol 1: class {1, 3} has the
+/// non-representative member 3.
+Nfa SharedClassRandomNfa(int m, double density, Rng& rng) {
+  Nfa nfa(4);
+  nfa.AddStates(m);
+  nfa.SetInitial(0);
+  nfa.AddAccepting(m - 1);
+  for (StateId q = 0; q < m; ++q) {
+    for (Symbol a = 0; a < 3; ++a) {
+      for (StateId r = 0; r < m; ++r) {
+        if (!rng.Bernoulli(density)) continue;
+        nfa.AddTransition(q, a, r);
+        if (a == 1) nfa.AddTransition(q, 3, r);
+      }
+    }
+  }
+  return nfa;
+}
+
+/// Random frontiers over `m` states (the empty and the full set among them)
+/// must step to Nfa::Step's image under every symbol, through both the
+/// Bitset and the raw-span entry points.
+void ExpectForwardStepsMatchNfa(const UnrolledNfa& unr, const Nfa& nfa,
+                                Rng& rng) {
+  const int m = nfa.num_states();
+  Bitset out(static_cast<size_t>(m));
+  std::vector<uint64_t> span_out(out.words().size(), ~uint64_t{0});
+  for (int rep = 0; rep < 12; ++rep) {
+    const double p = rep == 0 ? 0.0 : rep == 1 ? 1.0 : 0.05 * rep;
+    Bitset from(static_cast<size_t>(m));
+    for (StateId q = 0; q < m; ++q) {
+      if (rng.Bernoulli(p)) from.Set(q);
+    }
+    for (int a = 0; a < nfa.alphabet_size(); ++a) {
+      const Symbol s = static_cast<Symbol>(a);
+      const Bitset want = nfa.Step(from, s);
+      unr.SuccSetInto(from, s, &out);
+      EXPECT_EQ(out, want) << "m=" << m << " a=" << a << " rep=" << rep;
+      unr.SuccSetWordsInto(from.words().data(), s, span_out.data());
+      EXPECT_EQ(Bitset::FromWords(static_cast<size_t>(m), span_out.data()),
+                want)
+          << "m=" << m << " a=" << a << " rep=" << rep;
+    }
+  }
+}
+
+// The byte-indexed successor table steps exactly like the adjacency: partial
+// last chunks (m mod 8 != 0), word boundaries (63/64/65, 129) and a class
+// member that is not its class's representative.
+TEST(Csr, SuccessorTableStepMatchesNfaStep) {
+  Rng rng(TestSeed(107));
+  for (int m : {1, 7, 8, 9, 63, 64, 65, 70, 129}) {
+    const Nfa nfa = SharedClassRandomNfa(m, 0.15, rng);
+    UnrolledNfa unr(&nfa, 2);
+    ASSERT_TRUE(unr.has_successor_table()) << "m=" << m;
+    const SymbolClassIndex& classes = unr.symbol_classes();
+    ASSERT_EQ(classes.ClassOf(1), classes.ClassOf(3)) << "m=" << m;
+    ASSERT_EQ(classes.Representative(classes.ClassOf(3)), Symbol{1});
+    ExpectForwardStepsMatchNfa(unr, nfa, rng);
+  }
+}
+
+// Above CsrTransitions::kMaskBitBudget the table is not built and forward
+// steps scatter the CSR rows. One class and m = 3000 make the table
+// 375 chunks · 256 entries · 47 words · 64 bits ≈ 2^28.1 bits.
+TEST(Csr, OverBudgetAutomatonStepsTheCsrRows) {
+  const int m = 3000;
+  Nfa nfa(1);
+  nfa.AddStates(m);
+  nfa.SetInitial(0);
+  nfa.AddAccepting(m - 1);
+  for (StateId q = 0; q < m; ++q) {
+    nfa.AddTransition(q, 0, (q + 1) % m);
+    nfa.AddTransition(q, 0, (7 * q + 3) % m);
+  }
+  UnrolledNfa unr(&nfa, 3);
+  ASSERT_FALSE(unr.has_successor_table());
+  Rng rng(TestSeed(108));
+  ExpectForwardStepsMatchNfa(unr, nfa, rng);
+  const Word w = {0, 0, 0};
+  EXPECT_EQ(unr.ReachProfile(w), nfa.Reach(w));
 }
 
 // The CSR predecessor expansion must equal the pointer-walk expansion over
@@ -134,7 +219,7 @@ TEST(Csr, ReachableSetsAndLevelCountsMatchExact) {
   }
 }
 
-// Reach profiles computed by forward-CSR stepping must match Nfa::Reach.
+// Reach profiles computed by forward stepping must match Nfa::Reach.
 TEST(Csr, ReachProfileMatchesNfaReach) {
   Rng rng(TestSeed(105));
   Nfa nfa = RandomNfa(9, 0.3, 0.3, rng);

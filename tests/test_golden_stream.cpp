@@ -4,27 +4,29 @@
 // checked against these files; a change that moves the stream on purpose
 // regenerates them in the same commit, with the reason in its message.
 //
-// The settings are those of `nfa_cli sample <file> 12 64 424242`: default
-// CountOptions (ε = 0.2, δ = 0.1), session seed 424242, horizon 12, one
-// SampleWords(12, 64) call. The seed is fixed, not TestSeed-shifted. The
-// words and counts are rendered at num_threads 1, 2 and 4 against the same
-// fixtures: the sweep and the draw windows split work across threads, never
-// the stream.
+// The settings are those of `nfa_cli sample <file> N 64 424242`: default
+// CountOptions (ε = 0.2, δ = 0.1), session seed 424242, horizon N, one
+// SampleWords(N, 64) call. N is per fixture: 12 for golden.nfa and
+// multi_accept.nfa, 6 for sparse70.nfa (70 states, so its reach profiles
+// span two words and its unions run real covered-earlier checks). The seed
+// is fixed, not TestSeed-shifted. The words and counts are rendered at
+// num_threads 1, 2 and 4 against the same fixtures: the sweep and the draw
+// windows split work across threads, never the stream.
 //
 // The work counters of the 1-thread session after its build and that draw
-// are pinned too (<name>_counters_n12.txt, "counter value" per line). They
+// are pinned too (<name>_counters_nN.txt, "counter value" per line). They
 // are deterministic at one thread, so an accidental extra AppUnion, walk or
 // batch fails here with no timing involved. A change that moves work on
 // purpose regenerates that file and says why.
 //
 // To regenerate, from a build with examples:
 //
-//   example_nfa_cli sample tests/data/golden.nfa 12 64 424242 > FILE
+//   example_nfa_cli sample tests/data/<name>.nfa N 64 424242 > FILE
 //
-// with FILE = tests/data/golden_sample_n12.txt (likewise multi_accept.nfa
-// into multi_accept_sample_n12.txt), and copy the counts text — "ℓ %.17g" per
-// line, ℓ = 0..12 — and the counters text from this test's failure message
-// into tests/data/<name>_counts_n12.txt and <name>_counters_n12.txt.
+// with FILE = tests/data/<name>_sample_nN.txt, and copy the counts text —
+// "ℓ %.17g" per line, ℓ = 0..N — and the counters text from this test's
+// failure message into tests/data/<name>_counts_nN.txt and
+// <name>_counters_nN.txt.
 
 #include <gtest/gtest.h>
 
@@ -46,7 +48,6 @@
 namespace nfacount {
 namespace {
 
-constexpr int kHorizon = 12;
 constexpr int64_t kWords = 64;
 constexpr uint64_t kSeed = 424242;
 
@@ -82,8 +83,8 @@ std::string RenderCounters(const FprasDiagnostics& d) {
 }
 
 /// Draws, counts and work counters of the pinned session over `nfa_file`
-/// at `threads`, rendered as the fixtures store them.
-void RenderStream(const std::string& nfa_file, int threads,
+/// at `horizon` and `threads`, rendered as the fixtures store them.
+void RenderStream(const std::string& nfa_file, int horizon, int threads,
                   std::string* words, std::string* counts,
                   std::string* counters) {
   Result<Nfa> nfa = LoadNfaFile(DataPath(nfa_file));
@@ -92,13 +93,13 @@ void RenderStream(const std::string& nfa_file, int threads,
   options.seed = kSeed;
   options.num_threads = threads;
   Result<EngineSession> session =
-      EngineSession::Create(*nfa, kHorizon, options);
+      EngineSession::Create(*nfa, horizon, options);
   ASSERT_TRUE(session.ok()) << session.status().ToString();
-  Result<std::vector<Word>> drawn = session->SampleWords(kHorizon, kWords);
+  Result<std::vector<Word>> drawn = session->SampleWords(horizon, kWords);
   ASSERT_TRUE(drawn.ok()) << drawn.status().ToString();
   *counters = RenderCounters(session->diagnostics());
   for (const Word& w : *drawn) *words += WordToString(w) + "\n";
-  for (int length = 0; length <= kHorizon; ++length) {
+  for (int length = 0; length <= horizon; ++length) {
     Result<double> c = session->CountAtLength(length);
     ASSERT_TRUE(c.ok()) << c.status().ToString();
     char line[64];
@@ -107,36 +108,43 @@ void RenderStream(const std::string& nfa_file, int threads,
   }
 }
 
-void ExpectMatchesFixtures(const std::string& name) {
-  const std::string want_words = ReadFile(DataPath(name + "_sample_n12.txt"));
-  const std::string want_counts =
-      ReadFile(DataPath(name + "_counts_n12.txt"));
+void ExpectMatchesFixtures(const std::string& name, int horizon) {
+  const std::string suffix = "_n" + std::to_string(horizon) + ".txt";
+  const std::string want_words = ReadFile(DataPath(name + "_sample" + suffix));
+  const std::string want_counts = ReadFile(DataPath(name + "_counts" + suffix));
   for (int threads : {1, 2, 4}) {
     SCOPED_TRACE("num_threads " + std::to_string(threads));
     std::string words;
     std::string counts;
     std::string counters;
-    RenderStream(name + ".nfa", threads, &words, &counts, &counters);
+    RenderStream(name + ".nfa", horizon, threads, &words, &counts,
+                 &counters);
     EXPECT_EQ(words, want_words);
     EXPECT_EQ(counts, want_counts);
     // The counters are those of the default engine: the process-wide
     // NFACOUNT_DESCENT_CACHE override (CI's uncached leg) changes the work
     // by design, though never the words or counts.
     if (threads == 1 && std::getenv("NFACOUNT_DESCENT_CACHE") == nullptr) {
-      EXPECT_EQ(counters, ReadFile(DataPath(name + "_counters_n12.txt")));
+      EXPECT_EQ(counters, ReadFile(DataPath(name + "_counters" + suffix)));
     }
   }
 }
 
 // Plain tests rather than a parameterized suite, so `--smoke` runs them too.
 TEST(GoldenStream, SingleAcceptingStateMatchesFixtures) {
-  ExpectMatchesFixtures("golden");
+  ExpectMatchesFixtures("golden", 12);
 }
 
 // Three live accepting states: the counts are AppUnion estimates rather
 // than one cell's N.
 TEST(GoldenStream, MultiAcceptingMatchesFixtures) {
-  ExpectMatchesFixtures("multi_accept");
+  ExpectMatchesFixtures("multi_accept", 12);
+}
+
+// Two-word reach profiles and overlapping unions: the covered-earlier scan
+// does real work here (golden.nfa's membership_checks is 0).
+TEST(GoldenStream, SparseTwoWordProfilesMatchFixtures) {
+  ExpectMatchesFixtures("sparse70", 6);
 }
 
 }  // namespace

@@ -425,9 +425,16 @@ TEST_P(BatchedEqualsAppUnion, ZeroSizeAndEmptyInputs) {
 
 INSTANTIATE_TEST_SUITE_P(
     Policies, BatchedEqualsAppUnion,
-    ::testing::Values(StarvationPolicy::kBreak, StarvationPolicy::kRecycle),
+    ::testing::Values(StarvationPolicy::kBreak,
+                      StarvationPolicy::kScaleByCompleted,
+                      StarvationPolicy::kRecycle),
     [](const ::testing::TestParamInfo<StarvationPolicy>& info) {
-      return info.param == StarvationPolicy::kBreak ? "Break" : "Recycle";
+      switch (info.param) {
+        case StarvationPolicy::kBreak: return "Break";
+        case StarvationPolicy::kScaleByCompleted: return "ScaleByCompleted";
+        case StarvationPolicy::kRecycle: return "Recycle";
+      }
+      return "Unknown";
     });
 
 }  // namespace
