@@ -101,10 +101,11 @@ void DescentCache::Reset(int64_t capacity, size_t row_words,
   num_classes_ = num_classes;
   entries_.store(0, std::memory_order_relaxed);
   bytes_.store(0, std::memory_order_relaxed);
+  link_hits_.store(0, std::memory_order_relaxed);
 }
 
 int64_t DescentCache::hits() const {
-  int64_t total = 0;
+  int64_t total = link_hits_.load(std::memory_order_relaxed);
   for (const Shard& shard : shards_) {
     total += shard.hits.load(std::memory_order_relaxed);
   }
@@ -142,34 +143,7 @@ const DescentEntry* DescentCache::FindLocked(const Shard& shard,
 }
 
 const DescentEntry* DescentCache::Find(int level, const uint64_t* set) {
-  return FindHashed(KeyHash(level, set), level, set);
-}
-
-const DescentEntry* DescentCache::Find(int level, const uint64_t* set,
-                                       Lookaside* lookaside) {
   const uint64_t hash = KeyHash(level, set);
-  const DescentEntry*& slot = lookaside->slots_[hash % Lookaside::kSlots];
-  if (slot != nullptr && Matches(*slot, level, set)) {
-    ++lookaside->pending_hits_[hash >> (64 - kShardBits)];
-    return slot;
-  }
-  const DescentEntry* entry = FindHashed(hash, level, set);
-  if (entry != nullptr) slot = entry;
-  return entry;
-}
-
-void DescentCache::Flush(Lookaside* lookaside) {
-  for (int s = 0; s < kNumShards; ++s) {
-    int64_t& pending = lookaside->pending_hits_[static_cast<size_t>(s)];
-    if (pending == 0) continue;
-    shards_[static_cast<size_t>(s)].hits.fetch_add(pending,
-                                                   std::memory_order_relaxed);
-    pending = 0;
-  }
-}
-
-const DescentEntry* DescentCache::FindHashed(uint64_t hash, int level,
-                                             const uint64_t* set) {
   Shard& shard = ShardFor(hash);
   std::lock_guard<std::mutex> lock(shard.mu);
   const DescentEntry* entry = FindLocked(shard, hash, level, set);
@@ -203,11 +177,15 @@ const DescentEntry* DescentCache::Insert(int level, const uint64_t* set,
   entry.sizes = sizes;
   entry.rows.assign(rows, rows + static_cast<size_t>(num_classes_) *
                                      row_words_);
+  const size_t num_classes = static_cast<size_t>(num_classes_);
+  // Value-initialized: every child link starts null.
+  entry.links = std::make_unique<DescentEntry::ChildLink[]>(num_classes);
   bytes_.fetch_add(
       static_cast<int64_t>(sizeof(DescentEntry) +
                            (entry.set.size() + entry.rows.size()) *
                                sizeof(uint64_t) +
-                           entry.sizes.size() * sizeof(double)),
+                           entry.sizes.size() * sizeof(double) +
+                           num_classes * sizeof(DescentEntry::ChildLink)),
       std::memory_order_relaxed);
   return &shard.map.emplace(hash, std::move(entry))->second;
 }
@@ -360,8 +338,7 @@ void FprasEngine::UnionSizesInto(int level, const Bitset& state_set,
 
 void FprasEngine::RunWalkBatch(int level, const Bitset& state_set, double phi0,
                                uint64_t walk_key, int64_t first_attempt,
-                               int count, WorkerScratch& ws,
-                               DescentCache::Lookaside* lookaside) {
+                               int count, WorkerScratch& ws) {
   SampleArena& ar = ws.arena;
   const size_t m_bits = static_cast<size_t>(nfa_->num_states());
   const size_t row_words = (m_bits + 63) / 64;
@@ -380,15 +357,17 @@ void FprasEngine::RunWalkBatch(int level, const Bitset& state_set, double phi0,
     ar.group_of[w] = 0;
     ar.state_of[w] = SampleArena::kAlive;
   }
+  ar.group_link[0] = nullptr;  // the root step has no parent entry
   int group_count = 1;
 
   const double eta_call = params_.EtaForSampleCall();
   const double delta_union = eta_call / (4.0 * std::max(params_.n, 1));
   // Cross-batch descent cache: both per-group computations below — the
   // union-size vector and the predecessor expansions — are pure functions of
-  // (level, frontier content[, class]), so one probe per group replaces them
-  // with bit-identical data (see DescentCache's purity argument).
+  // (level, frontier content[, class]), so one lookup per group replaces
+  // them with bit-identical data (see DescentCache's purity argument).
   const bool use_descent = descent_.enabled();
+  int64_t link_hits = 0;
 
   for (int i = level; i >= 1; --i) {
     std::fill(ar.group_ready.begin(), ar.group_ready.begin() + group_count, 0);
@@ -403,24 +382,33 @@ void FprasEngine::RunWalkBatch(int level, const Bitset& state_set, double phi0,
       const int g = ar.group_of[w];
       std::vector<double>& own_sizes = ar.group_sizes[static_cast<size_t>(g)];
       if (!ar.group_ready[g]) {
-        // One descent-cache probe per group — every member shares it, and the
-        // cache shares the sizes and predecessor rows across batches, cells,
-        // and draws. A miss estimates the sizes, expanding every class's row
-        // on the way, and offers both to the cache.
-        const uint64_t* frontier = ar.cur.Row(g);
-        const DescentEntry* entry = nullptr;
-        if (use_descent) {
-          entry = lookaside != nullptr ? descent_.Find(i, frontier, lookaside)
-                                       : descent_.Find(i, frontier);
-        }
-        if (entry == nullptr) {
-          ar.frontier_scratch.AssignWords(frontier, row_words);
-          UnionSizesInto(i, ar.frontier_scratch, delta_union,
-                         UnionPurpose::kSample, ws, &own_sizes,
-                         use_descent ? &ws.pred_rows : nullptr);
-          if (use_descent) {
-            entry = descent_.Insert(i, frontier, own_sizes,
-                                    ws.pred_rows.data());
+        // One descent-cache lookup per group — every member shares it, and
+        // the cache shares the sizes and predecessor rows across batches,
+        // cells, and draws. A set child link of the parent's entry is the
+        // lookup; otherwise the group probes, and a miss estimates the
+        // sizes, expanding every class's row on the way, and offers both to
+        // the cache. An entry found or admitted here is then published in
+        // the parent's link, so the next walk down this edge follows it.
+        DescentEntry::ChildLink* link = ar.group_link[g];
+        const DescentEntry* entry =
+            link != nullptr ? link->load(std::memory_order_acquire) : nullptr;
+        if (entry != nullptr) {
+          ++link_hits;
+        } else {
+          const uint64_t* frontier = ar.cur.Row(g);
+          if (use_descent) entry = descent_.Find(i, frontier);
+          if (entry == nullptr) {
+            ar.frontier_scratch.AssignWords(frontier, row_words);
+            UnionSizesInto(i, ar.frontier_scratch, delta_union,
+                           UnionPurpose::kSample, ws, &own_sizes,
+                           use_descent ? &ws.pred_rows : nullptr);
+            if (use_descent) {
+              entry = descent_.Insert(i, frontier, own_sizes,
+                                      ws.pred_rows.data());
+            }
+          }
+          if (entry != nullptr && link != nullptr) {
+            link->store(entry, std::memory_order_release);
           }
         }
         ar.group_entry[g] = entry;
@@ -471,7 +459,9 @@ void FprasEngine::RunWalkBatch(int level, const Bitset& state_set, double phi0,
         uint64_t* out_row = ar.next.Row(child);
         if (entry != nullptr) {
           std::copy(entry->Row(c), entry->Row(c) + row_words, out_row);
+          ar.next_group_link[child] = &entry->Link(c);
         } else {
+          ar.next_group_link[child] = nullptr;
           unrolled_.PredSetWordsInto(ar.cur.Row(g),
                                      classes.Representative(c), i, out_row,
                                      *kernels_);
@@ -490,8 +480,10 @@ void FprasEngine::RunWalkBatch(int level, const Bitset& state_set, double phi0,
     if (!any_alive) break;  // the whole batch died mid-walk
     std::swap(ar.cur, ar.next);
     std::swap(ar.group_of, ar.next_group_of);
+    std::swap(ar.group_link, ar.next_group_link);
     group_count = next_group_count;
   }
+  descent_.CountLinkHits(link_hits);
 
   // Base case (Alg. 2 lines 4-6), per walk. A group's frontier is shared,
   // so the initial-state test is per group; φ and the Bernoulli are per
@@ -520,7 +512,6 @@ void FprasEngine::RunWalkBatch(int level, const Bitset& state_set, double phi0,
     ar.state_of[w] = SampleArena::kAccepted;
     ar.accepted.push_back(w);
   }
-  if (lookaside != nullptr) descent_.Flush(lookaside);
 }
 
 void FprasEngine::ConsumeWalkDiagnostics(const uint8_t* outcomes,
@@ -712,7 +703,6 @@ Status FprasEngine::Prepare() {
   kernels_ = &simd::ActiveKernels();
   post_attempt_counter_ = 0;
   draw_pool_.reset();
-  draw_lookasides_.clear();
   window_ = DrawWindow{};
   // Draw-path scratch: its own bundles so post-run draws never contend
   // with (or corrupt) a concurrently extending sweep's worker slots.
@@ -941,7 +931,6 @@ void FprasEngine::RunDrawWindow(int level, const Bitset& alive, double gamma0,
                                 int64_t batches, int64_t attempts_left) {
   if (draw_pool_ == nullptr) {
     draw_pool_ = std::make_unique<ThreadPool>(static_cast<int>(draws_.size()));
-    draw_lookasides_.resize(draws_.size());
   }
   const size_t width = static_cast<size_t>(batch_width_);
   const size_t word_len = static_cast<size_t>(level);
@@ -959,8 +948,7 @@ void FprasEngine::RunDrawWindow(int level, const Bitset& alive, double gamma0,
         const int count = static_cast<int>(
             std::min<int64_t>(batch_width_, attempts_left - offset));
         RunWalkBatch(level, alive, gamma0, kDrawStreamTag,
-                     first_attempt + offset, count, ws,
-                     &draw_lookasides_[static_cast<size_t>(worker)]);
+                     first_attempt + offset, count, ws);
         const SampleArena& ar = ws.arena;
         const size_t slot = static_cast<size_t>(k) * width;
         win.counts[static_cast<size_t>(k)] = count;

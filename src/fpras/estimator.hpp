@@ -25,8 +25,9 @@
 // batch_width candidate walks in lockstep down the levels on a per-worker
 // FrontierPlane (fpras/plane.hpp). Walks with identical symbol histories
 // share one frontier row ("group"), so each level costs one descent-cache
-// probe (or union-size estimation) per group and one predecessor row per
-// (group, drawn class) — not per walk — and
+// lookup (or union-size estimation) per group and one predecessor row per
+// (group, drawn class) — not per walk; below the root step the lookup is
+// usually a followed child link rather than a hash probe — and
 // the reach profile of each accepted walk is built by a fused forward pass
 // over the same plane scratch, never by re-simulating the stored word. Each
 // candidate walk draws exclusively from its own attempt-indexed RNG
@@ -62,13 +63,13 @@
 // and computed_level_ is an atomic, so ONE extending thread (RunToLevel) may
 // run concurrently with draw/read threads as long as the readers only touch
 // levels the extender has already finished: frozen LevelStates are
-// immutable, the descent cache is internally locked and hands out immutable
-// entries, and every estimate is content-keyed, so the interleaving is
-// invisible in all results. computed_level() is the one level-visibility
-// fence: a level's cells and its |L(A_ℓ)| are written before the release
-// store that publishes it. Callers must serialize draws among themselves
-// (post_attempt_counter_ is a plain cursor); diagnostics() still requires
-// quiescence.
+// immutable, the descent cache is internally locked and hands out entries
+// whose only mutable part is their atomic child links, and every estimate
+// is content-keyed, so the interleaving is invisible in all results.
+// computed_level() is the one level-visibility fence: a level's cells and
+// its |L(A_ℓ)| are written before the release store that publishes it.
+// Callers must serialize draws among themselves (post_attempt_counter_ is a
+// plain cursor); diagnostics() still requires quiescence.
 
 #ifndef NFACOUNT_FPRAS_ESTIMATOR_HPP_
 #define NFACOUNT_FPRAS_ESTIMATOR_HPP_
@@ -101,9 +102,10 @@ struct FprasDiagnostics {
   /// intersection answers).
   int64_t membership_checks = 0;
   int64_t starvations = 0;      ///< AppUnion Line-8 events
-  /// Descent-cache probes (DescentCache::Find), one per walk group per
-  /// level: sample-path (level, frontier) steps found in the cache vs
-  /// estimated fresh. Both stay 0 when the cache is disabled (capacity 0).
+  /// Descent-cache lookups, one per walk group per level: sample-path
+  /// (level, frontier) steps found in the cache — by DescentCache::Find or
+  /// by following a parent entry's child link — vs estimated fresh. Both
+  /// stay 0 when the cache is disabled (capacity 0).
   /// Scheduling-dependent: two threads can both miss on a key a sequential
   /// run would hit once; results never move (the cache is pure).
   ///
@@ -123,8 +125,8 @@ struct FprasDiagnostics {
   int64_t descent_hits = 0;
   int64_t descent_misses = 0;
   int64_t descent_entries = 0;  ///< admitted (level, frontier) cache entries
-  /// Approximate descent-cache footprint: keys, sizes and rows, counted
-  /// when an entry is admitted.
+  /// Approximate descent-cache footprint: keys, sizes, rows and child
+  /// links, counted when an entry is admitted.
   int64_t descent_bytes = 0;
   /// Candidate walks launched (Algorithm 2 attempts), counted exactly per
   /// consumed attempt: a lockstep batch may execute speculative walks past
@@ -198,19 +200,35 @@ struct LevelState {
 };
 
 /// One admitted descent-cache entry: everything a walk group needs at one
-/// (level, frontier) step of Algorithm 2. Written once, before the cache
-/// hands it out, and immutable until DescentCache::Reset.
+/// (level, frontier) step of Algorithm 2, plus a link per class to the entry
+/// of the step below. The key, sizes and rows are written once, before the
+/// cache hands the entry out, and are immutable until DescentCache::Reset.
+///
+/// Child links: Link(c) is null at admission and is set at most once, to the
+/// admitted entry of (level − 1, Row(c)) — the step a walk that draws class c
+/// takes next. A walk group that follows a set link skips that step's hash
+/// probe. Links are idempotent: Insert's first writer wins, so a key has one
+/// admitted entry and every publisher stores the same pointer. A group
+/// publishes with a release store after Find or Insert handed it the child;
+/// readers load with acquire, so the child's contents are visible.
 struct DescentEntry {
+  using ChildLink = std::atomic<const DescentEntry*>;
+
   int level = 0;
   std::vector<uint64_t> set;    ///< the frontier's words (the key)
   std::vector<double> sizes;    ///< weighted per-class union sizes
   std::vector<uint64_t> rows;   ///< Pred(P, c) per class c, set.size() words
                                 ///< each, in class order
+  /// One child link per class, in class order (sizes.size() of them).
+  std::unique_ptr<ChildLink[]> links;
 
   /// Class c's expanded predecessor row.
   const uint64_t* Row(int c) const {
     return rows.data() + static_cast<size_t>(c) * set.size();
   }
+  /// Class c's child link. Mutable through a const entry: a link is the one
+  /// part of an admitted entry that is written after admission.
+  ChildLink& Link(int c) const { return links[static_cast<size_t>(c)]; }
 };
 
 /// Sharded, capacity-bounded cache of the per-(level, frontier-set) descent
@@ -240,30 +258,12 @@ struct DescentEntry {
 /// move, so a returned pointer stays valid — and may be read without the
 /// lock — until Reset, which only FprasEngine::Prepare calls.
 ///
-/// Parallel draw windows probe through a private Lookaside per draw worker:
-/// the entries that worker found lately, read without any lock. The hot
-/// (level, frontier) keys — the top levels of every draw walk — then cost
-/// the workers no shared-line traffic, which is what lets draw batches on
-/// several threads scale.
+/// Walk groups reach most entries through a parent entry's child link
+/// rather than through Find: a batch hashes its root step and the steps
+/// whose link is not set yet, so the shard locks see a few probes per batch
+/// and draw batches on several threads scale.
 class DescentCache {
- private:
-  static constexpr int kShardBits = 4;
-  static constexpr int kNumShards = 1 << kShardBits;
-
  public:
-  /// One walker's direct-mapped front for Find (not thread-safe; one per
-  /// draw-pool slot). A slot holds an admitted entry, so a slot hit is a
-  /// cache hit without the shard lock; its count waits in the lookaside
-  /// until Flush adds it to the shard's counter. Valid until the cache's
-  /// next Reset.
-  class Lookaside {
-   private:
-    friend class DescentCache;
-    static constexpr size_t kSlots = 1024;
-    std::array<const DescentEntry*, kSlots> slots_{};
-    std::array<int64_t, kNumShards> pending_hits_{};
-  };
-
   /// Clears all shards and counters and fixes the geometry: row_words words
   /// per frontier and per predecessor row, num_classes rows per entry.
   /// Capacity caps the number of (level, frontier) entries; 0 disables the
@@ -276,31 +276,29 @@ class DescentCache {
   /// Counts one hit or miss.
   const DescentEntry* Find(int level, const uint64_t* set);
 
-  /// Find through `lookaside`: a slot hit takes no lock and counts its hit
-  /// in the lookaside; anything else is a locked Find whose entry, once
-  /// found, takes the slot. The same hit/miss outcome as Find, so the
-  /// totals after Flush are Find's.
-  const DescentEntry* Find(int level, const uint64_t* set,
-                           Lookaside* lookaside);
-
-  /// Adds the lookaside's pending hits to the shard counters.
-  void Flush(Lookaside* lookaside);
+  /// Counts `n` hits that followed a child link instead of calling Find:
+  /// each one replaces a probe that would have hit, so hits() is the same
+  /// as if every step had probed.
+  void CountLinkHits(int64_t n) {
+    if (n != 0) link_hits_.fetch_add(n, std::memory_order_relaxed);
+  }
 
   /// Admits (level, set) → (sizes, rows) and returns the stored entry;
   /// `rows` holds num_classes × row_words words in class order. The first
   /// writer wins: an existing key returns its entry unchanged (concurrent
   /// inserts carry identical values, because UnionSizes is content-keyed).
-  /// Returns nullptr when the budget is spent.
+  /// Returns nullptr when the budget is spent. A new entry's child links
+  /// are null.
   const DescentEntry* Insert(int level, const uint64_t* set,
                              const std::vector<double>& sizes,
                              const uint64_t* rows);
 
-  /// Probe totals, summed over the shards: lock-free and safe from any
-  /// thread while others probe.
+  /// Probe totals, summed over the shards (hits with the link hits):
+  /// lock-free and safe from any thread while others probe.
   int64_t hits() const;
   int64_t misses() const;
   int64_t entries() const { return entries_.load(std::memory_order_relaxed); }
-  /// Footprint of the admitted entries, rows included.
+  /// Footprint of the admitted entries, rows and child links included.
   int64_t bytes() const { return bytes_.load(std::memory_order_relaxed); }
 
   /// Calls f(const DescentEntry&) for every admitted entry, one shard lock
@@ -314,6 +312,9 @@ class DescentCache {
   }
 
  private:
+  static constexpr int kShardBits = 4;
+  static constexpr int kNumShards = 1 << kShardBits;
+
   /// Keyed by the (level, set) hash, computed once per call: its top bits
   /// pick the shard and the map buckets it. The entry carries its key, so a
   /// probe compares words in place and copies nothing. The shard counts its
@@ -333,9 +334,6 @@ class DescentCache {
   /// The entry of (level, set) in `shard` (lock held), or nullptr.
   const DescentEntry* FindLocked(const Shard& shard, uint64_t hash, int level,
                                  const uint64_t* set) const;
-  /// Find with the key's hash already computed.
-  const DescentEntry* FindHashed(uint64_t hash, int level,
-                                 const uint64_t* set);
   static bool Matches(const DescentEntry& entry, int level,
                       const uint64_t* set);
 
@@ -345,6 +343,8 @@ class DescentCache {
   int num_classes_ = 0;
   std::atomic<int64_t> entries_{0};
   std::atomic<int64_t> bytes_{0};
+  /// Added to once per walk batch, on a line of its own.
+  alignas(64) std::atomic<int64_t> link_hits_{0};
 };
 
 /// The FPRAS over a fixed (NFA, horizon n), organized as a resumable
@@ -481,7 +481,7 @@ class FprasEngine {
   /// this reads only atomics and is safe to call from any thread at any
   /// time — it is the serve-mode stats surface.
   struct CacheCounters {
-    int64_t memo_hits = 0;       ///< DescentCache probe hits
+    int64_t memo_hits = 0;       ///< DescentCache hits (probes and links)
     int64_t memo_misses = 0;     ///< DescentCache probe misses
     int64_t descent_hits = 0;    ///< == memo_hits (see FprasDiagnostics)
     int64_t descent_misses = 0;  ///< == memo_misses
@@ -553,13 +553,10 @@ class FprasEngine {
   /// and applies the base-case accept/reject per walk. Walk j draws only
   /// from Rng::ForSubstream(seed, walk_key, first_attempt + j), which is
   /// what makes results invariant to the batch width. Accepted walk ids land
-  /// in ws.arena.accepted in attempt order. A non-null `lookaside` fronts
-  /// the descent-cache probes (parallel draw windows); null probes the
-  /// shared cache directly.
+  /// in ws.arena.accepted in attempt order.
   void RunWalkBatch(int level, const Bitset& state_set, double phi0,
                     uint64_t walk_key, int64_t first_attempt, int count,
-                    WorkerScratch& ws,
-                    DescentCache::Lookaside* lookaside = nullptr);
+                    WorkerScratch& ws);
 
   /// Fused reach-profile pass: computes the profile of accepted walk `w`
   /// (in ws.arena) forward over the plane scratch — MakeSample never
@@ -660,8 +657,6 @@ class FprasEngine {
   /// reentrant); draws are serialized by their callers, so it has one
   /// window in flight at a time.
   std::unique_ptr<ThreadPool> draw_pool_;
-  /// Descent-cache fronts of the draw-pool slots, created with the pool.
-  std::vector<DescentCache::Lookaside> draw_lookasides_;
   DrawWindow window_;  ///< the last parallel window's batch results
   /// Lazily-created level-sweep pool, reused across every RunToLevel call of
   /// one prepared run (incremental extensions must not respawn threads per

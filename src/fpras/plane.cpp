@@ -36,6 +36,8 @@ void SampleArena::PrepareRun(int max_batch, int max_word_len, size_t bits,
   Ensure(group_total, static_cast<size_t>(b));
   Ensure(group_ready, static_cast<size_t>(b));
   Ensure(group_entry, static_cast<size_t>(b));
+  Ensure(group_link, static_cast<size_t>(b));
+  Ensure(next_group_link, static_cast<size_t>(b));
   Ensure(child_of, static_cast<size_t>(b) * num_classes);
   EnsureGroupSizes(b, num_classes);
   accepted.reserve(static_cast<size_t>(b));
@@ -63,6 +65,8 @@ void SampleArena::BeginBatch(int batch, int word_len, size_t bits,
   Ensure(group_total, static_cast<size_t>(batch));
   Ensure(group_ready, static_cast<size_t>(batch));
   Ensure(group_entry, static_cast<size_t>(batch));
+  Ensure(group_link, static_cast<size_t>(batch));
+  Ensure(next_group_link, static_cast<size_t>(batch));
   Ensure(child_of, static_cast<size_t>(batch) * num_classes);
   EnsureGroupSizes(batch, num_classes);
   accepted.clear();
@@ -83,6 +87,9 @@ int64_t SampleArena::bytes_reserved() const {
   total += static_cast<int64_t>(group_total.capacity() * sizeof(double));
   total += static_cast<int64_t>(group_entry.capacity() *
                                 sizeof(const DescentEntry*));
+  total += static_cast<int64_t>(
+      (group_link.capacity() + next_group_link.capacity()) *
+      sizeof(std::atomic<const DescentEntry*>*));
   for (const auto& sizes : group_sizes) {
     total += static_cast<int64_t>(sizes.capacity() * sizeof(double));
   }

@@ -18,6 +18,7 @@
 #ifndef NFACOUNT_FPRAS_PLANE_HPP_
 #define NFACOUNT_FPRAS_PLANE_HPP_
 
+#include <atomic>
 #include <cstdint>
 #include <vector>
 
@@ -139,6 +140,13 @@ class SampleArena {
   /// sizes and a drawn class's row is expanded on demand.
   std::vector<const DescentEntry*> group_entry;
   std::vector<int32_t> child_of;  ///< group × C → next-level group id
+  /// Per group: the parent entry's child link for the class the group's
+  /// walks drew — read to skip the group's probe, written to publish its
+  /// entry — or nullptr at the root and when the parent had no entry.
+  /// Swapped with the planes like group_of; next_group_link is filled as
+  /// the children are created.
+  std::vector<std::atomic<const DescentEntry*>*> group_link;
+  std::vector<std::atomic<const DescentEntry*>*> next_group_link;
 
   // Scratch bitsets bridging plane rows into Bitset-taking APIs.
   Bitset frontier_scratch;  ///< group frontier view (UnionSizes)

@@ -1,7 +1,8 @@
 // Descent-cache correctness: unit behavior of the sharded DescentCache
-// (Find/Insert roundtrips, first writer wins, stable entry pointers, byte
-// accounting, the shared-budget capacity discipline under concurrency, the
-// disabled state), the purity of every admitted predecessor row, and the
+// (Find/Insert roundtrips, first writer wins, stable entry pointers, child
+// links, byte accounting, the shared-budget capacity discipline under
+// concurrency, the disabled state), the purity of every admitted predecessor
+// row, that every published child link is the hashed child, and the
 // identity grid — estimates, per-(q,ℓ) tables, and draw streams must be
 // bit-identical with the cache on, off, or at any capacity, across
 // num_threads and batch_width (the purity contract the cache is built on;
@@ -10,9 +11,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <map>
 #include <optional>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "automata/generators.hpp"
@@ -49,7 +52,8 @@ int64_t EntryBytes(int num_classes, size_t row_words) {
       sizeof(DescentEntry) +
       (row_words + static_cast<size_t>(num_classes) * row_words) *
           sizeof(uint64_t) +
-      static_cast<size_t>(num_classes) * sizeof(double));
+      static_cast<size_t>(num_classes) *
+          (sizeof(double) + sizeof(DescentEntry::ChildLink)));
 }
 
 void ExpectEntryHolds(const DescentEntry* entry, int level,
@@ -187,7 +191,8 @@ TEST(DescentCacheUnit, BytesCountRowsOnceAtAdmission) {
   const Bitset a = MakeSet(100, {3, 70});
   const Bitset b = MakeSet(100, {4, 71});
   ASSERT_NE(cache.Insert(6, a.words().data(), sizes, rows.data()), nullptr);
-  // Keys, sizes and every class's row are charged when the entry comes in.
+  // Keys, sizes, every class's row and every class's child link are
+  // charged when the entry comes in.
   EXPECT_EQ(cache.bytes(), EntryBytes(kClasses, kRowWords));
   // Probes and repeated inserts charge nothing more.
   ASSERT_NE(cache.Find(6, a.words().data()), nullptr);
@@ -195,6 +200,44 @@ TEST(DescentCacheUnit, BytesCountRowsOnceAtAdmission) {
   EXPECT_EQ(cache.bytes(), EntryBytes(kClasses, kRowWords));
   ASSERT_NE(cache.Insert(6, b.words().data(), sizes, rows.data()), nullptr);
   EXPECT_EQ(cache.bytes(), 2 * EntryBytes(kClasses, kRowWords));
+}
+
+TEST(DescentCacheUnit, ChildLinkStartsNullAndHoldsAfterRepeatStore) {
+  constexpr size_t kRowWords = 1;
+  constexpr int kClasses = 3;
+  DescentCache cache;
+  cache.Reset(/*capacity=*/8, kRowWords, kClasses);
+  const std::vector<double> sizes(kClasses, 1.0);
+  const std::vector<uint64_t> rows = MakeRows(kClasses, kRowWords, 4);
+  const Bitset top = MakeSet(16, {5});
+  const DescentEntry* parent =
+      cache.Insert(4, top.words().data(), sizes, rows.data());
+  ASSERT_NE(parent, nullptr);
+  for (int c = 0; c < kClasses; ++c) {
+    EXPECT_EQ(parent->Link(c).load(std::memory_order_acquire), nullptr)
+        << "class " << c;
+  }
+  // Class 1's child is the entry of (level − 1, Row(1)). Two walks that
+  // both probed it publish the same pointer; the second store changes
+  // nothing.
+  const DescentEntry* child = cache.Insert(3, parent->Row(1), sizes,
+                                           rows.data());
+  ASSERT_NE(child, nullptr);
+  parent->Link(1).store(child, std::memory_order_release);
+  parent->Link(1).store(child, std::memory_order_release);
+  EXPECT_EQ(parent->Link(1).load(std::memory_order_acquire), child);
+  EXPECT_EQ(parent->Link(0).load(std::memory_order_acquire), nullptr);
+  EXPECT_EQ(parent->Link(2).load(std::memory_order_acquire), nullptr);
+  EXPECT_EQ(child->Link(1).load(std::memory_order_acquire), nullptr);
+  // A re-insert of the parent's key hands back the entry with its link.
+  EXPECT_EQ(cache.Insert(4, top.words().data(), sizes, rows.data()), parent);
+  EXPECT_EQ(parent->Link(1).load(std::memory_order_acquire), child);
+
+  // Following a link counts as the hit the replaced probe would have been.
+  EXPECT_EQ(cache.hits(), 0);
+  cache.CountLinkHits(5);
+  EXPECT_EQ(cache.hits(), 5);
+  EXPECT_EQ(cache.misses(), 0);
 }
 
 TEST(DescentCacheUnit, CapacityZeroDisables) {
@@ -408,6 +451,52 @@ TEST(DescentCacheIdentity, EveryAdmittedRowIsThePredecessorExpansion) {
   }
 }
 
+TEST(DescentCacheIdentity, EveryChildLinkIsTheHashedChild) {
+  // A walk step that follows link c of entry (ℓ, P) skips the probe of
+  // (ℓ − 1, Row(c)), so the link must be exactly the entry that probe finds.
+  // Admitted keys are unique (first writer wins), so indexing the entries
+  // by key gives what Find(ℓ − 1, Row(c)) returns.
+  for (const GridCase& gc : GridCases()) {
+    SCOPED_TRACE(gc.name);
+    Result<EngineSession> session =
+        EngineSession::Create(gc.nfa, gc.n, gc.options);
+    ASSERT_TRUE(session.ok());
+    ASSERT_TRUE(session->SampleWords(gc.n, 16).ok());
+    const int num_classes =
+        session->engine().unrolled().symbol_classes().num_classes();
+    using Key = std::pair<int, std::vector<uint64_t>>;
+    std::map<Key, const DescentEntry*> by_key;
+    std::vector<const DescentEntry*> entries;
+    session->engine().descent_cache().ForEachEntry(
+        [&](const DescentEntry& entry) {
+          EXPECT_TRUE(by_key.emplace(Key{entry.level, entry.set}, &entry)
+                          .second)
+              << "duplicate key at level " << entry.level;
+          entries.push_back(&entry);
+        });
+    int64_t links = 0;
+    for (const DescentEntry* entry : entries) {
+      for (int c = 0; c < num_classes; ++c) {
+        const DescentEntry* child =
+            entry->Link(c).load(std::memory_order_acquire);
+        if (child == nullptr) continue;
+        ++links;
+        const Key key{entry->level - 1,
+                      std::vector<uint64_t>(
+                          entry->Row(c), entry->Row(c) + entry->set.size())};
+        const auto it = by_key.find(key);
+        ASSERT_NE(it, by_key.end())
+            << "level=" << entry->level << " class=" << c;
+        EXPECT_EQ(child, it->second)
+            << "level=" << entry->level << " class=" << c;
+      }
+    }
+    if (std::getenv("NFACOUNT_DESCENT_CACHE") == nullptr) {
+      EXPECT_GT(links, 0);
+    }
+  }
+}
+
 TEST(DescentCacheIdentity, CacheActuallyHitsOnRepeatedDescents) {
   // Not just "identical": on a run with refills and post-run draws the cache
   // must actually serve repeated (level, frontier) work, or the tentpole is
@@ -428,8 +517,8 @@ TEST(DescentCacheIdentity, CacheActuallyHitsOnRepeatedDescents) {
     EXPECT_GT(diag.descent_bytes, 0);
   }
   EXPECT_GE(diag.descent_hits + diag.descent_misses, diag.descent_entries);
-  // An entry carries its rows, so the walk makes one probe per group per
-  // level and the two counter pairs agree.
+  // An entry carries its rows, so the walk makes one lookup (a probe or a
+  // followed link) per group per level and the two counter pairs agree.
   EXPECT_EQ(diag.descent_hits, diag.memo_hits);
   EXPECT_EQ(diag.descent_misses, diag.memo_misses);
 }

@@ -16,8 +16,11 @@
 // The work counters of the 1-thread session after its build and that draw
 // are pinned too (<name>_counters_nN.txt, "counter value" per line). They
 // are deterministic at one thread, so an accidental extra AppUnion, walk or
-// batch fails here with no timing involved. A change that moves work on
-// purpose regenerates that file and says why.
+// batch fails here with no timing involved. descent_hits counts the steps
+// that found their entry by a hash probe or by following a parent entry's
+// child link: a followed link must count exactly the hit its probe would
+// have made. A change that moves work on purpose regenerates that file and
+// says why.
 //
 // To regenerate, from a build with examples:
 //
@@ -72,6 +75,7 @@ std::string RenderCounters(const FprasDiagnostics& d) {
       {"sample_calls", d.sample_calls},
       {"sample_success", d.sample_success},
       {"walk_batches", d.walk_batches},
+      {"descent_hits", d.descent_hits},
       {"descent_misses", d.descent_misses},
       {"padded_words", d.padded_words},
   };
@@ -83,15 +87,19 @@ std::string RenderCounters(const FprasDiagnostics& d) {
 }
 
 /// Draws, counts and work counters of the pinned session over `nfa_file`
-/// at `horizon` and `threads`, rendered as the fixtures store them.
+/// at `horizon` and `threads` (and a descent-cache budget of
+/// `descent_capacity` entries), rendered as the fixtures store them.
 void RenderStream(const std::string& nfa_file, int horizon, int threads,
                   std::string* words, std::string* counts,
-                  std::string* counters) {
+                  std::string* counters,
+                  int64_t descent_capacity =
+                      FprasParams::kDefaultDescentCacheCapacity) {
   Result<Nfa> nfa = LoadNfaFile(DataPath(nfa_file));
   ASSERT_TRUE(nfa.ok()) << nfa.status().ToString();
   CountOptions options;
   options.seed = kSeed;
   options.num_threads = threads;
+  options.descent_cache_capacity = descent_capacity;
   Result<EngineSession> session =
       EngineSession::Create(*nfa, horizon, options);
   ASSERT_TRUE(session.ok()) << session.status().ToString();
@@ -145,6 +153,26 @@ TEST(GoldenStream, MultiAcceptingMatchesFixtures) {
 // does real work here (golden.nfa's membership_checks is 0).
 TEST(GoldenStream, SparseTwoWordProfilesMatchFixtures) {
   ExpectMatchesFixtures("sparse70", 6);
+}
+
+// A 256-entry descent cache fills up during the build. Walks then meet
+// admitted entries whose drawn child was refused (no child link is ever
+// published for it), refused entries whose children probe without a link,
+// and followed links, all in one descent, at 1 and 4 threads. The words and
+// counts are the fixtures' all the same.
+TEST(GoldenStream, SparseSpentDescentBudgetMatchesFixtures) {
+  const std::string want_words = ReadFile(DataPath("sparse70_sample_n6.txt"));
+  const std::string want_counts = ReadFile(DataPath("sparse70_counts_n6.txt"));
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE("num_threads " + std::to_string(threads));
+    std::string words;
+    std::string counts;
+    std::string counters;
+    RenderStream("sparse70.nfa", 6, threads, &words, &counts, &counters,
+                 /*descent_capacity=*/256);
+    EXPECT_EQ(words, want_words);
+    EXPECT_EQ(counts, want_counts);
+  }
 }
 
 }  // namespace
