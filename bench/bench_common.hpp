@@ -17,16 +17,14 @@
 #include <utility>
 #include <vector>
 
+#include "bench_git_sha.h"  // generated at build time: NFACOUNT_GIT_SHA
 #include "counting/exact.hpp"
 #include "fpras/fpras.hpp"
 #include "util/json.hpp"
 #include "util/simd.hpp"
 #include "util/timer.hpp"
 
-// Set per target by bench/CMakeLists.txt at configure time.
-#ifndef NFACOUNT_GIT_SHA
-#define NFACOUNT_GIT_SHA "unavailable"
-#endif
+// Set per target by bench/CMakeLists.txt.
 #ifndef NFACOUNT_BUILD_TYPE
 #define NFACOUNT_BUILD_TYPE "unknown"
 #endif
@@ -91,7 +89,7 @@ inline double ExactOrNeg(const Nfa& nfa, int n) {
 // --json) share it; the alias keeps every bench's bench::JsonObject usage.
 using nfacount::JsonObject;
 
-/// Where a report's numbers come from: the commit (as of configure; a
+/// Where a report's numbers come from: the commit (as of the build; a
 /// "-dirty" suffix marks uncommitted changes), build type, compiler, the
 /// SIMD kernel table in use, the core count, and the UTC time of rendering.
 inline JsonObject Provenance() {

@@ -3,11 +3,14 @@
 //
 // Claim measured: advancing B candidate walks in lockstep on the
 // FrontierPlane amortizes the per-call union estimate and group-shares the
-// per-level union-size lookups and predecessor expansions, so end-to-end
-// EngineSession draws/sec grows with B — while the draw sequence stays
-// bit-identical for every B (asserted here, not assumed). Draws are timed
-// as SampleWords chunks of kDrawChunk words, one call per chunk. Family and
-// sizes follow E3 (RandomNfa density 0.3, accept 0.25) at m = 64..128.
+// per-level union-size lookups and predecessor expansions, so post-run
+// draws/sec grows with B — while the draw sequence stays bit-identical for
+// every B (asserted here, not assumed). B is engine-internal (sessions run
+// the default, 16), so each cell builds an FprasEngine at FprasParams::
+// batch_width = B and draws the way EngineSession::SampleWords does: one
+// SampleAcceptedInto call per chunk of kDrawChunk words, with the session's
+// per-draw attempt budget. Family and sizes follow E3 (RandomNfa density
+// 0.3, accept 0.25) at m = 64..128.
 // `build_seconds` is the median of kBuildRepeats table builds per (m, B)
 // cell: one build on a shared host moves ±50% between back-to-back runs.
 //
@@ -17,6 +20,7 @@
 #include <algorithm>
 #include <cinttypes>
 #include <cstring>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -34,7 +38,7 @@ namespace {
 constexpr int kN = 12;                     // word length (E3 regime)
 constexpr int kBatchWidths[] = {1, 4, 16, 64};
 constexpr int kIdentityDraws = 200;        // draws compared bit-for-bit
-constexpr int64_t kDrawChunk = 256;        // words per timed SampleWords
+constexpr int64_t kDrawChunk = 256;        // words per timed draw call
 constexpr int kBuildRepeats = 3;           // builds per cell (median kept)
 constexpr int64_t kMinDraws = 1000;
 constexpr double kMinSeconds = 0.25;
@@ -54,6 +58,19 @@ struct SweepPoint {
   FprasDiagnostics diag;
 };
 
+/// `count` words from L(A_kN), as one session draw call takes them; exits
+/// if the attempt budget runs out.
+std::vector<Word> Draw(FprasEngine& engine, int64_t count) {
+  std::vector<Word> words;
+  words.reserve(static_cast<size_t>(count));
+  if (engine.SampleAcceptedInto(kN, EngineSession::kAttemptsPerDraw * count,
+                                count, &words) < count) {
+    std::fprintf(stderr, "draw failed: attempts exhausted\n");
+    std::exit(1);
+  }
+  return words;
+}
+
 SweepPoint MeasureOne(const Nfa& nfa, int batch_width) {
   SweepPoint point;
   point.batch_width = batch_width;
@@ -61,23 +78,24 @@ SweepPoint MeasureOne(const Nfa& nfa, int batch_width) {
   options.eps = 0.3;
   options.delta = 0.2;
   options.seed = 17;
-  options.batch_width = batch_width;
+  FprasParams params =
+      ParamsFromOptions(options, nfa.num_states(), kN).value();
+  params.batch_width = batch_width;
 
   // Every build of a cell is the same deterministic table; the last one
   // serves the draws.
   std::vector<double> build_seconds;
-  Result<EngineSession> session = Status::Invalid("not built");
+  std::unique_ptr<FprasEngine> engine;
   for (int r = 0; r < kBuildRepeats; ++r) {
     WallTimer build_timer;
-    session = EngineSession::Create(nfa, kN, options);
-    const Status built =
-        session.ok() ? session->ExtendTo(kN) : session.status();
+    engine = std::make_unique<FprasEngine>(&nfa, params, options.seed);
+    const Status built = engine->Run();
     build_seconds.push_back(build_timer.ElapsedSeconds());
     if (!built.ok()) {
       std::fprintf(stderr, "build failed: %s\n", built.ToString().c_str());
       std::exit(1);
     }
-    const double estimate = session->CountAtLength(kN).value();
+    const double estimate = engine->EstimateAtLength(kN);
     if (r > 0 && estimate != point.estimate) {
       std::fprintf(stderr, "FATAL: rebuild changed the estimate at B=%d\n",
                    batch_width);
@@ -88,24 +106,18 @@ SweepPoint MeasureOne(const Nfa& nfa, int batch_width) {
   std::sort(build_seconds.begin(), build_seconds.end());
   point.build_seconds = build_seconds[build_seconds.size() / 2];
 
-  Result<std::vector<Word>> prefix = session->SampleWords(kN, kIdentityDraws);
-  if (!prefix.ok()) {
-    std::fprintf(stderr, "draw failed: %s\n",
-                 prefix.status().ToString().c_str());
-    std::exit(1);
-  }
-  point.prefix = std::move(*prefix);
+  point.prefix = Draw(*engine, kIdentityDraws);
 
   WallTimer timer;
   int64_t draws = 0;
   while (draws < kMinDraws || timer.ElapsedSeconds() < kMinSeconds) {
-    if (!session->SampleWords(kN, kDrawChunk).ok()) std::exit(1);
+    Draw(*engine, kDrawChunk);
     draws += kDrawChunk;
   }
   const double seconds = timer.ElapsedSeconds();
   point.draws = draws;
   point.draws_per_sec = static_cast<double>(draws) / seconds;
-  point.diag = session->diagnostics();
+  point.diag = engine->diagnostics();
   return point;
 }
 
@@ -215,7 +227,7 @@ void KernelMicrobench(BenchReport* report) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::printf("E13 — batched sampling plane: session draws/sec vs lockstep "
+  std::printf("E13 — batched sampling plane: engine draws/sec vs lockstep "
               "width B\n");
   BenchReport report("e13_batched_sampling");
   report.config()

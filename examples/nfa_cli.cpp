@@ -13,8 +13,6 @@
 //   --threads <k>      level-sweep worker threads for count/lengths/sample
 //                      (1 = sequential default, 0 = all hardware threads;
 //                      results are bit-identical for every value)
-//   --batch-width <b>  candidate walks advanced in lockstep per plane sweep
-//                      (0 = engine default; bit-identical for every value)
 //   --no-simd          force the scalar bitset kernels (process-wide);
 //                      identical results
 //   --descent-cache <e> cross-batch descent-cache entry budget for
@@ -33,7 +31,7 @@
 //                      query (implies a session; horizon defaults to n)
 //   --load-state <p>   resume a checkpoint instead of reading an NFA file;
 //                      eps/delta/seed come from the checkpoint, while
-//                      --threads/--batch-width/--descent-cache apply as
+//                      --threads/--descent-cache apply as
 //                      runtime knobs (never changing any result)
 //   --extend-to <n'>   with --load-state: extend the resumed sweep to n'
 //                      (n' <= saved horizon) and answer at that length
@@ -44,7 +42,9 @@
 // Every number on the command line is parsed strictly (examples/
 // cli_args.hpp): n, count and alphabet size are integers in range, eps is a
 // number > 0, delta is in (0, 1), the seed is an unsigned 64-bit integer. A
-// malformed value prints the usage text and exits 2.
+// malformed value prints the usage text and exits 2, and so does an
+// unknown --flag before the `--` separator or a positional argument beyond
+// what the command takes.
 //
 // File format: see src/automata/io.hpp; checkpoint format: see
 // docs/FILE_FORMATS.md "Session checkpoints (.ckpt)".
@@ -85,7 +85,6 @@ int Usage() {
                "  nfa_cli regex   '<pattern>' <alphabet_size>\n"
                "  nfa_cli dot     <file|->\n"
                "flags: --threads <k>      (0 = all hardware threads)\n"
-               "       --batch-width <b>  lockstep sampling walks (0 = default)\n"
                "       --no-simd          force scalar bitset kernels\n"
                "       --descent-cache <e> descent-cache entries (0 = off)\n"
                "       --json <path>      machine-readable run report\n"
@@ -94,16 +93,15 @@ int Usage() {
                "       --load-state <p>   resume a session checkpoint\n"
                "       --extend-to <n'>   extend a resumed session to n'\n"
                "       --                 end of flags (later args positional)\n"
-               "results are bit-identical for every --threads / --batch-width\n"
-               "value, with or without --no-simd, and across checkpoint\n"
-               "save/resume boundaries\n");
+               "results are bit-identical for every --threads /\n"
+               "--descent-cache value, with or without --no-simd, and across\n"
+               "checkpoint save/resume boundaries\n");
   return 2;
 }
 
 /// Engine knobs extracted from the flag section of the command line.
 struct CliFlags {
   int num_threads = 1;
-  int batch_width = 0;  ///< 0 = engine default
   bool no_simd = false;
   int descent_cache = -1;  ///< -1 = engine default, 0 = disabled
   int horizon = -1;     ///< -1 = not a session (unless other session flags)
@@ -116,7 +114,8 @@ struct CliFlags {
 
 /// Strips the global flags (anywhere before a `--` separator) out of the
 /// argument list; returns the positional arguments. Flag fields keep their
-/// defaults when absent; `malformed` is set on a bad value. Everything after
+/// defaults when absent; `malformed` is set on a bad value or an unknown
+/// `--flag` (a retired flag must not be dropped silently). Everything after
 /// a literal `--` is taken positionally — the escape hatch for patterns or
 /// filenames that look like a flag (`nfa_cli regex -- '--threads' 2`).
 std::vector<std::string> ExtractFlags(int argc, char** argv, CliFlags* flags) {
@@ -146,8 +145,6 @@ std::vector<std::string> ExtractFlags(int argc, char** argv, CliFlags* flags) {
     }
     if (!flags_ended && arg == "--threads") {
       parse_int(&i, &flags->num_threads, 1 << 20);
-    } else if (!flags_ended && arg == "--batch-width") {
-      parse_int(&i, &flags->batch_width, 1 << 20);
     } else if (!flags_ended && arg == "--no-simd") {
       flags->no_simd = true;
     } else if (!flags_ended && arg == "--descent-cache") {
@@ -162,6 +159,9 @@ std::vector<std::string> ExtractFlags(int argc, char** argv, CliFlags* flags) {
       parse_str(&i, &flags->save_state);
     } else if (!flags_ended && arg == "--load-state") {
       parse_str(&i, &flags->load_state);
+    } else if (!flags_ended && arg.size() > 2 && arg.compare(0, 2, "--") == 0) {
+      std::fprintf(stderr, "error: unknown flag '%s'\n", arg.c_str());
+      flags->malformed = true;
     } else {
       positional.push_back(arg);
       continue;
@@ -169,6 +169,17 @@ std::vector<std::string> ExtractFlags(int argc, char** argv, CliFlags* flags) {
     if (flags->malformed) return positional;
   }
   return positional;
+}
+
+/// Most positional arguments `command` takes, the command itself included
+/// (`count --load-state` takes none beyond it); 0 for an unknown command.
+size_t MaxArgs(const std::string& command, bool resume) {
+  if (command == "count") return resume ? 1 : 6;
+  if (command == "lengths") return 6;
+  if (command == "sample") return 5;
+  if (command == "exact" || command == "regex") return 3;
+  if (command == "dot") return 2;
+  return 0;
 }
 
 Result<Nfa> LoadFromArg(const std::string& arg) {
@@ -185,7 +196,6 @@ Result<Nfa> LoadFromArg(const std::string& arg) {
 CountOptions OptionsFromFlags(const CliFlags& flags) {
   CountOptions options;
   options.num_threads = flags.num_threads;
-  options.batch_width = flags.batch_width;
   options.descent_cache_capacity = flags.descent_cache;
   return options;
 }
@@ -258,7 +268,6 @@ int RunSessionCount(const CliFlags& flags,
     // parameters; the CLI knobs apply as runtime-only overrides.
     SessionKnobs knobs;
     knobs.num_threads = flags.num_threads;
-    knobs.batch_width = flags.batch_width;
     knobs.descent_cache_capacity = flags.descent_cache;
     session = EngineSession::Load(flags.load_state, &knobs);
     if (!session.ok()) return Fail(session.status());
@@ -317,7 +326,6 @@ int RunSessionCount(const CliFlags& flags,
       .Set("delta", session->params().delta)
       .Set("seed", session->seed())
       .Set("threads", flags.num_threads)
-      .Set("batch_width", session->params().ResolvedBatchWidth())
       .Set("simd", !flags.no_simd)
       .Set("wall_seconds", timer.ElapsedSeconds())
       .SetRaw("diagnostics", DiagnosticsJson(diag).Render());
@@ -333,6 +341,14 @@ int main(int argc, char** argv) {
                             !flags.save_state.empty() || flags.horizon >= 0 ||
                             flags.extend_to >= 0;
   if (flags.malformed || args.empty()) return Usage();
+  const size_t max_args = MaxArgs(args[0], !flags.load_state.empty());
+  if (args.size() > max_args) {
+    if (max_args > 0) {
+      std::fprintf(stderr, "error: unexpected argument '%s'\n",
+                   args[max_args].c_str());
+    }
+    return Usage();
+  }
   if (flags.no_simd) simd::SetForceScalar(true);
   const std::string& command = args[0];
 
@@ -400,9 +416,8 @@ int main(int argc, char** argv) {
                    options.num_threads, r->diagnostics.wall_seconds * 1e3,
                    static_cast<long long>(r->diagnostics.appunion_calls));
       std::fprintf(stderr,
-                   "# batch_width=%d simd=%s memo_hits=%lld memo_misses=%lld "
+                   "# simd=%s memo_hits=%lld memo_misses=%lld "
                    "arena_bytes=%lld arena_allocs=%lld\n",
-                   r->params.ResolvedBatchWidth(),
                    flags.no_simd ? "off" : "on",
                    static_cast<long long>(r->diagnostics.memo_hits),
                    static_cast<long long>(r->diagnostics.memo_misses),
@@ -417,7 +432,6 @@ int main(int argc, char** argv) {
           .Set("delta", options.delta)
           .Set("seed", options.seed)
           .Set("threads", options.num_threads)
-          .Set("batch_width", r->params.ResolvedBatchWidth())
           .Set("simd", !flags.no_simd)
           .Set("wall_seconds", r->diagnostics.wall_seconds)
           .SetRaw("diagnostics", DiagnosticsJson(r->diagnostics).Render());

@@ -4,7 +4,7 @@
 //
 // Usage:
 //   nfa_serve [--port <p>] [--spill-dir <dir>] [--budget-bytes <b>]
-//             [--threads <k>] [--batch-width <w>] [--no-simd]
+//             [--threads <k>] [--no-simd]
 //             [--read-timeout-ms <t>] [--drain-timeout-ms <t>]
 //             [--max-connections <n>] [--workers <k>]
 //             [--max-inflight <n>] [--legacy-threads]
@@ -15,8 +15,7 @@
 //                         resident and nothing survives a restart)
 //   --budget-bytes <b>    resident-table budget driving LRU demotion
 //                         (-1 = unlimited, the default)
-//   --threads/--batch-width
-//                         runtime knobs applied to every session
+//   --threads <k>         worker threads of every session's level sweeps
 //                         (bit-identical results at every setting)
 //   --no-simd             force the scalar bitset kernels process-wide
 //                         (identical results)
@@ -72,7 +71,7 @@ int Usage() {
   std::fprintf(stderr,
                "usage: nfa_serve [--port <p>] [--spill-dir <dir>]\n"
                "                 [--budget-bytes <b>] [--threads <k>]\n"
-               "                 [--batch-width <w>] [--no-simd]\n"
+               "                 [--no-simd]\n"
                "                 [--read-timeout-ms <t>]\n"
                "                 [--drain-timeout-ms <t>]\n"
                "                 [--max-connections <n>] [--workers <k>]\n"
@@ -126,9 +125,6 @@ int main(int argc, char** argv) {
     } else if (arg == "--threads") {
       registry_options.knobs.num_threads =
           int_flag("--threads", 0, FprasParams::kMaxThreads);
-    } else if (arg == "--batch-width") {
-      registry_options.knobs.batch_width =
-          int_flag("--batch-width", 0, FprasParams::kMaxBatchWidth);
     } else if (arg == "--no-simd") {
       nfacount::simd::SetForceScalar(true);
     } else if (arg == "--read-timeout-ms") {

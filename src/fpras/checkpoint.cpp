@@ -76,11 +76,13 @@ Status CheckEnvelope(const std::string& bytes, const std::string& where,
 // the serve-mode wire protocol — identical byte semantics to the original
 // in-file classes, so existing checkpoints load unchanged.
 
-// Reserved parameter-block fields: five flag bytes and one I64 that once
-// held engine knobs. Writers emit the values those knobs defaulted to, so
-// files stay byte-identical to earlier writers' at default knobs; readers
-// skip them, whatever an older file stored there.
+// Reserved parameter-block fields: five flag bytes, one I32 (the lockstep
+// batch width) and one I64 that once held engine knobs. Writers emit the
+// values those knobs defaulted to, so files stay byte-identical to earlier
+// writers' at default knobs; readers skip them, whatever an older file
+// stored there.
 constexpr uint8_t kReservedFlag = 1;
+constexpr int32_t kReservedWidth = 0;
 constexpr int64_t kReservedCapacity = int64_t{1} << 20;
 
 void WriteParams(const FprasParams& p, ByteWriter* w) {
@@ -108,7 +110,7 @@ void WriteParams(const FprasParams& p, ByteWriter* w) {
   w->U8(kReservedFlag);
   w->U8(kReservedFlag);
   w->I32(p.num_threads);
-  w->I32(p.batch_width);
+  w->I32(kReservedWidth);
   w->I64(kReservedCapacity);
   w->U8(kReservedFlag);  // v2: reserved (was the symbol-class switch)
 }
@@ -135,6 +137,7 @@ Status ReadParams(ByteReader* r, uint32_t version, FprasParams* p) {
   NFA_RETURN_NOT_OK(r->I64(&p->calibration.trial_floor));
   NFA_RETURN_NOT_OK(r->F64(&p->calibration.xns_multiplier_floor));
   uint8_t flag = 0;
+  int32_t reserved_width = 0;
   int64_t reserved = 0;
   NFA_RETURN_NOT_OK(r->U8(&flag));
   p->perturb_support = flag != 0;
@@ -145,7 +148,7 @@ Status ReadParams(ByteReader* r, uint32_t version, FprasParams* p) {
   NFA_RETURN_NOT_OK(r->U8(&flag));  // reserved
   NFA_RETURN_NOT_OK(r->U8(&flag));  // reserved
   NFA_RETURN_NOT_OK(r->I32(&p->num_threads));
-  NFA_RETURN_NOT_OK(r->I32(&p->batch_width));
+  NFA_RETURN_NOT_OK(r->I32(&reserved_width));
   NFA_RETURN_NOT_OK(r->I64(&reserved));
   if (version >= 2) NFA_RETURN_NOT_OK(r->U8(&flag));  // reserved
   if (p->m < 1 || p->n < 0 || !(p->eps > 0.0) ||
@@ -292,7 +295,6 @@ Result<EngineSession> DeserializeSessionCheckpoint(const std::string& bytes,
 
   if (knobs != nullptr) {
     params.num_threads = knobs->num_threads;
-    params.batch_width = knobs->batch_width;
     if (knobs->descent_cache_capacity >= 0) {
       params.descent_cache_capacity = knobs->descent_cache_capacity;
     }

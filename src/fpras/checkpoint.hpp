@@ -61,8 +61,8 @@ Status SaveSessionCheckpoint(const EngineSession& session,
 Status ValidateSessionCheckpoint(const std::string& path);
 
 /// Restores a session saved by SaveSessionCheckpoint. `knobs`, when given,
-/// replaces the saved runtime knobs (threads, batch width, descent-cache
-/// budget) — the determinism contract makes this invisible in every result.
+/// replaces the saved runtime knobs (threads, descent-cache budget) — the
+/// determinism contract makes this invisible in every result.
 Result<EngineSession> LoadSessionCheckpoint(const std::string& path,
                                             const SessionKnobs* knobs = nullptr);
 

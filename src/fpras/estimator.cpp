@@ -570,7 +570,7 @@ void FprasEngine::RefillSamples(StateId q, int level, WorkerScratch& ws) {
     target.Set(static_cast<size_t>(q));
     // This cell's walk-stream family: attempt a of (q, ℓ) always draws from
     // substream (walk-tag·q·ℓ, a), no matter how attempts are batched —
-    // that is the batch-width-invariance contract.
+    // that is the batch width invariance contract.
     const uint64_t walk_key = HashCombine(
         HashCombine(kRefillWalkTag, static_cast<uint64_t>(q)),
         static_cast<uint64_t>(level));
@@ -1054,7 +1054,6 @@ Result<FprasParams> ParamsFromOptions(const CountOptions& options, int m,
   params.perturb_support = options.perturb_support;
   params.recycle_samples = options.recycle_samples;
   params.num_threads = options.num_threads;
-  params.batch_width = options.batch_width;
   if (options.descent_cache_capacity >= 0) {
     params.descent_cache_capacity = options.descent_cache_capacity;
   }

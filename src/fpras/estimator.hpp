@@ -569,7 +569,7 @@ class FprasEngine {
   /// (SampleArena::kOutcome* codes) into `diag` (sample_calls,
   /// sample_success, fail_*). Callers pass exactly the attempts a
   /// sequential batch_width = 1 run would have executed, which is what
-  /// makes the per-walk counters batch-width-exact (see
+  /// makes the per-walk counters exact at every batch width (see
   /// FprasDiagnostics::sample_calls).
   static void ConsumeWalkDiagnostics(const uint8_t* outcomes, int consumed,
                                      FprasDiagnostics* diag);
@@ -587,7 +587,7 @@ class FprasEngine {
   };
 
   /// Results of one parallel draw window, kept for the attempt-order scan:
-  /// batch k's walks own slot k (batch-width strided) of each slab.
+  /// batch k's walks own slot k (strided by the batch width) of each slab.
   struct DrawWindow {
     std::vector<int> counts;        ///< walks in batch k
     std::vector<int> num_accepted;  ///< accepted walks of batch k
@@ -697,9 +697,6 @@ struct CountOptions {
   /// Level-sweep worker threads (1 = sequential, 0 = all hardware threads).
   /// Bit-identical results for every value; see FprasParams::num_threads.
   int num_threads = 1;
-  /// Lockstep candidate-walk batch width (0 = built-in default). Bit-
-  /// identical results for every value; see FprasParams::batch_width.
-  int batch_width = 0;
   /// Cross-batch descent-cache entry budget (0 disables the cache, -1 = use
   /// the built-in default). Bit-identical results at every value; see
   /// FprasParams::descent_cache_capacity.

@@ -8,17 +8,10 @@
 
 namespace nfacount {
 
-namespace {
-
-/// Rejection budget per requested draw: well beyond the Theorem 2(2) bound,
-/// so exhausting it indicates inaccurate tables rather than bad luck.
-constexpr int64_t kAttemptsPerDraw = 4096;
-
-static_assert(kAttemptsPerDraw <= std::numeric_limits<int64_t>::max() /
-                                      EngineSession::kMaxDrawsPerCall,
+static_assert(EngineSession::kAttemptsPerDraw <=
+                  std::numeric_limits<int64_t>::max() /
+                      EngineSession::kMaxDrawsPerCall,
               "kAttemptsPerDraw * count must not overflow for capped counts");
-
-}  // namespace
 
 EngineSession::EngineSession(std::unique_ptr<Nfa> nfa,
                              std::unique_ptr<FprasEngine> engine,

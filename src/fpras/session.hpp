@@ -21,7 +21,7 @@
 //
 // Determinism contract (inherited from the engine's content-keyed RNG
 // substreams): a session extended incrementally, resumed from a checkpoint —
-// even on different num_threads / batch_width / descent-cache knobs or
+// even on different num_threads / descent-cache knobs or
 // kernel table — and a fresh uninterrupted run at the same (nfa, horizon,
 // eps, delta, schedule, calibration, seed) produce bit-identical estimates,
 // per-(q,ℓ) tables, and draw sequences (tests/test_session.cpp,
@@ -54,13 +54,12 @@
 namespace nfacount {
 
 /// Runtime knobs that may be changed when resuming a session: worker
-/// threads, lockstep batch width and descent-cache budget. None of them can
-/// change a result — only wall-clock time. The kernel table is process-wide
+/// threads and descent-cache budget. Neither can change a result — only
+/// wall-clock time or memory. The kernel table is process-wide
 /// (simd::SetForceScalar / NFACOUNT_FORCE_SCALAR), not a knob, and
 /// symbol-class compression (automata/symbol_classes.hpp) is always on.
 struct SessionKnobs {
   int num_threads = 1;  ///< see FprasParams::num_threads
-  int batch_width = 0;  ///< see FprasParams::batch_width (0 = default)
   /// Descent-cache entry budget for the resumed session (-1 keeps the
   /// built-in default). Runtime-only like the other knobs: checkpoints do
   /// not serialize it, and results are bit-identical at every value. See
@@ -86,11 +85,15 @@ class EngineSession {
   /// is a clean InvalidArgument instead of a bad_alloc. Larger requests
   /// chunk into multiple calls — the draw stream concatenates seamlessly.
   static constexpr int64_t kMaxDrawsPerCall = int64_t{1} << 20;
+  /// Rejection budget per requested draw: well beyond the Theorem 2(2)
+  /// bound, so exhausting it indicates inaccurate tables rather than bad
+  /// luck.
+  static constexpr int64_t kAttemptsPerDraw = 4096;
 
   /// Builds a session for `nfa` with parameters derived at `horizon` and
   /// computes level 0 only — level sweeps run lazily on the first query or
   /// ExtendTo. All CountOptions fields apply (eps, delta, schedule,
-  /// calibration, seed, behavior flags, threads/batch/cache knobs).
+  /// calibration, seed, behavior flags, thread and cache knobs).
   static Result<EngineSession> Create(const Nfa& nfa, int horizon,
                                       const CountOptions& options);
 

@@ -23,7 +23,6 @@ CountOptions SessionOptions(const SessionKnobs& knobs, double eps,
   co.delta = delta;
   co.seed = seed;
   co.num_threads = knobs.num_threads;
-  co.batch_width = knobs.batch_width;
   co.descent_cache_capacity = knobs.descent_cache_capacity;
   return co;
 }

@@ -3,11 +3,14 @@
 // (nfa, n, seed) must produce bit-identical estimates, per-(q,ℓ) tables, and
 // post-run draw sequences for every batch_width — and for the SIMD vs scalar
 // kernel tables, whose operations compute identical bits by construction.
-// Also covers the arena reuse contract (no per-sample allocations once the
-// slabs are warm) and the batch_width validation surface.
+// The width is engine-internal (FprasParams::batch_width), so these tests
+// build engines at each width directly. Also covers the arena reuse contract
+// (no per-sample allocations once the slabs are warm) and the batch_width
+// validation in FprasEngine::Run.
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
 
 #include "automata/generators.hpp"
@@ -20,58 +23,52 @@
 namespace nfacount {
 namespace {
 
+using testing_support::DrawWords;
+using testing_support::EngineAtWidth;
 using testing_support::ExpectTablesIdentical;
 using testing_support::ScopedForceScalar;
+using testing_support::SessionTestOptions;
 using testing_support::TestSeed;
-
-CountOptions BatchOpts(uint64_t seed, int batch_width) {
-  CountOptions o;
-  o.eps = 0.3;
-  o.delta = 0.2;
-  o.seed = seed;
-  o.batch_width = batch_width;
-  return o;
-}
 
 TEST(Batch, EstimateBitIdenticalAcrossBatchWidths) {
   Rng rng(TestSeed(701));
   for (int trial = 0; trial < 3; ++trial) {
     Nfa nfa = RandomNfa(7, 0.3, 0.3, rng);
     const int n = 6;
-    const uint64_t seed = TestSeed(702) + trial;
-    Result<CountEstimate> narrow = ApproxCount(nfa, n, BatchOpts(seed, 1));
-    Result<CountEstimate> medium = ApproxCount(nfa, n, BatchOpts(seed, 4));
-    Result<CountEstimate> wide = ApproxCount(nfa, n, BatchOpts(seed, 16));
-    ASSERT_TRUE(narrow.ok() && medium.ok() && wide.ok());
-    EXPECT_EQ(narrow->estimate, medium->estimate) << "trial=" << trial;
-    EXPECT_EQ(narrow->estimate, wide->estimate) << "trial=" << trial;
-    // Every deterministic counter must agree — including the per-walk
-    // attempt counters (sample_calls, fail_*): the engine consumes outcomes
-    // exactly up to the attempt that fills each sample set, so speculative
-    // lockstep surplus never leaks into the diagnostics at any width.
-    for (const CountEstimate* other : {&*medium, &*wide}) {
-      EXPECT_EQ(narrow->diagnostics.states_processed,
-                other->diagnostics.states_processed);
-      EXPECT_EQ(narrow->diagnostics.padded_words,
-                other->diagnostics.padded_words);
-      EXPECT_EQ(narrow->diagnostics.perturbed_counts,
-                other->diagnostics.perturbed_counts);
-      EXPECT_EQ(narrow->diagnostics.sample_calls,
-                other->diagnostics.sample_calls);
-      EXPECT_EQ(narrow->diagnostics.sample_success,
-                other->diagnostics.sample_success);
-      EXPECT_EQ(narrow->diagnostics.fail_phi_gt_1,
-                other->diagnostics.fail_phi_gt_1);
-      EXPECT_EQ(narrow->diagnostics.fail_bernoulli,
-                other->diagnostics.fail_bernoulli);
-      EXPECT_EQ(narrow->diagnostics.fail_dead_branch,
-                other->diagnostics.fail_dead_branch);
+    const CountOptions options = SessionTestOptions(TestSeed(702) + trial);
+    std::unique_ptr<FprasEngine> engines[] = {
+        EngineAtWidth(nfa, n, options, 1), EngineAtWidth(nfa, n, options, 4),
+        EngineAtWidth(nfa, n, options, 16)};
+    for (const auto& engine : engines) {
+      ASSERT_NE(engine, nullptr);
+      ASSERT_TRUE(engine->RunToLevel(n).ok());
+    }
+    const FprasEngine& narrow = *engines[0];
+    const FprasDiagnostics& want = narrow.diagnostics();
+    for (const auto& engine : engines) {
+      const FprasEngine& other = *engine;
+      SCOPED_TRACE(::testing::Message()
+                   << "trial=" << trial
+                   << " width=" << other.params().batch_width);
+      EXPECT_EQ(narrow.EstimateAtLength(n), other.EstimateAtLength(n));
+      // Every deterministic counter must agree — including the per-walk
+      // attempt counters (sample_calls, fail_*): the engine consumes
+      // outcomes exactly up to the attempt that fills each sample set, so
+      // speculative lockstep surplus never leaks into the diagnostics at
+      // any width.
+      const FprasDiagnostics& got = other.diagnostics();
+      EXPECT_EQ(want.states_processed, got.states_processed);
+      EXPECT_EQ(want.padded_words, got.padded_words);
+      EXPECT_EQ(want.perturbed_counts, got.perturbed_counts);
+      EXPECT_EQ(want.sample_calls, got.sample_calls);
+      EXPECT_EQ(want.sample_success, got.sample_success);
+      EXPECT_EQ(want.fail_phi_gt_1, got.fail_phi_gt_1);
+      EXPECT_EQ(want.fail_bernoulli, got.fail_bernoulli);
+      EXPECT_EQ(want.fail_dead_branch, got.fail_dead_branch);
       // Accounting identity: every consumed attempt has exactly one fate.
-      EXPECT_EQ(other->diagnostics.sample_calls,
-                other->diagnostics.sample_success +
-                    other->diagnostics.fail_phi_gt_1 +
-                    other->diagnostics.fail_bernoulli +
-                    other->diagnostics.fail_dead_branch);
+      EXPECT_EQ(got.sample_calls, got.sample_success + got.fail_phi_gt_1 +
+                                      got.fail_bernoulli +
+                                      got.fail_dead_branch);
     }
   }
 }
@@ -111,43 +108,45 @@ TEST(Batch, TablesAndDrawsBitIdenticalAcrossBatchWidths) {
   EXPECT_EQ(narrow_words, wide_words);
 }
 
-/// Five one-word SampleWords calls, then one 15-word call, on a fresh
-/// session at n = 6: the concatenated stream.
-std::vector<Word> ChunkedDraws(const Nfa& nfa, const CountOptions& options) {
+/// Five one-word draw calls, then one 15-word call, at n = 6 on an engine at
+/// `batch_width` built inside the call: the concatenated stream.
+std::vector<Word> ChunkedDraws(const Nfa& nfa, const CountOptions& options,
+                               int batch_width) {
   std::vector<Word> words;
-  Result<EngineSession> session = EngineSession::Create(nfa, 6, options);
-  EXPECT_TRUE(session.ok());
-  if (!session.ok()) return words;
+  std::unique_ptr<FprasEngine> engine =
+      EngineAtWidth(nfa, 6, options, batch_width);
+  if (engine == nullptr || !engine->RunToLevel(6).ok()) return words;
   for (int64_t count : {1, 1, 1, 1, 1, 15}) {
-    Result<std::vector<Word>> chunk = session->SampleWords(6, count);
-    EXPECT_TRUE(chunk.ok());
-    if (chunk.ok()) words.insert(words.end(), chunk->begin(), chunk->end());
+    const std::vector<Word> chunk = DrawWords(*engine, 6, count);
+    words.insert(words.end(), chunk.begin(), chunk.end());
   }
   return words;
 }
 
-TEST(Batch, SessionDrawsIdenticalAcrossBatchWidthsAndKernels) {
+TEST(Batch, ChunkedDrawsIdenticalAcrossBatchWidthsAndKernels) {
   // The draw stream must not depend on the lockstep width, the kernel table,
-  // or how the requests are chunked (estimates: the tests above and below).
+  // or how the requests are chunked (estimates: the tests above and below);
+  // a session, at the default width, draws the same stream.
   Rng rng(TestSeed(721));
   Nfa nfa = RandomNfa(6, 0.3, 0.3, rng);
-  CountOptions base;
-  base.seed = TestSeed(722);
-  CountOptions narrow = base;
-  narrow.batch_width = 1;
-  CountOptions wide = base;
-  wide.batch_width = 64;
+  CountOptions options;
+  options.seed = TestSeed(722);
 
-  const std::vector<Word> a = ChunkedDraws(nfa, narrow);
-  const std::vector<Word> b = ChunkedDraws(nfa, wide);
+  const std::vector<Word> a = ChunkedDraws(nfa, options, 1);
+  const std::vector<Word> b = ChunkedDraws(nfa, options, 64);
   std::vector<Word> c;
   {
     ScopedForceScalar scalar;
-    c = ChunkedDraws(nfa, wide);
+    c = ChunkedDraws(nfa, options, 64);
   }
+  Result<EngineSession> session = EngineSession::Create(nfa, 6, options);
+  ASSERT_TRUE(session.ok());
+  Result<std::vector<Word>> d = session->SampleWords(6, 20);
+  ASSERT_TRUE(d.ok());
   ASSERT_EQ(a.size(), 20u);
   EXPECT_EQ(a, b);
   EXPECT_EQ(a, c);
+  EXPECT_EQ(a, *d);
 }
 
 TEST(Batch, ForcedScalarDispatchIdenticalEstimates) {
@@ -155,11 +154,12 @@ TEST(Batch, ForcedScalarDispatchIdenticalEstimates) {
   // path) must be invisible in every estimate.
   Rng rng(TestSeed(731));
   Nfa nfa = RandomNfa(7, 0.3, 0.3, rng);
-  Result<CountEstimate> active = ApproxCount(nfa, 6, BatchOpts(TestSeed(732), 8));
+  const CountOptions options = SessionTestOptions(TestSeed(732));
+  Result<CountEstimate> active = ApproxCount(nfa, 6, options);
   Result<CountEstimate> scalar = Status::Internal("unset");
   {
     ScopedForceScalar force;
-    scalar = ApproxCount(nfa, 6, BatchOpts(TestSeed(732), 8));
+    scalar = ApproxCount(nfa, 6, options);
   }
   ASSERT_TRUE(active.ok() && scalar.ok());
   EXPECT_EQ(active->estimate, scalar->estimate);
@@ -169,13 +169,14 @@ TEST(Batch, BatchWidthComposesWithThreads) {
   // The two determinism contracts must hold jointly: (threads, batch) both
   // flip at once, results stay put.
   Nfa nfa = SubstringNfa(Word{1, 0, 1});
-  CountOptions base = BatchOpts(TestSeed(741), 1);
-  CountOptions flipped = BatchOpts(TestSeed(741), 32);
-  flipped.num_threads = 4;
-  Result<CountEstimate> a = ApproxCount(nfa, 8, base);
-  Result<CountEstimate> b = ApproxCount(nfa, 8, flipped);
-  ASSERT_TRUE(a.ok() && b.ok());
-  EXPECT_EQ(a->estimate, b->estimate);
+  const CountOptions base = SessionTestOptions(TestSeed(741));
+  CountOptions threaded = base;
+  threaded.num_threads = 4;
+  std::unique_ptr<FprasEngine> a = EngineAtWidth(nfa, 8, base, 1);
+  std::unique_ptr<FprasEngine> b = EngineAtWidth(nfa, 8, threaded, 32);
+  ASSERT_TRUE(a != nullptr && b != nullptr);
+  ASSERT_TRUE(a->RunToLevel(8).ok() && b->RunToLevel(8).ok());
+  EXPECT_EQ(a->EstimateAtLength(8), b->EstimateAtLength(8));
 }
 
 TEST(Batch, ArenaStopsAllocatingAfterWarmup) {
@@ -186,7 +187,6 @@ TEST(Batch, ArenaStopsAllocatingAfterWarmup) {
   Nfa nfa = RandomNfa(6, 0.35, 0.4, rng);
   CountOptions opts;
   opts.seed = TestSeed(752);
-  opts.batch_width = 16;
   Result<EngineSession> session = EngineSession::Create(nfa, 6, opts);
   ASSERT_TRUE(session.ok());
 
@@ -205,16 +205,16 @@ TEST(Batch, ArenaStopsAllocatingAfterWarmup) {
 
 TEST(Batch, InvalidBatchWidthIsStatusNotCrash) {
   Nfa nfa = ParityNfa(2);
-  CountOptions bad = BatchOpts(TestSeed(761), -1);
-  Result<CountEstimate> r = ApproxCount(nfa, 5, bad);
-  EXPECT_FALSE(r.ok());
-  bad.batch_width = FprasParams::kMaxBatchWidth + 1;
-  r = ApproxCount(nfa, 5, bad);
-  EXPECT_FALSE(r.ok());
+  Result<FprasParams> params = ParamsFromOptions(
+      SessionTestOptions(TestSeed(761)), nfa.num_states(), 5);
+  ASSERT_TRUE(params.ok());
   // 0 = engine default: valid.
-  bad.batch_width = 0;
-  r = ApproxCount(nfa, 5, bad);
-  EXPECT_TRUE(r.ok());
+  for (int width : {-1, FprasParams::kMaxBatchWidth + 1, 0}) {
+    FprasParams p = *params;
+    p.batch_width = width;
+    FprasEngine engine(&nfa, p, TestSeed(761));
+    EXPECT_EQ(engine.Run().ok(), width == 0) << "width=" << width;
+  }
 }
 
 TEST(Batch, SampleBlockViewsMatchMaterializedSamples) {

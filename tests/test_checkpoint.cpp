@@ -1,9 +1,10 @@
 // Binary session checkpoints: save→load→extend must be bit-identical to an
 // uninterrupted run at the same (seed, knob) point — across every
-// num_threads × batch_width × kernel-table combination — and every
-// defective file (truncated, corrupted, wrong magic/version/endianness) must
-// be rejected with a precise Status, never loaded partially. A committed
-// golden file pins the on-disk format against accidental layout changes.
+// num_threads × kernel-table combination — and every defective file
+// (truncated, corrupted, wrong magic/version/endianness) must be rejected
+// with a precise Status, never loaded partially. Committed golden files pin
+// the on-disk format against accidental layout changes: a v1 file must
+// load, and today's writer must reproduce a v2 file byte for byte.
 
 #include <gtest/gtest.h>
 
@@ -21,6 +22,7 @@
 #endif
 
 #include "automata/generators.hpp"
+#include "automata/io.hpp"
 #include "fpras/fpras.hpp"
 #include "test_seed.hpp"
 #include "test_tables.hpp"
@@ -137,38 +139,33 @@ TEST(Checkpoint, SaveLoadExtendBitIdenticalToFreshAcrossKnobGrid) {
   ASSERT_TRUE(half_way->Save(path).ok());
 
   const int threads_grid[] = {1, 4};
-  const int batch_grid[] = {1, 32};
   const bool simd_grid[] = {true, false};
   for (int threads : threads_grid) {
-    for (int batch : batch_grid) {
-      for (bool simd : simd_grid) {
-        // The kernel table is process-wide: scalar for this whole resume.
-        std::optional<ScopedForceScalar> scalar;
-        if (!simd) scalar.emplace();
-        SessionKnobs knobs;
-        knobs.num_threads = threads;
-        knobs.batch_width = batch;
-        Result<EngineSession> resumed = EngineSession::Load(path, &knobs);
-        ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
-        ASSERT_TRUE(resumed->ExtendTo(n).ok());
-        SCOPED_TRACE(::testing::Message() << "threads=" << threads
-                                          << " batch=" << batch
-                                          << " simd=" << simd);
-        for (int level = 0; level <= n; ++level) {
-          Result<double> a = fresh->CountAtLength(level);
-          Result<double> b = resumed->CountAtLength(level);
-          ASSERT_TRUE(a.ok() && b.ok());
-          EXPECT_EQ(*a, *b) << "level=" << level;
-        }
-        ExpectTablesIdentical(fresh->engine(), resumed->engine(), nfa, n);
-        // The draw stream must track the fresh session's across repeated
-        // calls — the cursor advances exactly, never batch-rounded.
-        Result<std::vector<Word>> words = resumed->SampleWords(n, 6);
-        Result<std::vector<Word>> words2 = resumed->SampleWords(n, 4);
-        ASSERT_TRUE(words.ok() && words2.ok());
-        EXPECT_EQ(*fresh_words, *words);
-        EXPECT_EQ(*fresh_words2, *words2);
+    for (bool simd : simd_grid) {
+      // The kernel table is process-wide: scalar for this whole resume.
+      std::optional<ScopedForceScalar> scalar;
+      if (!simd) scalar.emplace();
+      SessionKnobs knobs;
+      knobs.num_threads = threads;
+      Result<EngineSession> resumed = EngineSession::Load(path, &knobs);
+      ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
+      ASSERT_TRUE(resumed->ExtendTo(n).ok());
+      SCOPED_TRACE(::testing::Message() << "threads=" << threads
+                                        << " simd=" << simd);
+      for (int level = 0; level <= n; ++level) {
+        Result<double> a = fresh->CountAtLength(level);
+        Result<double> b = resumed->CountAtLength(level);
+        ASSERT_TRUE(a.ok() && b.ok());
+        EXPECT_EQ(*a, *b) << "level=" << level;
       }
+      ExpectTablesIdentical(fresh->engine(), resumed->engine(), nfa, n);
+      // The draw stream must track the fresh session's across repeated
+      // calls — the cursor advances exactly, never batch-rounded.
+      Result<std::vector<Word>> words = resumed->SampleWords(n, 6);
+      Result<std::vector<Word>> words2 = resumed->SampleWords(n, 4);
+      ASSERT_TRUE(words.ok() && words2.ok());
+      EXPECT_EQ(*fresh_words, *words);
+      EXPECT_EQ(*fresh_words2, *words2);
     }
   }
 }
@@ -297,14 +294,15 @@ TEST(Checkpoint, PreambleDefectsGetPreciseDiagnostics) {
 }
 
 TEST(Checkpoint, RetiredFlagBytesAreIgnored) {
-  // The parameter block keeps five reserved flag bytes and one reserved
-  // I64 where engine knobs used to live. Writers emit 1, 1, 1, 1, 2^20 and
-  // (v2) 1 there; older files may hold anything (e.g. the knobs switched
-  // off). Zero them, re-seal the FNV-1a trailer, and the resumed run must be
-  // bit-identical to the unpatched one and to an uninterrupted run. The last
-  // byte once held the symbol-class switch; the automaton has a compressed
-  // alphabet (3 distinct rows over 64 symbols), so a resume that honored a
-  // zero there would move bits.
+  // The parameter block keeps five reserved flag bytes, one reserved I32
+  // and one reserved I64 where engine knobs used to live. Writers emit 1, 1,
+  // 1, 1, 0, 2^20 and (v2) 1 there; older files may hold anything (e.g. the
+  // knobs switched off, or a lockstep batch width in the I32). Zero the
+  // flags and the I64, set the I32 to 64, re-seal the FNV-1a trailer, and
+  // the resumed run must be bit-identical to the unpatched one and to an
+  // uninterrupted run. The last byte once held the symbol-class switch; the
+  // automaton has a compressed alphabet (3 distinct rows over 64 symbols),
+  // so a resume that honored a zero there would move bits.
   const Nfa nfa = CorpusTokenNfa(3, 64, 3);
   const int n = 7;
   const CountOptions opts = SessionTestOptions(TestSeed(962));
@@ -315,10 +313,11 @@ TEST(Checkpoint, RetiredFlagBytesAreIgnored) {
 
   // Byte offsets (docs/FILE_FORMATS.md): 12-byte preamble, u64 seed, then
   // the parameter block — 108 bytes of schedule/dimensions/derived values/
-  // calibration before the six flag bytes, then two I32 knobs, the reserved
-  // I64 and the v2 flag byte.
+  // calibration before the six flag bytes, then the num_threads I32, the
+  // reserved I32, the reserved I64 and the v2 flag byte.
   constexpr size_t kFlags = 12 + 8 + 108;
-  constexpr size_t kReservedI64 = kFlags + 6 + 4 + 4;
+  constexpr size_t kReservedI32 = kFlags + 6 + 4;
+  constexpr size_t kReservedI64 = kReservedI32 + 4;
   constexpr size_t kReservedFlags[] = {kFlags + 1, kFlags + 2, kFlags + 4,
                                        kFlags + 5, kReservedI64 + 8};
   ASSERT_GT(bytes.size(), kReservedI64 + 8 + 1 + 8);
@@ -330,6 +329,8 @@ TEST(Checkpoint, RetiredFlagBytesAreIgnored) {
   const std::string default_capacity("\x00\x00\x10\x00\x00\x00\x00\x00", 8);
   ASSERT_EQ(patched.substr(kReservedI64, 8), default_capacity);
   patched.replace(kReservedI64, 8, std::string(8, '\0'));
+  ASSERT_EQ(patched.substr(kReservedI32, 4), std::string(4, '\0'));
+  patched.replace(kReservedI32, 4, std::string("\x40\x00\x00\x00", 4));
   Reseal(&patched);
   ASSERT_NE(patched, bytes);
 
@@ -339,6 +340,7 @@ TEST(Checkpoint, RetiredFlagBytesAreIgnored) {
   ASSERT_TRUE(plain.ok()) << plain.status().ToString();
   ASSERT_TRUE(retired.ok()) << retired.status().ToString();
   ASSERT_TRUE(straight.ok());
+  EXPECT_EQ(retired->params().batch_width, 0);  // resumes at the default
   ASSERT_TRUE(plain->ExtendTo(n).ok());
   ASSERT_TRUE(retired->ExtendTo(n).ok());
   ASSERT_TRUE(straight->ExtendTo(n).ok());
@@ -424,6 +426,18 @@ TEST(Checkpoint, MissingFileIsNotFound) {
   EXPECT_EQ(r.status().code(), StatusCode::kNotFound);
 }
 
+std::string ReadFileBytes(const std::string& path) {
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  EXPECT_NE(f, nullptr) << path;
+  if (f == nullptr) return std::string();
+  std::string bytes;
+  char buf[1 << 14];
+  size_t got = 0;
+  while ((got = std::fread(buf, 1, sizeof(buf), f)) > 0) bytes.append(buf, got);
+  std::fclose(f);
+  return bytes;
+}
+
 TEST(Checkpoint, GoldenFileReadsBackAndExtends) {
   // The committed fixture pins format version 1: header geometry, parameter
   // block layout, level-table packing. Regenerate it with
@@ -459,22 +473,30 @@ TEST(Checkpoint, GoldenFileReadsBackAndExtends) {
   EXPECT_EQ(words->size(), 3u);
 }
 
+TEST(Checkpoint, WriterReproducesGoldenV2Bytes) {
+  // The committed v2 fixture pins today's writer byte for byte. It was
+  // written by
+  //   example_nfa_cli count tests/data/golden.nfa 4 0.3 0.2 12345
+  //       --horizon 6 --threads 1 --save-state tests/data/golden_session_v2.ckpt
+  // (one line). The file stores num_threads, so it is a one-thread save.
+  // Regenerate it ONLY on a deliberate format or stream change.
+  const std::string dir = NFACOUNT_TEST_DATA_DIR;
+  Result<Nfa> nfa = LoadNfaFile(dir + "/golden.nfa");
+  ASSERT_TRUE(nfa.ok()) << nfa.status().ToString();
+  Result<EngineSession> session =
+      EngineSession::Create(*nfa, 6, SessionTestOptions(12345));
+  ASSERT_TRUE(session.ok());
+  ASSERT_TRUE(session->ExtendTo(4).ok());
+  const std::string want = ReadFileBytes(dir + "/golden_session_v2.ckpt");
+  ASSERT_FALSE(want.empty());
+  EXPECT_TRUE(SerializeSessionCheckpoint(*session) == want)
+      << "the writer no longer reproduces golden_session_v2.ckpt";
+}
+
 // ---------------------------------------------------------------------------
 // Crash safety (ISSUE 6 satellite): a failed or interrupted save must never
 // corrupt or remove a pre-existing checkpoint.
 // ---------------------------------------------------------------------------
-
-std::string ReadFileBytes(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  EXPECT_NE(f, nullptr) << path;
-  if (f == nullptr) return std::string();
-  std::string bytes;
-  char buf[1 << 14];
-  size_t got = 0;
-  while ((got = std::fread(buf, 1, sizeof(buf), f)) > 0) bytes.append(buf, got);
-  std::fclose(f);
-  return bytes;
-}
 
 bool FileExists(const std::string& path) {
   std::FILE* f = std::fopen(path.c_str(), "rb");

@@ -12,6 +12,7 @@
 
 #include <cstdlib>
 #include <map>
+#include <memory>
 #include <optional>
 #include <string>
 #include <thread>
@@ -28,6 +29,8 @@
 namespace nfacount {
 namespace {
 
+using testing_support::DrawWords;
+using testing_support::EngineAtWidth;
 using testing_support::ExpectTablesIdentical;
 using testing_support::SessionTestOptions;
 using testing_support::TestSeed;
@@ -355,11 +358,11 @@ TEST(DescentCacheIdentity, GridBitIdenticalAcrossCapacityThreadsAndWidth) {
     const Nfa& nfa = gc.nfa;
     const int n = gc.n;
 
-    // Baseline: cache off, sequential, narrowest batches.
+    // Baseline: a session with the cache off, sequential, at the default
+    // width. The grid builds engines, since the width is engine-internal.
     CountOptions base = gc.options;
     base.descent_cache_capacity = 0;
     base.num_threads = 1;
-    base.batch_width = 1;
     Result<EngineSession> baseline = EngineSession::Create(nfa, n, base);
     ASSERT_TRUE(baseline.ok());
     std::vector<double> base_counts;
@@ -380,25 +383,23 @@ TEST(DescentCacheIdentity, GridBitIdenticalAcrossCapacityThreadsAndWidth) {
           CountOptions opts = gc.options;
           opts.descent_cache_capacity = capacity;
           opts.num_threads = threads;
-          opts.batch_width = width;
-          Result<EngineSession> session = EngineSession::Create(nfa, n, opts);
-          ASSERT_TRUE(session.ok())
+          std::unique_ptr<FprasEngine> engine =
+              EngineAtWidth(nfa, n, opts, width);
+          ASSERT_NE(engine, nullptr)
               << "capacity=" << capacity << " threads=" << threads
               << " width=" << width;
+          ASSERT_TRUE(engine->RunToLevel(n).ok());
           for (int level = 0; level <= n; ++level) {
-            Result<double> c = session->CountAtLength(level);
-            ASSERT_TRUE(c.ok());
-            EXPECT_EQ(*c, base_counts[static_cast<size_t>(level)])
+            EXPECT_EQ(engine->EstimateAtLength(level),
+                      base_counts[static_cast<size_t>(level)])
                 << "capacity=" << capacity << " threads=" << threads
                 << " width=" << width << " level=" << level;
           }
-          ExpectTablesIdentical(session->engine(), baseline->engine(), nfa,
-                                n);
-          Result<std::vector<Word>> draws = session->SampleWords(n, 12);
-          ASSERT_TRUE(draws.ok());
-          ASSERT_EQ(draws->size(), base_draws->size());
-          for (size_t i = 0; i < draws->size(); ++i) {
-            EXPECT_EQ((*draws)[i], (*base_draws)[i])
+          ExpectTablesIdentical(*engine, baseline->engine(), nfa, n);
+          const std::vector<Word> draws = DrawWords(*engine, n, 12);
+          ASSERT_EQ(draws.size(), base_draws->size());
+          for (size_t i = 0; i < draws.size(); ++i) {
+            EXPECT_EQ(draws[i], (*base_draws)[i])
                 << "capacity=" << capacity << " threads=" << threads
                 << " width=" << width << " draw=" << i;
           }

@@ -217,8 +217,10 @@ TEST(Fpras, AcjrScheduleAlsoAccurateOnTinyInstance) {
   // schedules must land near the truth.
   Nfa nfa = CombinationLock(Word{1, 0});
   const int n = 6;  // truth = 2^4 = 16
+  CountOptions acjr_options = Opts(TestSeed(21));
+  acjr_options.schedule = Schedule::kAcjr;
   Result<CountEstimate> fast = ApproxCount(nfa, n, Opts(TestSeed(21)));
-  Result<CountEstimate> acjr = ApproxCountAcjr(nfa, n, Opts(TestSeed(21)));
+  Result<CountEstimate> acjr = ApproxCount(nfa, n, acjr_options);
   ASSERT_TRUE(fast.ok() && acjr.ok());
   EXPECT_NEAR(fast->estimate, 16.0, 8.0);
   EXPECT_NEAR(acjr->estimate, 16.0, 8.0);
@@ -322,15 +324,25 @@ TEST(Fpras, AllLengthsConsistentWithSingleCount) {
 }
 
 TEST(Fpras, LongerWordsStillAccurate) {
-  // n = 24 with an exactly-known language size: divisible-by-3 numerals.
-  Nfa nfa = DivisibilityNfa(3);
-  const int n = 24;
-  Result<BigUint> exact = ExactCountViaDfa(nfa, n);
-  ASSERT_TRUE(exact.ok());
-  Result<CountEstimate> approx =
-      ApproxCount(nfa, n, Opts(TestSeed(1001), 0.25, 0.2));
-  ASSERT_TRUE(approx.ok());
-  EXPECT_NEAR(approx->estimate / exact->ToDouble(), 1.0, 0.4);
+  // Exactly-known language sizes at longer n: divisible-by-3 numerals at
+  // n = 24, and an unambiguous combination lock at n = 12.
+  struct Case {
+    const char* name;
+    Nfa nfa;
+    int n;
+    CountOptions options;
+  };
+  const Case cases[] = {
+      {"divisibility3", DivisibilityNfa(3), 24, Opts(TestSeed(1001), 0.25)},
+      {"lock101", CombinationLock(Word{1, 0, 1}), 12, Opts(TestSeed(404))}};
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    Result<BigUint> exact = ExactCountViaDfa(c.nfa, c.n);
+    ASSERT_TRUE(exact.ok());
+    Result<CountEstimate> approx = ApproxCount(c.nfa, c.n, c.options);
+    ASSERT_TRUE(approx.ok());
+    EXPECT_NEAR(approx->estimate / exact->ToDouble(), 1.0, 0.4);
+  }
 }
 
 }  // namespace

@@ -103,7 +103,7 @@ TEST(Serve, RegistryRejectsBadNamesDuplicatesAndUnknowns) {
 
 // The tentpole invariant: N reader threads answer counts and draws against
 // the shared prefix while one writer extends the horizon, across the
-// knob grid (worker threads × batch width × descent cache), and every
+// knob grid (worker threads × descent cache), and every
 // single answer is bit-identical to the single-threaded session. In the
 // multi-threaded configs reader 0 draws wide chunks first, so its parallel
 // draw windows run on the draw pool while the writer's sweep runs on its
@@ -111,13 +111,12 @@ TEST(Serve, RegistryRejectsBadNamesDuplicatesAndUnknowns) {
 TEST(Serve, ConcurrentReadersVsExtendingWriterGrid) {
   struct Config {
     int num_threads;
-    int batch_width;
     int64_t descent_capacity;  // 0 disables the descent cache
   };
   const Config kGrid[] = {
-      {1, 0, -1},
-      {2, 8, -1},
-      {2, 0, 0},
+      {1, -1},
+      {2, -1},
+      {2, 0},
   };
   const int kHorizon = 8;
   const int kReaders = 3;
@@ -146,7 +145,6 @@ TEST(Serve, ConcurrentReadersVsExtendingWriterGrid) {
   for (const Config& config : kGrid) {
     RegistryOptions options;
     options.knobs.num_threads = config.num_threads;
-    options.knobs.batch_width = config.batch_width;
     options.knobs.descent_cache_capacity = config.descent_capacity;
     SessionRegistry registry(options);
     ASSERT_TRUE(
@@ -202,7 +200,6 @@ TEST(Serve, ConcurrentReadersVsExtendingWriterGrid) {
     for (std::thread& t : readers) t.join();
     EXPECT_FALSE(failed.load())
         << "threads=" << config.num_threads
-        << " batch=" << config.batch_width
         << " descent=" << config.descent_capacity;
 
     // The draw stream is chunk-invariant: the concurrent chunks, ordered by

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -18,6 +19,8 @@
 namespace nfacount {
 namespace {
 
+using testing_support::DrawWords;
+using testing_support::EngineAtWidth;
 using testing_support::ExpectTablesIdentical;
 using testing_support::ScopedForceScalar;
 using testing_support::SessionTestOptions;
@@ -73,35 +76,34 @@ TEST(Session, IncrementalExtensionBitIdenticalToOneShot) {
 TEST(Session, ExtensionComposesWithKnobFlips) {
   // The determinism contracts must hold jointly with incrementality:
   // extend-in-steps on (4 threads, batch 32, scalar kernels) equals one-shot
-  // on the defaults.
+  // on the defaults. The width is engine-internal, so the flipped side is an
+  // engine extended level range by level range, as a session extends.
   Nfa nfa = SubstringNfa(Word{1, 0, 1});
   const int n = 8;
   CountOptions base = SessionTestOptions(TestSeed(821));
   CountOptions flipped = base;
   flipped.num_threads = 4;
-  flipped.batch_width = 32;
 
   Result<EngineSession> a = EngineSession::Create(nfa, n, base);
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(a->ExtendTo(n).ok());
 
-  Result<EngineSession> b = Status::Internal("unset");
+  std::unique_ptr<FprasEngine> b;
   {
     ScopedForceScalar scalar;
-    b = EngineSession::Create(nfa, n, flipped);
-    ASSERT_TRUE(b.ok());
-    ASSERT_TRUE(b->ExtendTo(3).ok());
-    ASSERT_TRUE(b->ExtendTo(5).ok());
-    ASSERT_TRUE(b->ExtendTo(n).ok());
+    b = EngineAtWidth(nfa, n, flipped, 32);
+    ASSERT_NE(b, nullptr);
+    ASSERT_TRUE(b->RunToLevel(3).ok());
+    ASSERT_TRUE(b->RunToLevel(5).ok());
+    ASSERT_TRUE(b->RunToLevel(n).ok());
   }
 
   for (int level = 0; level <= n; ++level) {
     Result<double> ca = a->CountAtLength(level);
-    Result<double> cb = b->CountAtLength(level);
-    ASSERT_TRUE(ca.ok() && cb.ok());
-    EXPECT_EQ(*ca, *cb) << "level=" << level;
+    ASSERT_TRUE(ca.ok());
+    EXPECT_EQ(*ca, b->EstimateAtLength(level)) << "level=" << level;
   }
-  ExpectTablesIdentical(a->engine(), b->engine(), nfa, n);
+  ExpectTablesIdentical(a->engine(), *b, nfa, n);
 }
 
 TEST(Session, DrawSequenceSurvivesExtensionSplits) {
@@ -132,12 +134,13 @@ TEST(Session, DrawSequenceSurvivesExtensionSplits) {
 }
 
 TEST(Session, DrawStreamInvariantAcrossBatchWidthsAndLengths) {
-  // The session consumes draw attempts exactly (never batch- or
-  // window-rounded), so repeated SampleWords calls — even interleaved across
-  // lengths — yield one identical sequence for every batch width and every
-  // draw thread count, and the cursor and the exact per-walk counters stay
-  // aligned call by call. The larger calls are worth several batches per
-  // thread, so the 2- and 4-thread sessions run parallel windows there.
+  // The engine consumes draw attempts exactly (never batch- or
+  // window-rounded), so repeated session-sized draw calls — even
+  // interleaved across lengths — yield one identical sequence for every
+  // batch width and every draw thread count, and the cursor and the exact
+  // per-walk counters stay aligned call by call. The larger calls are worth
+  // several batches per thread, so the 2- and 4-thread engines run parallel
+  // windows there. The reference is a session at the default width.
   Rng rng(TestSeed(891));
   Nfa nfa = RandomNfa(6, 0.3, 0.35, rng);
   const int n = 6;
@@ -147,39 +150,36 @@ TEST(Session, DrawStreamInvariantAcrossBatchWidthsAndLengths) {
   };
   const Config kConfigs[] = {{1, 1},  {1, 2},  {1, 4},  {4, 2},
                              {32, 1}, {32, 2}, {32, 4}};
-  std::vector<EngineSession> sessions;
+  const CountOptions opts = SessionTestOptions(TestSeed(892));
+  std::vector<std::unique_ptr<FprasEngine>> engines;
   for (const Config& config : kConfigs) {
-    CountOptions opts = SessionTestOptions(TestSeed(892));
-    opts.batch_width = config.batch_width;
-    opts.num_threads = config.num_threads;
-    Result<EngineSession> session = EngineSession::Create(nfa, n, opts);
-    ASSERT_TRUE(session.ok());
-    ASSERT_TRUE(session->ExtendTo(n).ok());
-    sessions.push_back(std::move(session).value());
+    CountOptions threaded = opts;
+    threaded.num_threads = config.num_threads;
+    engines.push_back(EngineAtWidth(nfa, n, threaded, config.batch_width));
+    ASSERT_NE(engines.back(), nullptr);
+    ASSERT_TRUE(engines.back()->RunToLevel(n).ok());
   }
+  Result<EngineSession> reference = EngineSession::Create(nfa, n, opts);
+  ASSERT_TRUE(reference.ok());
+  ASSERT_TRUE(reference->ExtendTo(n).ok());
 
   const int lengths[] = {n, n, n - 2, n, n - 2, n, n - 2, n};
   const int64_t counts[] = {2, 3, 1, 4, 2, 40, 64, 5};
-  EngineSession& reference = sessions.front();
   for (size_t i = 0; i < 8; ++i) {
     Result<std::vector<Word>> want =
-        reference.SampleWords(lengths[i], counts[i]);
+        reference->SampleWords(lengths[i], counts[i]);
     ASSERT_TRUE(want.ok()) << "call " << i;
-    const FprasDiagnostics want_diag = reference.diagnostics();
-    for (size_t c = 1; c < sessions.size(); ++c) {
+    const FprasDiagnostics want_diag = reference->diagnostics();
+    for (size_t c = 0; c < engines.size(); ++c) {
       const std::string where =
           "call " + std::to_string(i) + " batch_width " +
           std::to_string(kConfigs[c].batch_width) + " threads " +
           std::to_string(kConfigs[c].num_threads);
-      EngineSession& session = sessions[c];
-      Result<std::vector<Word>> got =
-          session.SampleWords(lengths[i], counts[i]);
-      ASSERT_TRUE(got.ok()) << where;
-      EXPECT_EQ(*want, *got) << where;
-      EXPECT_EQ(reference.engine().draw_cursor(),
-                session.engine().draw_cursor())
+      FprasEngine& engine = *engines[c];
+      EXPECT_EQ(*want, DrawWords(engine, lengths[i], counts[i])) << where;
+      EXPECT_EQ(reference->engine().draw_cursor(), engine.draw_cursor())
           << where;
-      const FprasDiagnostics& g = session.diagnostics();
+      const FprasDiagnostics& g = engine.diagnostics();
       EXPECT_EQ(want_diag.sample_calls, g.sample_calls) << where;
       EXPECT_EQ(want_diag.sample_success, g.sample_success) << where;
       EXPECT_EQ(want_diag.fail_phi_gt_1, g.fail_phi_gt_1) << where;
@@ -350,7 +350,6 @@ TEST(Session, CountOptionsReachParamsAtEveryHorizon) {
   o.perturb_support = false;
   o.recycle_samples = false;
   o.num_threads = 3;
-  o.batch_width = 24;
   o.descent_cache_capacity = 77;
   const auto expect_knobs = [&](const FprasParams& p, int n) {
     SCOPED_TRACE(::testing::Message() << "n=" << n);
@@ -358,7 +357,6 @@ TEST(Session, CountOptionsReachParamsAtEveryHorizon) {
     EXPECT_FALSE(p.perturb_support);
     EXPECT_FALSE(p.recycle_samples);
     EXPECT_EQ(p.num_threads, 3);
-    EXPECT_EQ(p.batch_width, 24);
     EXPECT_EQ(p.descent_cache_capacity, 77);
   };
   for (int n : {0, 3}) {

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
 
 #include "automata/generators.hpp"
@@ -20,6 +21,8 @@
 namespace nfacount {
 namespace {
 
+using testing_support::DrawWords;
+using testing_support::EngineAtWidth;
 using testing_support::ExpectTablesIdentical;
 using testing_support::SessionTestOptions;
 using testing_support::TestSeed;
@@ -170,10 +173,11 @@ TEST(SymbolClassPartition, MemberExpansionBitIdenticalAtEveryLevel) {
 // Identity grid on a genuinely compressed family and on a trivially
 // partitioned one (every row distinct, so every class is one symbol):
 // estimates, per-(q,ℓ) tables, and draw streams must not move across
-// num_threads × batch_width × descent-cache capacity. The baseline runs at
-// each input's first capacity; the trivial partition skips the uncached
-// engine, whose capacity invariance test_descent_cache already pins on
-// binary-alphabet families.
+// num_threads × batch_width × descent-cache capacity. The baseline is a
+// session at each input's first capacity (and the default width); the grid
+// builds engines, since the width is engine-internal. The trivial partition
+// skips the uncached engine, whose capacity invariance test_descent_cache
+// already pins on binary-alphabet families.
 TEST(SymbolClasses, GridBitIdenticalAtFixedClassSetting) {
   struct Input {
     const char* name;
@@ -192,7 +196,6 @@ TEST(SymbolClasses, GridBitIdenticalAtFixedClassSetting) {
     CountOptions base = SessionTestOptions(input.seed);
     base.descent_cache_capacity = input.capacities.front();
     base.num_threads = 1;
-    base.batch_width = 1;
     Result<EngineSession> baseline = EngineSession::Create(nfa, n, base);
     ASSERT_TRUE(baseline.ok());
     std::vector<double> base_counts;
@@ -210,23 +213,21 @@ TEST(SymbolClasses, GridBitIdenticalAtFixedClassSetting) {
           CountOptions opts = SessionTestOptions(input.seed);
           opts.descent_cache_capacity = capacity;
           opts.num_threads = threads;
-          opts.batch_width = width;
-          Result<EngineSession> session = EngineSession::Create(nfa, n, opts);
-          ASSERT_TRUE(session.ok());
+          std::unique_ptr<FprasEngine> engine =
+              EngineAtWidth(nfa, n, opts, width);
+          ASSERT_NE(engine, nullptr);
+          ASSERT_TRUE(engine->RunToLevel(n).ok());
           for (int level = 0; level <= n; ++level) {
-            Result<double> c = session->CountAtLength(level);
-            ASSERT_TRUE(c.ok());
-            EXPECT_EQ(*c, base_counts[static_cast<size_t>(level)])
+            EXPECT_EQ(engine->EstimateAtLength(level),
+                      base_counts[static_cast<size_t>(level)])
                 << "capacity=" << capacity << " threads=" << threads
                 << " width=" << width << " level=" << level;
           }
-          ExpectTablesIdentical(session->engine(), baseline->engine(), nfa,
-                                n);
-          Result<std::vector<Word>> draws = session->SampleWords(n, 12);
-          ASSERT_TRUE(draws.ok());
-          ASSERT_EQ(draws->size(), base_draws->size());
-          for (size_t i = 0; i < draws->size(); ++i) {
-            EXPECT_EQ((*draws)[i], (*base_draws)[i])
+          ExpectTablesIdentical(*engine, baseline->engine(), nfa, n);
+          const std::vector<Word> draws = DrawWords(*engine, n, 12);
+          ASSERT_EQ(draws.size(), base_draws->size());
+          for (size_t i = 0; i < draws.size(); ++i) {
+            EXPECT_EQ(draws[i], (*base_draws)[i])
                 << "capacity=" << capacity << " threads=" << threads
                 << " width=" << width << " draw=" << i;
           }

@@ -1,15 +1,19 @@
 // Shared table-equality support for the determinism suites (test_batch,
-// test_session, test_checkpoint): one definition of "two engines hold
+// test_session, test_checkpoint, ...): one definition of "two engines hold
 // bit-identical per-(q,ℓ) state", so every suite asserts the same notion of
-// identical when StateLevelData grows a field, plus the scoped kernel-table
-// switch those suites flip.
+// identical when StateLevelData grows a field, plus the engine-at-a-width
+// builder and the scoped kernel-table switch those suites flip.
 
 #ifndef NFACOUNT_TESTS_TEST_TABLES_HPP_
 #define NFACOUNT_TESTS_TEST_TABLES_HPP_
 
 #include <gtest/gtest.h>
 
-#include "fpras/estimator.hpp"
+#include <memory>
+#include <utility>
+#include <vector>
+
+#include "fpras/session.hpp"
 #include "util/simd.hpp"
 
 namespace nfacount {
@@ -47,6 +51,34 @@ inline CountOptions SessionTestOptions(uint64_t seed) {
   options.delta = 0.2;
   options.seed = seed;
   return options;
+}
+
+/// An engine prepared with the parameters `options` derives at horizon `n`,
+/// but advancing `batch_width` walks in lockstep. The width is
+/// engine-internal (sessions always run the default), so the invariance
+/// suites sweep it here; run levels with RunToLevel.
+inline std::unique_ptr<FprasEngine> EngineAtWidth(const Nfa& nfa, int n,
+                                                  const CountOptions& options,
+                                                  int batch_width) {
+  Result<FprasParams> params = ParamsFromOptions(options, nfa.num_states(), n);
+  EXPECT_TRUE(params.ok()) << params.status().ToString();
+  if (!params.ok()) return nullptr;
+  params->batch_width = batch_width;
+  auto engine = std::make_unique<FprasEngine>(&nfa, *params, options.seed);
+  const Status prepared = engine->Prepare();
+  EXPECT_TRUE(prepared.ok()) << prepared.ToString();
+  return prepared.ok() ? std::move(engine) : nullptr;
+}
+
+/// `count` words from L(A_level) taken the way one EngineSession::SampleWords
+/// call takes them (same per-draw attempt budget); fewer only if the budget
+/// runs out.
+inline std::vector<Word> DrawWords(FprasEngine& engine, int level,
+                                   int64_t count) {
+  std::vector<Word> words;
+  engine.SampleAcceptedInto(level, EngineSession::kAttemptsPerDraw * count,
+                            count, &words);
+  return words;
 }
 
 /// Forces the scalar kernel table process-wide for its lifetime, then
