@@ -23,8 +23,9 @@
 //   --json <path>      additionally write a machine-readable report of the
 //                      run (estimate, parameters, diagnostics, timing)
 //
-// Session flags (count command; see docs/ARCHITECTURE.md "Engine lifecycle
-// & incremental extension"):
+// Session flags (count command only — any other command rejects them as a
+// usage error; see docs/ARCHITECTURE.md "Engine lifecycle & incremental
+// extension"):
 //   --horizon <H>      run as an EngineSession with parameters derived at
 //                      horizon H >= n (extendable later up to H)
 //   --save-state <p>   save the session as a binary checkpoint after the
@@ -43,8 +44,8 @@
 // cli_args.hpp): n, count and alphabet size are integers in range, eps is a
 // number > 0, delta is in (0, 1), the seed is an unsigned 64-bit integer. A
 // malformed value prints the usage text and exits 2, and so does an
-// unknown --flag before the `--` separator or a positional argument beyond
-// what the command takes.
+// unknown --flag before the `--` separator, a session flag on a command
+// other than count, or a positional argument beyond what the command takes.
 //
 // File format: see src/automata/io.hpp; checkpoint format: see
 // docs/FILE_FORMATS.md "Session checkpoints (.ckpt)".
@@ -88,6 +89,7 @@ int Usage() {
                "       --no-simd          force scalar bitset kernels\n"
                "       --descent-cache <e> descent-cache entries (0 = off)\n"
                "       --json <path>      machine-readable run report\n"
+               "session flags (count only):\n"
                "       --horizon <H>      run count as a session sized for H\n"
                "       --save-state <p>   write a session checkpoint\n"
                "       --load-state <p>   resume a session checkpoint\n"
@@ -109,6 +111,10 @@ struct CliFlags {
   std::string json_path;
   std::string save_state;
   std::string load_state;
+  /// The first session flag on the line (--horizon, --extend-to,
+  /// --save-state, --load-state), or empty: any makes `count` a session,
+  /// and every other command rejects it.
+  std::string session_flag;
   bool malformed = false;
 };
 
@@ -151,14 +157,18 @@ std::vector<std::string> ExtractFlags(int argc, char** argv, CliFlags* flags) {
       parse_int(&i, &flags->descent_cache, 1 << 30);
     } else if (!flags_ended && arg == "--horizon") {
       parse_int(&i, &flags->horizon, cli_args::kMaxLength);
+      if (flags->session_flag.empty()) flags->session_flag = arg;
     } else if (!flags_ended && arg == "--extend-to") {
       parse_int(&i, &flags->extend_to, cli_args::kMaxLength);
+      if (flags->session_flag.empty()) flags->session_flag = arg;
     } else if (!flags_ended && arg == "--json") {
       parse_str(&i, &flags->json_path);
     } else if (!flags_ended && arg == "--save-state") {
       parse_str(&i, &flags->save_state);
+      if (flags->session_flag.empty()) flags->session_flag = arg;
     } else if (!flags_ended && arg == "--load-state") {
       parse_str(&i, &flags->load_state);
+      if (flags->session_flag.empty()) flags->session_flag = arg;
     } else if (!flags_ended && arg.size() > 2 && arg.compare(0, 2, "--") == 0) {
       std::fprintf(stderr, "error: unknown flag '%s'\n", arg.c_str());
       flags->malformed = true;
@@ -337,10 +347,15 @@ int RunSessionCount(const CliFlags& flags,
 int main(int argc, char** argv) {
   CliFlags flags;
   const std::vector<std::string> args = ExtractFlags(argc, argv, &flags);
-  const bool session_mode = !flags.load_state.empty() ||
-                            !flags.save_state.empty() || flags.horizon >= 0 ||
-                            flags.extend_to >= 0;
+  const bool session_mode = !flags.session_flag.empty();
   if (flags.malformed || args.empty()) return Usage();
+  // Only count runs as a session: silently answering `sample ...
+  // --save-state x` without writing x would lose the caller's state.
+  if (session_mode && args[0] != "count") {
+    std::fprintf(stderr, "error: %s applies only to count, not %s\n",
+                 flags.session_flag.c_str(), args[0].c_str());
+    return Usage();
+  }
   const size_t max_args = MaxArgs(args[0], !flags.load_state.empty());
   if (args.size() > max_args) {
     if (max_args > 0) {

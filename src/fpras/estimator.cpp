@@ -27,6 +27,9 @@ constexpr uint64_t kSampleUnionTag = 0x5A5A5A5A5A5A5A5AULL;
 constexpr uint64_t kFinalUnionTag = 0xF1F1F1F1F1F1F1F1ULL;
 constexpr uint64_t kDrawStreamTag = 0xD12AD12AD12AD12AULL;
 constexpr uint64_t kRefillWalkTag = 0xB47CB47CB47CB47CULL;
+// Descent-cache union-memo keys (DescentCache::UnionKeyHash): tags them apart
+// from frontier keys of the same (level, words).
+constexpr uint64_t kUnionMemoTag = 0x3E3E3E3E3E3E3E3EULL;
 
 // Parallel draw windows (FprasEngine::DrawWindowBatches): consumed attempts
 // before the running accept ratio replaces the 2/(3e) prior, the fewest
@@ -95,6 +98,9 @@ void DescentCache::Reset(int64_t capacity, size_t row_words,
     shard.map.clear();
     shard.hits.store(0, std::memory_order_relaxed);
     shard.misses.store(0, std::memory_order_relaxed);
+    shard.union_slots = {};
+    shard.union_records = {};
+    shard.union_values = {};
   }
   capacity_ = capacity;
   row_words_ = row_words;
@@ -116,6 +122,15 @@ int64_t DescentCache::misses() const {
   int64_t total = 0;
   for (const Shard& shard : shards_) {
     total += shard.misses.load(std::memory_order_relaxed);
+  }
+  return total;
+}
+
+int64_t DescentCache::union_entries() const {
+  int64_t total = 0;
+  for (const Shard& shard : shards_) {
+    std::lock_guard<std::mutex> lock(shard.mu);
+    total += static_cast<int64_t>(shard.union_values.size());
   }
   return total;
 }
@@ -162,15 +177,7 @@ const DescentEntry* DescentCache::Insert(int level, const uint64_t* set,
   if (const DescentEntry* existing = FindLocked(shard, hash, level, set)) {
     return existing;
   }
-  // Reserve one entry of the shared budget before emplacing: a CAS loop on
-  // the counter cannot overshoot capacity_, unlike a pre-lock
-  // `entries_ >= capacity_` check, where every concurrent inserter passes
-  // the gate and then all of them emplace.
-  int64_t current = entries_.load(std::memory_order_relaxed);
-  do {
-    if (current >= capacity_) return nullptr;
-  } while (!entries_.compare_exchange_weak(current, current + 1,
-                                           std::memory_order_relaxed));
+  if (!ReserveEntry()) return nullptr;
   DescentEntry entry;
   entry.level = level;
   entry.set.assign(set, set + row_words_);
@@ -188,6 +195,97 @@ const DescentEntry* DescentCache::Insert(int level, const uint64_t* set,
                            num_classes * sizeof(DescentEntry::ChildLink)),
       std::memory_order_relaxed);
   return &shard.map.emplace(hash, std::move(entry))->second;
+}
+
+bool DescentCache::ReserveEntry() {
+  // Reserve one entry of the shared budget before emplacing: a CAS loop on
+  // the counter cannot overshoot capacity_, unlike a pre-lock
+  // `entries_ >= capacity_` check, where every concurrent inserter passes
+  // the gate and then all of them emplace.
+  int64_t current = entries_.load(std::memory_order_relaxed);
+  do {
+    if (current >= capacity_) return false;
+  } while (!entries_.compare_exchange_weak(current, current + 1,
+                                           std::memory_order_relaxed));
+  return true;
+}
+
+uint64_t DescentCache::UnionKeyHash(int level, const uint64_t* preds) const {
+  return HashCombine(kUnionMemoTag, KeyHash(level, preds));
+}
+
+size_t DescentCache::UnionSlotLocked(const Shard& shard, uint64_t hash,
+                                     int level, const uint64_t* preds) const {
+  // The top bits picked the shard; the low bits start the probe.
+  const size_t mask = shard.union_slots.size() - 1;
+  const size_t stride = UnionStride();
+  for (size_t slot = static_cast<size_t>(hash) & mask;;
+       slot = (slot + 1) & mask) {
+    const uint32_t ref = shard.union_slots[slot];
+    if (ref == 0) return slot;
+    const uint64_t* record =
+        shard.union_records.data() + static_cast<size_t>(ref - 1) * stride;
+    if (record[0] == hash && record[1] == static_cast<uint64_t>(level) &&
+        std::equal(preds, preds + row_words_, record + 2)) {
+      return slot;
+    }
+  }
+}
+
+void DescentCache::GrowUnionSlotsLocked(Shard& shard) {
+  const size_t records = shard.union_values.size();
+  if (2 * (records + 1) <= shard.union_slots.size()) return;
+  std::vector<uint32_t>& slots = shard.union_slots;
+  slots.assign(std::max<size_t>(16, 2 * slots.size()), 0);
+  const size_t mask = slots.size() - 1;
+  const size_t stride = UnionStride();
+  for (size_t r = 0; r < records; ++r) {
+    size_t slot = static_cast<size_t>(shard.union_records[r * stride]) & mask;
+    while (slots[slot] != 0) slot = (slot + 1) & mask;
+    slots[slot] = static_cast<uint32_t>(r + 1);
+  }
+}
+
+bool DescentCache::FindUnion(int level, const uint64_t* preds,
+                             double* estimate) const {
+  if (!enabled()) return false;
+  const uint64_t hash = UnionKeyHash(level, preds);
+  const Shard& shard = ShardFor(hash);
+  std::lock_guard<std::mutex> lock(shard.mu);
+  if (shard.union_slots.empty()) return false;
+  const uint32_t ref =
+      shard.union_slots[UnionSlotLocked(shard, hash, level, preds)];
+  if (ref == 0) return false;
+  *estimate = shard.union_values[ref - 1];
+  return true;
+}
+
+bool DescentCache::InsertUnion(int level, const uint64_t* preds,
+                               double estimate) {
+  if (!enabled()) return false;
+  const uint64_t hash = UnionKeyHash(level, preds);
+  Shard& shard = ShardFor(hash);
+  std::lock_guard<std::mutex> lock(shard.mu);
+  if (!shard.union_slots.empty() &&
+      shard.union_slots[UnionSlotLocked(shard, hash, level, preds)] != 0) {
+    return true;  // first writer wins
+  }
+  if (!ReserveEntry()) return false;
+  GrowUnionSlotsLocked(shard);
+  const size_t slot = UnionSlotLocked(shard, hash, level, preds);
+  shard.union_records.push_back(hash);
+  shard.union_records.push_back(static_cast<uint64_t>(level));
+  shard.union_records.insert(shard.union_records.end(), preds,
+                             preds + row_words_);
+  shard.union_values.push_back(estimate);
+  shard.union_slots[slot] = static_cast<uint32_t>(shard.union_values.size());
+  // The record, its estimate, and the two slots a half-full table keeps
+  // per record.
+  bytes_.fetch_add(static_cast<int64_t>(UnionStride() * sizeof(uint64_t) +
+                                        sizeof(double) +
+                                        2 * sizeof(uint32_t)),
+                   std::memory_order_relaxed);
+  return true;
 }
 
 // ---------------------------------------------------------------------------
@@ -289,6 +387,11 @@ void FprasEngine::UnionSizesInto(int level, const Bitset& state_set,
     rows->resize(static_cast<size_t>(num_classes) * row_words);
   }
   AppUnionParams au = MakeUnionParams(params_, delta_param, level);
+  // Union memo (DescentCache): on the sample path a class's estimate is a
+  // function of (level, predecessor set) alone — its substream, δ and
+  // inputs depend on nothing else — so frontiers that share a set share one
+  // AppUnion. The count path is left out: its sets barely repeat.
+  const bool memo = purpose == UnionPurpose::kSample && descent_.enabled();
 
   for (int c = 0; c < num_classes; ++c) {
     // One predecessor expansion per class: every member of a class has
@@ -302,38 +405,51 @@ void FprasEngine::UnionSizesInto(int level, const Bitset& state_set,
                 rows->data() + static_cast<size_t>(c) * row_words);
     }
     if (preds.None()) continue;
-    std::vector<PredecessorInput>& inputs = ws.union_inputs;
-    inputs.clear();
-    preds.ForEachSet([&](int p) {
-      inputs.push_back(PredecessorInput{&levels_[level - 1].cells[p],
-                                        static_cast<StateId>(p), nfa_});
-    });
-    std::vector<const PredecessorInput*>& ptrs = ws.union_ptrs;
-    ptrs.clear();
-    for (const auto& in : inputs) ptrs.push_back(&in);
-
-    // Content-keyed substream: the draws depend only on (seed, purpose,
-    // level, predecessor-set content) — never on the calling cell, the
-    // worker thread, the cache state, or which class produced the set.
-    // Recomputing an uncached entry therefore reproduces byte-for-byte what
-    // a cache hit would have returned (the descent cache and the parallel
-    // sweep stay result-invariant), and classes whose predecessor sets
-    // coincide reuse the exact same draw stream — a duplicate class costs
-    // AppUnion work but no fresh randomness.
-    Rng rng = Rng::ForSubstream(seed_, HashCombine(family, preds.Hash()),
-                                static_cast<uint64_t>(level));
-    AppUnionOutcome outcome = AppUnionBatched(ptrs, au, ws.union_scratch, rng);
-    ++ws.diag.appunion_calls;
-    ws.diag.appunion_trials += outcome.completed_trials;
-    ws.diag.membership_checks += outcome.membership_checks;
-    if (outcome.starved) ++ws.diag.starvations;
+    const uint64_t* key = preds.words().data();
+    double estimate = 0.0;
+    if (!memo || !descent_.FindUnion(level, key, &estimate)) {
+      estimate =
+          RunAppUnion(levels_[level - 1], preds, family, level, au, ws);
+      if (memo) descent_.InsertUnion(level, key, estimate);
+    }
     // The stored slice is WEIGHTED: out[c] = weight_c · sz_c, so the vector
     // still sums to the full per-symbol total N = Σ_b sz_b and a discrete
     // draw over it picks a class with the probability mass of all its
-    // members combined.
+    // members combined. The memo holds sz_c unweighted: classes that share
+    // a predecessor set need not share a weight.
     sizes[static_cast<size_t>(c)] =
-        static_cast<double>(classes.Weight(c)) * outcome.estimate;
+        static_cast<double>(classes.Weight(c)) * estimate;
   }
+}
+
+double FprasEngine::RunAppUnion(const LevelState& cells, const Bitset& set,
+                                uint64_t family, int level,
+                                const AppUnionParams& au, WorkerScratch& ws) {
+  std::vector<PredecessorInput>& inputs = ws.union_inputs;
+  inputs.clear();
+  set.ForEachSet([&](int p) {
+    inputs.push_back(PredecessorInput{&cells.cells[p],
+                                      static_cast<StateId>(p), nfa_});
+  });
+  std::vector<const PredecessorInput*>& ptrs = ws.union_ptrs;
+  ptrs.clear();
+  for (const auto& in : inputs) ptrs.push_back(&in);
+
+  // Content-keyed substream: the draws depend only on (seed, family,
+  // level, set content) — never on the calling cell, the worker thread,
+  // the cache state, or which class produced the set. Recomputing an
+  // uncached entry therefore reproduces byte-for-byte what a cache hit
+  // would have returned (the descent cache and the parallel sweep stay
+  // result-invariant), and classes whose predecessor sets coincide reuse
+  // the exact same draw stream.
+  Rng rng = Rng::ForSubstream(seed_, HashCombine(family, set.Hash()),
+                              static_cast<uint64_t>(level));
+  AppUnionOutcome outcome = AppUnionBatched(ptrs, au, ws.union_scratch, rng);
+  ++ws.diag.appunion_calls;
+  ws.diag.appunion_trials += outcome.completed_trials;
+  ws.diag.membership_checks += outcome.membership_checks;
+  if (outcome.starved) ++ws.diag.starvations;
+  return outcome.estimate;
 }
 
 void FprasEngine::RunWalkBatch(int level, const Bitset& state_set, double phi0,
@@ -840,28 +956,12 @@ void FprasEngine::ComputeAcceptedCount(int level) {
     return;
   }
 
-  WorkerScratch& ws = workers_[0];
-  std::vector<PredecessorInput>& inputs = ws.union_inputs;
-  inputs.clear();
-  alive.ForEachSet([&](int q) {
-    inputs.push_back(PredecessorInput{&state.cells[q],
-                                      static_cast<StateId>(q), nfa_});
-  });
-  std::vector<const PredecessorInput*>& ptrs = ws.union_ptrs;
-  ptrs.clear();
-  for (const auto& in : inputs) ptrs.push_back(&in);
-  AppUnionParams au = MakeUnionParams(params_, params_.eta, level + 1);
   // Content-keyed stream (accepting ∩ reachable, ℓ): a fresh sweep, an
   // incremental extension and a checkpoint restore all compute the same
   // bits for the level.
-  Rng rng = Rng::ForSubstream(seed_, HashCombine(kFinalUnionTag, alive.Hash()),
-                              static_cast<uint64_t>(level));
-  AppUnionOutcome outcome = AppUnionBatched(ptrs, au, ws.union_scratch, rng);
-  ++ws.diag.appunion_calls;
-  ws.diag.appunion_trials += outcome.completed_trials;
-  ws.diag.membership_checks += outcome.membership_checks;
-  if (outcome.starved) ++ws.diag.starvations;
-  state.accepted_count = outcome.estimate;
+  const AppUnionParams au = MakeUnionParams(params_, params_.eta, level + 1);
+  state.accepted_count =
+      RunAppUnion(state, alive, kFinalUnionTag, level, au, workers_[0]);
 }
 
 double FprasEngine::EstimateAtLength(int level) const {

@@ -124,9 +124,12 @@ struct FprasDiagnostics {
   /// report, the serve stats reply and perfbench read them.
   int64_t descent_hits = 0;
   int64_t descent_misses = 0;
-  int64_t descent_entries = 0;  ///< admitted (level, frontier) cache entries
+  /// Admitted descent-cache entries: (level, frontier) entries plus
+  /// union-memo (level, Pred set) entries (they share the budget).
+  int64_t descent_entries = 0;
   /// Approximate descent-cache footprint: keys, sizes, rows and child
-  /// links, counted when an entry is admitted.
+  /// links, and the union memo's records, counted when an entry is
+  /// admitted.
   int64_t descent_bytes = 0;
   /// Candidate walks launched (Algorithm 2 attempts), counted exactly per
   /// consumed attempt: a lockstep batch may execute speculative walks past
@@ -233,40 +236,59 @@ struct DescentEntry {
 
 /// Sharded, capacity-bounded cache of the per-(level, frontier-set) descent
 /// work the lockstep sampling plane repeats across refill batches, cells, and
-/// post-run draws. An entry holds both halves of one Alg. 2 step: the
-/// per-symbol-class union-size vector (lines 8-11) and every class's
-/// expanded predecessor row Pred(P, c) (one row covers every member of the
-/// class). Both come out of the one UnionSizesInto pass that misses, so an
-/// entry is complete when it is admitted and a walk group makes one probe
-/// per level.
+/// post-run draws. It holds two kinds of entry:
 ///
-/// Purity argument (why this never changes a result): UnionSizes draws from a
-/// substream keyed by (purpose, level, P-set content) — never from caller
-/// state — so recomputation reproduces the cached vector bit for bit; and the
+///  - Frontier entries, keyed by (level, frontier P): both halves of one
+///    Alg. 2 step — the per-symbol-class union-size vector (lines 8-11) and
+///    every class's expanded predecessor row Pred(P, c) (one row covers
+///    every member of the class). Both come out of the one UnionSizesInto
+///    pass that misses, so an entry is complete when it is admitted and a
+///    walk group makes one probe per level.
+///  - Union entries (the union memo), keyed by (level, predecessor set):
+///    the unweighted sample-path AppUnion estimate |∪_{p∈Pred} L(p^{ℓ-1})|.
+///    Distinct frontiers often share a Pred(P, c), so a frontier miss looks
+///    each class's set up here before it runs AppUnion. The class weight is
+///    applied by the caller: two classes may share a set, not a weight.
+///
+/// The two kinds live in separate tables of the same shards, so a frontier
+/// entry and a union entry with the same (level, words) never see each
+/// other; the union hash is also tagged apart.
+///
+/// Purity argument (why this never changes a result): a sample-path AppUnion
+/// draws from a substream keyed by (purpose, level, P-set content) — never
+/// from caller state — with a δ fixed by the engine's parameters, over the
+/// frozen level ℓ−1 cells, so its estimate is a function of the union key
+/// alone and recomputation reproduces it bit for bit; a frontier's size
+/// vector is a function of its classes' predecessor sets; and the
 /// predecessor expansion is a pure function of (level, frontier, class) over
 /// the fixed unrolled automaton. Estimates, tables, and draw streams are
 /// therefore bit-identical with the cache on, off, or at any capacity; only
-/// the hit/miss counters are scheduling-dependent.
+/// the hit/miss and AppUnion work counters are scheduling-dependent.
 ///
-/// This is the engine's only (level, frontier) cache, so a capacity of 0 is
-/// the truly uncached reference (every descent step re-estimates its union
+/// The count path (Alg. 3 line 15) is not memoized: its sets are singletons'
+/// predecessors, which repeat in only a few percent of its calls.
+///
+/// This is the engine's only union-size cache, so a capacity of 0 is the
+/// truly uncached reference (every descent step re-estimates its union
 /// sizes and re-expands its predecessor rows).
 ///
-/// Capacity discipline: Insert admits an entry under the shard lock against
-/// a shared budget (a CAS reservation on entries_ — no overshoot under
-/// concurrency). Entries are never mutated or evicted, and map nodes never
-/// move, so a returned pointer stays valid — and may be read without the
-/// lock — until Reset, which only FprasEngine::Prepare calls.
+/// Capacity discipline: both kinds of entry are admitted under the shard
+/// lock against one shared budget (a CAS reservation on entries_ — no
+/// overshoot under concurrency). Entries are never mutated or evicted, and
+/// frontier map nodes never move, so a returned DescentEntry pointer stays
+/// valid — and may be read without the lock — until Reset, which only
+/// FprasEngine::Prepare calls. Union estimates are copied out under the
+/// lock, so their table may rehash.
 ///
-/// Walk groups reach most entries through a parent entry's child link
-/// rather than through Find: a batch hashes its root step and the steps
+/// Walk groups reach most frontier entries through a parent entry's child
+/// link rather than through Find: a batch hashes its root step and the steps
 /// whose link is not set yet, so the shard locks see a few probes per batch
 /// and draw batches on several threads scale.
 class DescentCache {
  public:
   /// Clears all shards and counters and fixes the geometry: row_words words
   /// per frontier and per predecessor row, num_classes rows per entry.
-  /// Capacity caps the number of (level, frontier) entries; 0 disables the
+  /// Capacity caps the number of entries of both kinds; 0 disables the
   /// cache entirely.
   void Reset(int64_t capacity, size_t row_words, int num_classes);
 
@@ -293,16 +315,30 @@ class DescentCache {
                              const std::vector<double>& sizes,
                              const uint64_t* rows);
 
-  /// Probe totals, summed over the shards (hits with the link hits):
-  /// lock-free and safe from any thread while others probe.
+  /// The union memo's estimate for (level, preds) — `preds` is row_words
+  /// words — into *estimate; false when absent. Counts no probe: hits() and
+  /// misses() are frontier lookups only.
+  bool FindUnion(int level, const uint64_t* preds, double* estimate) const;
+
+  /// Admits (level, preds) → estimate into the union memo. The first writer
+  /// wins, as for Insert. Returns whether the key is held afterwards: false
+  /// when the budget is spent (or the cache is disabled).
+  bool InsertUnion(int level, const uint64_t* preds, double estimate);
+
+  /// Frontier probe totals, summed over the shards (hits with the link
+  /// hits): lock-free and safe from any thread while others probe.
   int64_t hits() const;
   int64_t misses() const;
+  /// Admitted entries of both kinds (what the capacity caps).
   int64_t entries() const { return entries_.load(std::memory_order_relaxed); }
-  /// Footprint of the admitted entries, rows and child links included.
+  /// Admitted union-memo entries, one shard lock at a time (inspection).
+  int64_t union_entries() const;
+  /// Footprint of the admitted entries: frontier keys, sizes, rows and child
+  /// links, and union records with their share of the slot table.
   int64_t bytes() const { return bytes_.load(std::memory_order_relaxed); }
 
-  /// Calls f(const DescentEntry&) for every admitted entry, one shard lock
-  /// at a time (inspection; the walk never enumerates).
+  /// Calls f(const DescentEntry&) for every admitted frontier entry, one
+  /// shard lock at a time (inspection; the walk never enumerates).
   template <typename F>
   void ForEachEntry(F&& f) const {
     for (const Shard& shard : shards_) {
@@ -320,15 +356,27 @@ class DescentCache {
   /// probe compares words in place and copies nothing. The shard counts its
   /// own probes on the cache line its mutex already pulled in, so concurrent
   /// walkers on different shards share no counter line.
+  ///
+  /// The union memo is flat, a few dozen bytes per entry: union_records
+  /// holds one record of UnionStride() words per entry — [hash, level,
+  /// preds...] — and union_values its estimate, in admission order;
+  /// union_slots is a linear-probing table over them (0 empty, else 1 + the
+  /// record index), kept at most half full.
   struct alignas(64) Shard {
     mutable std::mutex mu;
     std::unordered_multimap<uint64_t, DescentEntry> map;
     std::atomic<int64_t> hits{0};
     std::atomic<int64_t> misses{0};
+    std::vector<uint32_t> union_slots;
+    std::vector<uint64_t> union_records;
+    std::vector<double> union_values;
   };
 
   uint64_t KeyHash(int level, const uint64_t* set) const;
   Shard& ShardFor(uint64_t hash) {
+    return shards_[hash >> (64 - kShardBits)];
+  }
+  const Shard& ShardFor(uint64_t hash) const {
     return shards_[hash >> (64 - kShardBits)];
   }
   /// The entry of (level, set) in `shard` (lock held), or nullptr.
@@ -336,6 +384,19 @@ class DescentCache {
                                  const uint64_t* set) const;
   static bool Matches(const DescentEntry& entry, int level,
                       const uint64_t* set);
+  /// Takes one entry of the shared budget; false when it is spent.
+  bool ReserveEntry();
+
+  uint64_t UnionKeyHash(int level, const uint64_t* preds) const;
+  size_t UnionStride() const { return 2 + row_words_; }
+  /// The slot of (level, preds) in `shard`'s non-empty slot table (lock
+  /// held): the slot holding its record, or the empty slot that ends the
+  /// probe.
+  size_t UnionSlotLocked(const Shard& shard, uint64_t hash, int level,
+                         const uint64_t* preds) const;
+  /// Doubles `shard`'s slot table (16 slots at first) when one more record
+  /// would fill it past half, re-placing the records by their stored hash.
+  void GrowUnionSlotsLocked(Shard& shard);
 
   std::array<Shard, kNumShards> shards_;
   int64_t capacity_ = 0;
@@ -524,7 +585,8 @@ class FprasEngine {
   /// Which substream family a union-size estimation draws from. The count
   /// path (Alg. 3 line 15) and the sample path (Alg. 2 lines 8-11) use
   /// distinct δ parameters and must not share randomness; only the sample
-  /// path is cached (by RunWalkBatch, in the descent cache).
+  /// path is cached (per frontier by RunWalkBatch, per class set by
+  /// UnionSizesInto, both in the descent cache).
   enum class UnionPurpose { kCount, kSample };
 
   /// The per-symbol-class decomposition of ∪_{q∈P} L(q^level) (Alg. 2 lines
@@ -538,13 +600,24 @@ class FprasEngine {
   /// deterministic function of the engine seed and the arguments —
   /// independent of caller, thread, and cache state — and classes that share
   /// a predecessor set share the draws (duplicate content costs no fresh
-  /// randomness). When `rows` is non-null it receives every class's
+  /// randomness). On the sample path with the descent cache on, a class
+  /// whose (level, predecessor set) is in the union memo takes the memoized
+  /// estimate instead of running AppUnion, and a fresh estimate is offered
+  /// to the memo. When `rows` is non-null it receives every class's
   /// expansion Pred(P, c) — num_classes × row_words words in class order,
   /// bit-identical to PredSetWordsInto — for the descent cache.
   void UnionSizesInto(int level, const Bitset& state_set, double delta_param,
                       UnionPurpose purpose, WorkerScratch& ws,
                       std::vector<double>* out,
                       std::vector<uint64_t>* rows);
+
+  /// One AppUnion (Algorithm 1) over the (S, N) pairs of `set`'s cells in
+  /// `cells`, drawing from the substream keyed by (family, set content,
+  /// level); counts the call and its work in ws.diag and returns the
+  /// estimate.
+  double RunAppUnion(const LevelState& cells, const Bitset& set,
+                     uint64_t family, int level, const AppUnionParams& au,
+                     WorkerScratch& ws);
 
   /// Algorithm 2 over a lockstep batch: advances `count` candidate walks
   /// (attempt ids first_attempt..first_attempt+count) down the levels on the
@@ -671,7 +744,8 @@ class FprasEngine {
   /// AdvanceLevel stores with release ordering after freezing the level.
   std::atomic<int> computed_level_{-1};
   /// Cross-batch descent cache (sizes + all predecessor rows per (level,
-  /// frontier)), shared across workers. Reset by Prepare() from
+  /// frontier), and the sample-path union memo per (level, Pred set)),
+  /// shared across workers. Reset by Prepare() from
   /// params_.descent_cache_capacity.
   DescentCache descent_;
   double run_wall_seconds_ = 0.0;

@@ -1,7 +1,8 @@
 // Descent-cache correctness: unit behavior of the sharded DescentCache
-// (Find/Insert roundtrips, first writer wins, stable entry pointers, child
-// links, byte accounting, the shared-budget capacity discipline under
-// concurrency, the disabled state), the purity of every admitted predecessor
+// (Find/Insert and FindUnion/InsertUnion roundtrips, frontier and union keys
+// kept apart, first writer wins, stable entry pointers, child links, byte
+// accounting, the shared-budget capacity discipline under concurrency,
+// Reset, the disabled state), the purity of every admitted predecessor
 // row, that every published child link is the hashed child, and the
 // identity grid — estimates, per-(q,ℓ) tables, and draw streams must be
 // bit-identical with the cache on, off, or at any capacity, across
@@ -10,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <map>
 #include <memory>
@@ -59,6 +61,13 @@ int64_t EntryBytes(int num_classes, size_t row_words) {
           (sizeof(double) + sizeof(DescentEntry::ChildLink)));
 }
 
+/// The footprint InsertUnion charges for one union-memo entry: its record
+/// (hash, level, set words), its estimate and two slots.
+int64_t UnionEntryBytes(size_t row_words) {
+  return static_cast<int64_t>((2 + row_words) * sizeof(uint64_t) +
+                              sizeof(double) + 2 * sizeof(uint32_t));
+}
+
 void ExpectEntryHolds(const DescentEntry* entry, int level,
                       const std::vector<double>& sizes,
                       const std::vector<uint64_t>& rows, size_t row_words) {
@@ -99,6 +108,50 @@ TEST(DescentCacheUnit, FindInsertRoundTripAndCounters) {
   EXPECT_EQ(cache.Find(4, set.words().data()), nullptr);
   EXPECT_EQ(cache.hits(), 1);
   EXPECT_EQ(cache.misses(), 2);
+
+  // The union memo: a round trip, and the same (level, words) as a frontier
+  // key is a different key in each kind. Memo probes count no hit or miss.
+  double estimate = -1.0;
+  EXPECT_FALSE(cache.FindUnion(3, set.words().data(), &estimate));
+  EXPECT_EQ(estimate, -1.0);
+  EXPECT_TRUE(cache.InsertUnion(3, set.words().data(), 6.75));
+  EXPECT_EQ(cache.entries(), 2);
+  EXPECT_EQ(cache.union_entries(), 1);
+  ASSERT_TRUE(cache.FindUnion(3, set.words().data(), &estimate));
+  EXPECT_EQ(estimate, 6.75);
+  EXPECT_FALSE(cache.FindUnion(4, set.words().data(), &estimate));
+  EXPECT_EQ(cache.Find(3, set.words().data()), entry);
+  ExpectEntryHolds(entry, 3, sizes, rows, kRowWords);
+  const Bitset other = MakeSet(70, {1, 4});
+  EXPECT_TRUE(cache.InsertUnion(5, other.words().data(), 1.5));
+  EXPECT_EQ(cache.Find(5, other.words().data()), nullptr);
+  EXPECT_EQ(cache.hits(), 2);
+  EXPECT_EQ(cache.misses(), 3);
+}
+
+TEST(DescentCacheUnit, UnionMemoSurvivesSlotTableGrowth) {
+  // Hundreds of keys per shard grow every shard's slot table several times;
+  // each key must still find its own estimate, and a near-miss key (same
+  // words, other level) none.
+  constexpr size_t kRowWords = 2;
+  DescentCache cache;
+  cache.Reset(/*capacity=*/int64_t{1} << 20, kRowWords, /*num_classes=*/2);
+  const auto key = [](int i) {
+    return std::vector<uint64_t>{static_cast<uint64_t>(i) * 0x9E37ULL + 1,
+                                 static_cast<uint64_t>(i % 7)};
+  };
+  for (int i = 0; i < 3000; ++i) {
+    ASSERT_TRUE(cache.InsertUnion(1 + i % 5, key(i).data(), i + 0.5));
+  }
+  EXPECT_EQ(cache.union_entries(), 3000);
+  EXPECT_EQ(cache.entries(), 3000);
+  for (int i = 0; i < 3000; ++i) {
+    double estimate = 0.0;
+    ASSERT_TRUE(cache.FindUnion(1 + i % 5, key(i).data(), &estimate)) << i;
+    EXPECT_EQ(estimate, i + 0.5) << i;
+  }
+  double estimate = 0.0;
+  EXPECT_FALSE(cache.FindUnion(9, key(0).data(), &estimate));
 }
 
 TEST(DescentCacheUnit, FirstWriterWins) {
@@ -125,6 +178,16 @@ TEST(DescentCacheUnit, FirstWriterWins) {
   ExpectEntryHolds(b, 5, first, first_rows, kRowWords);
   EXPECT_EQ(cache.entries(), 1);
   EXPECT_EQ(cache.bytes(), bytes);
+
+  // The union memo keeps its first writer the same way.
+  ASSERT_TRUE(cache.InsertUnion(5, set.words().data(), 2.5));
+  const int64_t union_bytes = cache.bytes();
+  EXPECT_TRUE(cache.InsertUnion(5, set.words().data(), 9.5));
+  double estimate = 0.0;
+  ASSERT_TRUE(cache.FindUnion(5, set.words().data(), &estimate));
+  EXPECT_EQ(estimate, 2.5);
+  EXPECT_EQ(cache.entries(), 2);
+  EXPECT_EQ(cache.bytes(), union_bytes);
 }
 
 TEST(DescentCacheUnit, RefusedInsertReturnsNull) {
@@ -150,6 +213,47 @@ TEST(DescentCacheUnit, RefusedInsertReturnsNull) {
   EXPECT_EQ(cache.bytes(), bytes);
   // ...while an admitted key still answers.
   EXPECT_EQ(cache.Insert(1, s0.words().data(), sizes, rows.data()), e0);
+
+  // The union memo draws on the same budget: refused, and absent after.
+  double estimate = 0.0;
+  EXPECT_FALSE(cache.InsertUnion(1, s2.words().data(), 4.0));
+  EXPECT_FALSE(cache.FindUnion(1, s2.words().data(), &estimate));
+  EXPECT_EQ(cache.union_entries(), 0);
+  EXPECT_EQ(cache.entries(), 2);
+  EXPECT_EQ(cache.bytes(), bytes);
+
+  // A union entry spends the budget a frontier entry then cannot have.
+  cache.Reset(/*capacity=*/1, kRowWords, kClasses);
+  EXPECT_TRUE(cache.InsertUnion(1, s0.words().data(), 4.0));
+  EXPECT_EQ(cache.Insert(1, s1.words().data(), sizes, rows.data()), nullptr);
+  EXPECT_EQ(cache.entries(), 1);
+}
+
+TEST(DescentCacheUnit, ResetClearsBothKinds) {
+  constexpr size_t kRowWords = 1;
+  constexpr int kClasses = 2;
+  DescentCache cache;
+  cache.Reset(/*capacity=*/8, kRowWords, kClasses);
+  const std::vector<double> sizes = {1.0, 1.0};
+  const std::vector<uint64_t> rows = MakeRows(kClasses, kRowWords, 1);
+  const Bitset set = MakeSet(8, {3});
+  ASSERT_NE(cache.Insert(2, set.words().data(), sizes, rows.data()), nullptr);
+  ASSERT_TRUE(cache.InsertUnion(2, set.words().data(), 3.0));
+  ASSERT_NE(cache.Find(2, set.words().data()), nullptr);
+
+  cache.Reset(/*capacity=*/8, kRowWords, kClasses);
+  double estimate = 0.0;
+  EXPECT_FALSE(cache.FindUnion(2, set.words().data(), &estimate));
+  EXPECT_EQ(cache.Find(2, set.words().data()), nullptr);
+  EXPECT_EQ(cache.entries(), 0);
+  EXPECT_EQ(cache.union_entries(), 0);
+  EXPECT_EQ(cache.bytes(), 0);
+  EXPECT_EQ(cache.hits(), 0);
+  EXPECT_EQ(cache.misses(), 1);  // the probe after the Reset
+  // The cleared memo admits again.
+  EXPECT_TRUE(cache.InsertUnion(2, set.words().data(), 5.0));
+  ASSERT_TRUE(cache.FindUnion(2, set.words().data(), &estimate));
+  EXPECT_EQ(estimate, 5.0);
 }
 
 TEST(DescentCacheUnit, EntryPointersSurviveLaterInserts) {
@@ -203,6 +307,15 @@ TEST(DescentCacheUnit, BytesCountRowsOnceAtAdmission) {
   EXPECT_EQ(cache.bytes(), EntryBytes(kClasses, kRowWords));
   ASSERT_NE(cache.Insert(6, b.words().data(), sizes, rows.data()), nullptr);
   EXPECT_EQ(cache.bytes(), 2 * EntryBytes(kClasses, kRowWords));
+  // A union entry is charged its record, estimate and slots at admission;
+  // probes charge nothing.
+  ASSERT_TRUE(cache.InsertUnion(6, a.words().data(), 2.0));
+  const int64_t both =
+      2 * EntryBytes(kClasses, kRowWords) + UnionEntryBytes(kRowWords);
+  EXPECT_EQ(cache.bytes(), both);
+  double estimate = 0.0;
+  ASSERT_TRUE(cache.FindUnion(6, a.words().data(), &estimate));
+  EXPECT_EQ(cache.bytes(), both);
 }
 
 TEST(DescentCacheUnit, ChildLinkStartsNullAndHoldsAfterRepeatStore) {
@@ -254,6 +367,11 @@ TEST(DescentCacheUnit, CapacityZeroDisables) {
   EXPECT_EQ(cache.entries(), 0);
   EXPECT_EQ(cache.bytes(), 0);
   EXPECT_EQ(cache.Find(1, set.words().data()), nullptr);
+  double estimate = 0.0;
+  EXPECT_FALSE(cache.InsertUnion(1, set.words().data(), 1.0));
+  EXPECT_FALSE(cache.FindUnion(1, set.words().data(), &estimate));
+  EXPECT_EQ(cache.entries(), 0);
+  EXPECT_EQ(cache.bytes(), 0);
 }
 
 TEST(DescentCacheUnit, ConcurrentInsertersNeverOvershootCapacity) {
@@ -374,7 +492,34 @@ TEST(DescentCacheIdentity, GridBitIdenticalAcrossCapacityThreadsAndWidth) {
     Result<std::vector<Word>> base_draws = baseline->SampleWords(n, 12);
     ASSERT_TRUE(base_draws.ok());
 
-    const int64_t capacities[] = {0, 4, int64_t{1} << 20};
+    // The same session at the default capacity: identical counts and words
+    // for fewer AppUnion calls, since the union memo runs each sample-path
+    // (level, Pred set) once. Its post-build entry count sizes a capacity
+    // that runs out halfway through the build.
+    CountOptions cached = gc.options;
+    cached.num_threads = 1;
+    Result<EngineSession> memo = EngineSession::Create(nfa, n, cached);
+    ASSERT_TRUE(memo.ok());
+    ASSERT_TRUE(memo->ExtendTo(n).ok());
+    const int64_t build_entries = memo->engine().descent_cache().entries();
+    for (int level = 0; level <= n; ++level) {
+      Result<double> c = memo->CountAtLength(level);
+      ASSERT_TRUE(c.ok());
+      EXPECT_EQ(*c, base_counts[static_cast<size_t>(level)])
+          << "level=" << level;
+    }
+    Result<std::vector<Word>> memo_draws = memo->SampleWords(n, 12);
+    ASSERT_TRUE(memo_draws.ok());
+    EXPECT_EQ(*memo_draws, *base_draws);
+    const bool uncached_leg = std::getenv("NFACOUNT_DESCENT_CACHE") != nullptr;
+    if (!uncached_leg) {
+      EXPECT_LT(memo->diagnostics().appunion_calls,
+                baseline->diagnostics().appunion_calls);
+      EXPECT_GT(memo->engine().descent_cache().union_entries(), 0);
+    }
+    const int64_t mid_build = std::max<int64_t>(1, build_entries / 2);
+
+    const int64_t capacities[] = {0, 4, mid_build, int64_t{1} << 20};
     const int thread_counts[] = {1, 4};
     const int widths[] = {1, 32};
     for (int64_t capacity : capacities) {
@@ -389,6 +534,12 @@ TEST(DescentCacheIdentity, GridBitIdenticalAcrossCapacityThreadsAndWidth) {
               << "capacity=" << capacity << " threads=" << threads
               << " width=" << width;
           ASSERT_TRUE(engine->RunToLevel(n).ok());
+          if (capacity == mid_build && !uncached_leg) {
+            // The budget ran out during the build, with union entries
+            // admitted before it: later memo inserts were refused.
+            EXPECT_EQ(engine->descent_cache().entries(), mid_build);
+            EXPECT_GT(engine->descent_cache().union_entries(), 0);
+          }
           for (int level = 0; level <= n; ++level) {
             EXPECT_EQ(engine->EstimateAtLength(level),
                       base_counts[static_cast<size_t>(level)])
@@ -442,7 +593,8 @@ TEST(DescentCacheIdentity, EveryAdmittedRowIsThePredecessorExpansion) {
       }
       ++checked;
     });
-    EXPECT_EQ(checked, engine.diagnostics().descent_entries);
+    EXPECT_EQ(checked + engine.descent_cache().union_entries(),
+              engine.diagnostics().descent_entries);
     if (std::getenv("NFACOUNT_DESCENT_CACHE") == nullptr) {
       EXPECT_GT(checked, 0);
       if (row_words > 1) {
@@ -517,7 +669,10 @@ TEST(DescentCacheIdentity, CacheActuallyHitsOnRepeatedDescents) {
     EXPECT_GT(diag.descent_entries, 0);
     EXPECT_GT(diag.descent_bytes, 0);
   }
-  EXPECT_GE(diag.descent_hits + diag.descent_misses, diag.descent_entries);
+  // Every frontier entry was admitted after a probe missed.
+  EXPECT_GE(diag.descent_misses,
+            diag.descent_entries -
+                session->engine().descent_cache().union_entries());
   // An entry carries its rows, so the walk makes one lookup (a probe or a
   // followed link) per group per level and the two counter pairs agree.
   EXPECT_EQ(diag.descent_hits, diag.memo_hits);
