@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 
+#include "util/simd.hpp"
+
 namespace nfacount {
 
 namespace {
@@ -199,33 +201,6 @@ void UnrolledNfa::PredSetInto(const Bitset& states, Symbol symbol, int level,
   } else {
     reverse_.StepInto(states, symbol, out);
     *out &= clip;
-  }
-}
-
-void UnrolledNfa::PredSetWordsInto(const uint64_t* from, Symbol symbol,
-                                   int level, uint64_t* out,
-                                   const simd::BitsetKernels& kern) const {
-  assert(level >= 1 && level <= n_);
-  const size_t nwords = RowWords(nfa_->num_states());
-  const uint64_t* clip = reachable_[level - 1].words().data();
-  std::fill(out, out + nwords, 0);
-  if (reverse_.has_masks()) {
-    // Fused OR-and-clip, exactly as PredSetInto but on spans.
-    ForEachSetWord(from, nwords, [&](int q) {
-      const Bitset& mask =
-          reverse_.row_masks[reverse_.Row(static_cast<StateId>(q), symbol)];
-      kern.or_masked_into(out, mask.words().data(), clip, nwords);
-    });
-  } else {
-    ForEachSetWord(from, nwords, [&](int q) {
-      const StateId* end = reverse_.RowEnd(static_cast<StateId>(q), symbol);
-      for (const StateId* t = reverse_.RowBegin(static_cast<StateId>(q), symbol);
-           t != end; ++t) {
-        out[static_cast<size_t>(*t) >> 6] |=
-            uint64_t{1} << (static_cast<size_t>(*t) & 63);
-      }
-    });
-    kern.and_into(out, clip, nwords);
   }
 }
 

@@ -28,7 +28,6 @@
 
 #include "automata/nfa.hpp"
 #include "automata/symbol_classes.hpp"
-#include "util/simd.hpp"
 #include "util/status.hpp"
 
 namespace nfacount {
@@ -254,13 +253,6 @@ class UnrolledNfa {
   /// (must be sized num_states; cleared first). CSR-backed.
   void PredSetInto(const Bitset& states, Symbol symbol, int level,
                    Bitset* out) const;
-
-  /// PredSetInto over raw word spans — the FrontierPlane row form used by
-  /// the batched sampling plane. `from` and `out` are (num_states+63)/64
-  /// words (distinct spans); ops run through the given kernel table, and the
-  /// resulting bits are identical to PredSetInto for every table.
-  void PredSetWordsInto(const uint64_t* from, Symbol symbol, int level,
-                        uint64_t* out, const simd::BitsetKernels& kern) const;
 
   /// One plain successor step over raw word spans (the fused reach-profile
   /// pass of the batched plane): `from` and `out` are (num_states+63)/64

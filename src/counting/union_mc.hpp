@@ -91,12 +91,10 @@ struct AppUnionScratch {
 /// smaller than t, making starvation systematic — and the Y/t bias compounds
 /// multiplicatively per level. kRecycle wraps the cursor (the list is an
 /// empirical stand-in for "uniform with replacement", so re-reading it is the
-/// natural calibrated semantics); kScaleByCompleted renormalizes by the
-/// completed trial count instead.
+/// natural calibrated semantics).
 enum class StarvationPolicy {
-  kBreak,            ///< paper-faithful: stop, divide by the full t
-  kScaleByCompleted, ///< stop, divide by completed trials
-  kRecycle,          ///< wrap the cursor and keep drawing (calibrated default)
+  kBreak,    ///< paper-faithful: stop, divide by the full t
+  kRecycle,  ///< wrap the cursor and keep drawing (calibrated default)
 };
 
 /// Parameters of one AppUnion invocation.
@@ -181,12 +179,8 @@ AppUnionOutcome AppUnion(const std::vector<const Input*>& inputs,
     ++out.completed_trials;
   }
 
-  const double denom =
-      (params.starvation == StarvationPolicy::kScaleByCompleted &&
-       out.completed_trials > 0)
-          ? static_cast<double>(out.completed_trials)
-          : static_cast<double>(t);
-  out.estimate = (static_cast<double>(out.hits) / denom) * sum_sz;
+  out.estimate = (static_cast<double>(out.hits) / static_cast<double>(t)) *
+                 sum_sz;
   return out;
 }
 
@@ -315,12 +309,8 @@ AppUnionOutcome AppUnionBatched(const std::vector<const Input*>& inputs,
     out.hits += laps > 0 ? laps * uncovered + uncovered_rest : uncovered;
   }
 
-  const double denom =
-      (params.starvation == StarvationPolicy::kScaleByCompleted &&
-       out.completed_trials > 0)
-          ? static_cast<double>(out.completed_trials)
-          : static_cast<double>(t);
-  out.estimate = (static_cast<double>(out.hits) / denom) * sum_sz;
+  out.estimate = (static_cast<double>(out.hits) / static_cast<double>(t)) *
+                 sum_sz;
   return out;
 }
 

@@ -27,9 +27,6 @@ constexpr uint64_t kSampleUnionTag = 0x5A5A5A5A5A5A5A5AULL;
 constexpr uint64_t kFinalUnionTag = 0xF1F1F1F1F1F1F1F1ULL;
 constexpr uint64_t kDrawStreamTag = 0xD12AD12AD12AD12AULL;
 constexpr uint64_t kRefillWalkTag = 0xB47CB47CB47CB47CULL;
-// Descent-cache union-memo keys (DescentCache::UnionKeyHash): tags them apart
-// from frontier keys of the same (level, words).
-constexpr uint64_t kUnionMemoTag = 0x3E3E3E3E3E3E3E3EULL;
 
 // Parallel draw windows (FprasEngine::DrawWindowBatches): consumed attempts
 // before the running accept ratio replaces the 2/(3e) prior, the fewest
@@ -96,11 +93,9 @@ void DescentCache::Reset(int64_t capacity, size_t row_words,
   for (Shard& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard.mu);
     shard.map.clear();
+    shard.unions.clear();
     shard.hits.store(0, std::memory_order_relaxed);
     shard.misses.store(0, std::memory_order_relaxed);
-    shard.union_slots = {};
-    shard.union_records = {};
-    shard.union_values = {};
   }
   capacity_ = capacity;
   row_words_ = row_words;
@@ -130,7 +125,7 @@ int64_t DescentCache::union_entries() const {
   int64_t total = 0;
   for (const Shard& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard.mu);
-    total += static_cast<int64_t>(shard.union_values.size());
+    total += static_cast<int64_t>(shard.unions.size());
   }
   return total;
 }
@@ -141,27 +136,27 @@ uint64_t DescentCache::KeyHash(int level, const uint64_t* set) const {
   return h;
 }
 
-bool DescentCache::Matches(const DescentEntry& entry, int level,
-                           const uint64_t* set) {
-  return entry.level == level &&
-         std::equal(entry.set.begin(), entry.set.end(), set);
-}
-
-const DescentEntry* DescentCache::FindLocked(const Shard& shard,
-                                             uint64_t hash, int level,
-                                             const uint64_t* set) const {
-  const auto range = shard.map.equal_range(hash);
+template <typename Entry>
+const Entry* DescentCache::FindLocked(
+    const std::unordered_multimap<uint64_t, Entry>& map, uint64_t hash,
+    int level, const uint64_t* set) {
+  const auto range = map.equal_range(hash);
   for (auto it = range.first; it != range.second; ++it) {
-    if (Matches(it->second, level, set)) return &it->second;
+    const Entry& entry = it->second;
+    if (entry.level == level &&
+        std::equal(entry.set.begin(), entry.set.end(), set)) {
+      return &entry;
+    }
   }
   return nullptr;
 }
 
 const DescentEntry* DescentCache::Find(int level, const uint64_t* set) {
+  if (!enabled()) return nullptr;
   const uint64_t hash = KeyHash(level, set);
   Shard& shard = ShardFor(hash);
   std::lock_guard<std::mutex> lock(shard.mu);
-  const DescentEntry* entry = FindLocked(shard, hash, level, set);
+  const DescentEntry* entry = FindLocked(shard.map, hash, level, set);
   (entry != nullptr ? shard.hits : shard.misses)
       .fetch_add(1, std::memory_order_relaxed);
   return entry;
@@ -174,7 +169,7 @@ const DescentEntry* DescentCache::Insert(int level, const uint64_t* set,
   const uint64_t hash = KeyHash(level, set);
   Shard& shard = ShardFor(hash);
   std::lock_guard<std::mutex> lock(shard.mu);
-  if (const DescentEntry* existing = FindLocked(shard, hash, level, set)) {
+  if (const DescentEntry* existing = FindLocked(shard.map, hash, level, set)) {
     return existing;
   }
   if (!ReserveEntry()) return nullptr;
@@ -210,80 +205,33 @@ bool DescentCache::ReserveEntry() {
   return true;
 }
 
-uint64_t DescentCache::UnionKeyHash(int level, const uint64_t* preds) const {
-  return HashCombine(kUnionMemoTag, KeyHash(level, preds));
-}
-
-size_t DescentCache::UnionSlotLocked(const Shard& shard, uint64_t hash,
-                                     int level, const uint64_t* preds) const {
-  // The top bits picked the shard; the low bits start the probe.
-  const size_t mask = shard.union_slots.size() - 1;
-  const size_t stride = UnionStride();
-  for (size_t slot = static_cast<size_t>(hash) & mask;;
-       slot = (slot + 1) & mask) {
-    const uint32_t ref = shard.union_slots[slot];
-    if (ref == 0) return slot;
-    const uint64_t* record =
-        shard.union_records.data() + static_cast<size_t>(ref - 1) * stride;
-    if (record[0] == hash && record[1] == static_cast<uint64_t>(level) &&
-        std::equal(preds, preds + row_words_, record + 2)) {
-      return slot;
-    }
-  }
-}
-
-void DescentCache::GrowUnionSlotsLocked(Shard& shard) {
-  const size_t records = shard.union_values.size();
-  if (2 * (records + 1) <= shard.union_slots.size()) return;
-  std::vector<uint32_t>& slots = shard.union_slots;
-  slots.assign(std::max<size_t>(16, 2 * slots.size()), 0);
-  const size_t mask = slots.size() - 1;
-  const size_t stride = UnionStride();
-  for (size_t r = 0; r < records; ++r) {
-    size_t slot = static_cast<size_t>(shard.union_records[r * stride]) & mask;
-    while (slots[slot] != 0) slot = (slot + 1) & mask;
-    slots[slot] = static_cast<uint32_t>(r + 1);
-  }
-}
-
 bool DescentCache::FindUnion(int level, const uint64_t* preds,
                              double* estimate) const {
   if (!enabled()) return false;
-  const uint64_t hash = UnionKeyHash(level, preds);
+  const uint64_t hash = KeyHash(level, preds);
   const Shard& shard = ShardFor(hash);
   std::lock_guard<std::mutex> lock(shard.mu);
-  if (shard.union_slots.empty()) return false;
-  const uint32_t ref =
-      shard.union_slots[UnionSlotLocked(shard, hash, level, preds)];
-  if (ref == 0) return false;
-  *estimate = shard.union_values[ref - 1];
+  const UnionEntry* entry = FindLocked(shard.unions, hash, level, preds);
+  if (entry == nullptr) return false;
+  *estimate = entry->estimate;
   return true;
 }
 
 bool DescentCache::InsertUnion(int level, const uint64_t* preds,
                                double estimate) {
   if (!enabled()) return false;
-  const uint64_t hash = UnionKeyHash(level, preds);
+  const uint64_t hash = KeyHash(level, preds);
   Shard& shard = ShardFor(hash);
   std::lock_guard<std::mutex> lock(shard.mu);
-  if (!shard.union_slots.empty() &&
-      shard.union_slots[UnionSlotLocked(shard, hash, level, preds)] != 0) {
+  if (FindLocked(shard.unions, hash, level, preds) != nullptr) {
     return true;  // first writer wins
   }
   if (!ReserveEntry()) return false;
-  GrowUnionSlotsLocked(shard);
-  const size_t slot = UnionSlotLocked(shard, hash, level, preds);
-  shard.union_records.push_back(hash);
-  shard.union_records.push_back(static_cast<uint64_t>(level));
-  shard.union_records.insert(shard.union_records.end(), preds,
-                             preds + row_words_);
-  shard.union_values.push_back(estimate);
-  shard.union_slots[slot] = static_cast<uint32_t>(shard.union_values.size());
-  // The record, its estimate, and the two slots a half-full table keeps
-  // per record.
-  bytes_.fetch_add(static_cast<int64_t>(UnionStride() * sizeof(uint64_t) +
-                                        sizeof(double) +
-                                        2 * sizeof(uint32_t)),
+  shard.unions.emplace(
+      hash, UnionEntry{level, std::vector<uint64_t>(preds, preds + row_words_),
+                       estimate});
+  bytes_.fetch_add(static_cast<int64_t>(sizeof(UnionEntry) +
+                                        row_words_ * sizeof(uint64_t)),
                    std::memory_order_relaxed);
   return true;
 }
@@ -318,12 +266,13 @@ const FprasDiagnostics& FprasEngine::diagnostics() const {
   }
   // The descent cache's counters are authoritative (shared across workers);
   // they are the only scheduling-dependent diagnostics.
-  diag_.memo_hits = descent_.hits();
-  diag_.memo_misses = descent_.misses();
-  diag_.descent_hits = descent_.hits();
-  diag_.descent_misses = descent_.misses();
-  diag_.descent_entries = descent_.entries();
-  diag_.descent_bytes = descent_.bytes();
+  const CacheCounters cache = cache_counters();
+  diag_.memo_hits = cache.memo_hits;
+  diag_.memo_misses = cache.memo_misses;
+  diag_.descent_hits = cache.descent_hits;
+  diag_.descent_misses = cache.descent_misses;
+  diag_.descent_entries = cache.descent_entries;
+  diag_.descent_bytes = cache.descent_bytes;
   diag_.wall_seconds = run_wall_seconds_;
   return diag_;
 }
@@ -374,7 +323,7 @@ std::vector<StoredSample> FprasEngine::SamplesFor(StateId q, int level) const {
 void FprasEngine::UnionSizesInto(int level, const Bitset& state_set,
                                  double delta_param, UnionPurpose purpose,
                                  WorkerScratch& ws, std::vector<double>* out,
-                                 std::vector<uint64_t>* rows) {
+                                 uint64_t* rows) {
   assert(level >= 1 && level <= params_.n);
   std::vector<double>& sizes = *out;
   const uint64_t family =
@@ -383,9 +332,6 @@ void FprasEngine::UnionSizesInto(int level, const Bitset& state_set,
   const int num_classes = classes.num_classes();
   sizes.assign(static_cast<size_t>(num_classes), 0.0);
   const size_t row_words = state_set.words().size();
-  if (rows != nullptr) {
-    rows->resize(static_cast<size_t>(num_classes) * row_words);
-  }
   AppUnionParams au = MakeUnionParams(params_, delta_param, level);
   // Union memo (DescentCache): on the sample path a class's estimate is a
   // function of (level, predecessor set) alone — its substream, δ and
@@ -402,7 +348,7 @@ void FprasEngine::UnionSizesInto(int level, const Bitset& state_set,
     unrolled_.PredSetInto(state_set, classes.Representative(c), level, &preds);
     if (rows != nullptr) {
       std::copy(preds.words().begin(), preds.words().end(),
-                rows->data() + static_cast<size_t>(c) * row_words);
+                rows + static_cast<size_t>(c) * row_words);
     }
     if (preds.None()) continue;
     const uint64_t* key = preds.words().data();
@@ -478,15 +424,11 @@ void FprasEngine::RunWalkBatch(int level, const Bitset& state_set, double phi0,
 
   const double eta_call = params_.EtaForSampleCall();
   const double delta_union = eta_call / (4.0 * std::max(params_.n, 1));
-  // Cross-batch descent cache: both per-group computations below — the
-  // union-size vector and the predecessor expansions — are pure functions of
-  // (level, frontier content[, class]), so one lookup per group replaces
-  // them with bit-identical data (see DescentCache's purity argument).
-  const bool use_descent = descent_.enabled();
   int64_t link_hits = 0;
 
   for (int i = level; i >= 1; --i) {
-    std::fill(ar.group_ready.begin(), ar.group_ready.begin() + group_count, 0);
+    std::fill(ar.group_step.begin(), ar.group_step.begin() + group_count,
+              GroupStep{});
     std::fill(ar.child_of.begin(),
               ar.child_of.begin() +
                   static_cast<size_t>(group_count) * num_classes,
@@ -496,15 +438,17 @@ void FprasEngine::RunWalkBatch(int level, const Bitset& state_set, double phi0,
     for (int w = 0; w < count; ++w) {
       if (ar.state_of[w] != SampleArena::kAlive) continue;
       const int g = ar.group_of[w];
-      std::vector<double>& own_sizes = ar.group_sizes[static_cast<size_t>(g)];
-      if (!ar.group_ready[g]) {
-        // One descent-cache lookup per group — every member shares it, and
-        // the cache shares the sizes and predecessor rows across batches,
-        // cells, and draws. A set child link of the parent's entry is the
-        // lookup; otherwise the group probes, and a miss estimates the
-        // sizes, expanding every class's row on the way, and offers both to
-        // the cache. An entry found or admitted here is then published in
-        // the parent's link, so the next walk down this edge follows it.
+      GroupStep& step = ar.group_step[static_cast<size_t>(g)];
+      if (step.sizes == nullptr) {
+        // One step per group, which every member shares. Both halves — the
+        // union-size vector and the predecessor rows — are pure functions of
+        // (level, frontier content), so the descent cache shares them across
+        // batches, cells, and draws (see DescentCache's purity argument). A
+        // set child link of the parent's entry is the lookup; otherwise the
+        // group probes, and a miss estimates the sizes and expands every
+        // class's row into the group's arena slabs and offers both to the
+        // cache. An entry found or admitted here is then published in the
+        // parent's link, so the next walk down this edge follows it.
         DescentEntry::ChildLink* link = ar.group_link[g];
         const DescentEntry* entry =
             link != nullptr ? link->load(std::memory_order_acquire) : nullptr;
@@ -512,41 +456,33 @@ void FprasEngine::RunWalkBatch(int level, const Bitset& state_set, double phi0,
           ++link_hits;
         } else {
           const uint64_t* frontier = ar.cur.Row(g);
-          if (use_descent) entry = descent_.Find(i, frontier);
+          entry = descent_.Find(i, frontier);
           if (entry == nullptr) {
+            std::vector<double>& sizes =
+                ar.group_sizes[static_cast<size_t>(g)];
+            uint64_t* rows = ar.GroupRows(g);
             ar.frontier_scratch.AssignWords(frontier, row_words);
             UnionSizesInto(i, ar.frontier_scratch, delta_union,
-                           UnionPurpose::kSample, ws, &own_sizes,
-                           use_descent ? &ws.pred_rows : nullptr);
-            if (use_descent) {
-              entry = descent_.Insert(i, frontier, own_sizes,
-                                      ws.pred_rows.data());
-            }
+                           UnionPurpose::kSample, ws, &sizes, rows);
+            entry = descent_.Insert(i, frontier, sizes, rows);
+            // Cache off or budget spent: the step reads the slabs.
+            if (entry == nullptr) step = GroupStep{&sizes, rows};
           }
           if (entry != nullptr && link != nullptr) {
             link->store(entry, std::memory_order_release);
           }
         }
-        ar.group_entry[g] = entry;
-        double total = 0.0;
-        for (double s : entry != nullptr ? entry->sizes : own_sizes) {
-          total += s;
+        if (entry != nullptr) {
+          step = GroupStep{&entry->sizes, entry->rows.data(),
+                           entry->links.get()};
         }
-        ar.group_total[g] = total;
-        ar.group_ready[g] = 1;
+        for (double s : *step.sizes) step.total += s;
       }
-      // The group's admitted entry, or nullptr when the cache is off or its
-      // budget is spent: then the sizes live in the arena and each drawn
-      // class is expanded on demand.
-      const DescentEntry* entry = ar.group_entry[g];
-      const std::vector<double>& sizes =
-          entry != nullptr ? entry->sizes : own_sizes;
-      const double total = ar.group_total[g];
-      if (!(total > 0.0)) {
+      if (!(step.total > 0.0)) {
         // Every symbol slice estimated empty: reachable only through a
         // perturbed/failed estimate; treat as rejection. Outcomes are staged
         // per walk and folded into the diagnostics by the caller only for
-        // the attempts it consumes (ConsumeWalkDiagnostics).
+        // the attempts it consumes (ConsumeInAttemptOrder).
         ar.outcome_of[w] = SampleArena::kOutcomeDead;
         ar.state_of[w] = SampleArena::kDead;
         continue;
@@ -556,35 +492,29 @@ void FprasEngine::RunWalkBatch(int level, const Bitset& state_set, double phi0,
       // then a uniform member of the class — so a specific symbol b of
       // class c lands with probability sz_c / N, exactly the per-symbol
       // distribution of the uncompressed loop.
-      const int c = ar.rng[w].DiscreteIndex(sizes);
+      const int c = ar.rng[w].DiscreteIndex(*step.sizes);
       assert(c >= 0);
       const int weight = classes.Weight(c);
       const Symbol b =
           weight == 1 ? classes.Representative(c)
                       : classes.Member(c, static_cast<int>(ar.rng[w].UniformU64(
                                              static_cast<uint64_t>(weight))));
-      const double pr_b = sizes[static_cast<size_t>(c)] /
-                          (static_cast<double>(weight) * total);
+      const double pr_b = (*step.sizes)[static_cast<size_t>(c)] /
+                          (static_cast<double>(weight) * step.total);
       int32_t& child = ar.child_of[static_cast<size_t>(g) * num_classes + c];
       if (child < 0) {
-        // First member to draw class c: expand (frontier, c) once into the
-        // next plane's row for the child group. All members of the class
-        // share the row (identical reverse rows), so walks that drew
-        // different symbols of one class still share the child group.
+        // First member to draw class c: copy the class's row into the next
+        // plane's row for the child group. All members of the class share
+        // the row (identical reverse rows), so walks that drew different
+        // symbols of one class still share the child group.
         child = next_group_count++;
-        uint64_t* out_row = ar.next.Row(child);
-        if (entry != nullptr) {
-          std::copy(entry->Row(c), entry->Row(c) + row_words, out_row);
-          ar.next_group_link[child] = &entry->Link(c);
-        } else {
-          ar.next_group_link[child] = nullptr;
-          unrolled_.PredSetWordsInto(ar.cur.Row(g),
-                                     classes.Representative(c), i, out_row,
-                                     *kernels_);
-        }
+        const uint64_t* row = step.rows + static_cast<size_t>(c) * row_words;
+        std::copy(row, row + row_words, ar.next.Row(child));
+        ar.next_group_link[child] =
+            step.links != nullptr ? &step.links[c] : nullptr;
         // Invariant carried over from the sequential walk's assert(cur.Any()):
         // sizes[c] > 0 implies the class's predecessor slice is non-empty.
-        assert(std::any_of(out_row, out_row + row_words,
+        assert(std::any_of(row, row + row_words,
                            [](uint64_t word) { return word != 0; }) &&
                "drawn class expanded to an empty frontier");
       }
@@ -630,18 +560,27 @@ void FprasEngine::RunWalkBatch(int level, const Bitset& state_set, double phi0,
   }
 }
 
-void FprasEngine::ConsumeWalkDiagnostics(const uint8_t* outcomes,
-                                         int consumed,
-                                         FprasDiagnostics* diag) {
+template <typename Take>
+int FprasEngine::ConsumeInAttemptOrder(const WalkBatchView& batch,
+                                       FprasDiagnostics* diag, Take&& take) {
+  int consumed = batch.count;
+  for (int i = 0; i < batch.num_accepted; ++i) {
+    const int32_t w = batch.accepted[i];
+    if (take(w)) {
+      consumed = w + 1;
+      break;
+    }
+  }
   diag->sample_calls += consumed;
   for (int w = 0; w < consumed; ++w) {
-    switch (outcomes[w]) {
+    switch (batch.outcomes[w]) {
       case SampleArena::kOutcomeAccepted: ++diag->sample_success; break;
       case SampleArena::kOutcomePhi: ++diag->fail_phi_gt_1; break;
       case SampleArena::kOutcomeBernoulli: ++diag->fail_bernoulli; break;
       default: ++diag->fail_dead_branch; break;
     }
   }
+  return consumed;
 }
 
 void FprasEngine::AppendAcceptedWalk(int level, int walk, WorkerScratch& ws,
@@ -695,21 +634,18 @@ void FprasEngine::RefillSamples(StateId q, int level, WorkerScratch& ws) {
       const int batch = static_cast<int>(
           std::min<int64_t>(batch_width_, params_.xns - attempt));
       RunWalkBatch(level, target, gamma0, walk_key, attempt, batch, ws);
-      // Keep the first accepted walks in attempt order; surplus accepts in
-      // the final batch are discarded (they would be the next sequential
-      // attempts' accepts, which a narrower batch never runs). Diagnostics
-      // consume exactly through the attempt that fills S(q^ℓ) — the last
-      // attempt a batch_width = 1 run executes — so the per-walk counters
-      // are identical for every batch width.
-      int consumed = batch;
-      for (int32_t w : ws.arena.accepted) {
-        AppendAcceptedWalk(level, w, ws, &slot.samples);
-        if (slot.samples.count() >= params_.ns) {
-          consumed = w + 1;
-          break;
-        }
-      }
-      ConsumeWalkDiagnostics(ws.arena.outcome_of.data(), consumed, &ws.diag);
+      // Keep the first accepted walks in attempt order, through the one
+      // that fills S(q^ℓ); surplus accepts in the final batch are discarded
+      // (they would be the next sequential attempts' accepts, which a
+      // narrower batch never runs).
+      const SampleArena& ar = ws.arena;
+      ConsumeInAttemptOrder(
+          WalkBatchView{batch, ar.outcome_of.data(), ar.accepted.data(),
+                        static_cast<int>(ar.accepted.size())},
+          &ws.diag, [&](int32_t w) {
+            AppendAcceptedWalk(level, w, ws, &slot.samples);
+            return slot.samples.count() >= params_.ns;
+          });
       attempt += batch;
     }
   }
@@ -816,7 +752,6 @@ Status FprasEngine::Prepare() {
   const int num_classes = unrolled_.symbol_classes().num_classes();
   const int threads = ThreadPool::ResolveThreadCount(params_.num_threads);
   batch_width_ = params_.ResolvedBatchWidth();
-  kernels_ = &simd::ActiveKernels();
   post_attempt_counter_ = 0;
   draw_pool_.reset();
   window_ = DrawWindow{};
@@ -975,10 +910,8 @@ double FprasEngine::EstimateAtLength(int level) const {
 
 FprasEngine::CacheCounters FprasEngine::cache_counters() const {
   CacheCounters c;
-  c.memo_hits = descent_.hits();
-  c.memo_misses = descent_.misses();
-  c.descent_hits = descent_.hits();
-  c.descent_misses = descent_.misses();
+  c.memo_hits = c.descent_hits = descent_.hits();
+  c.memo_misses = c.descent_misses = descent_.misses();
   c.descent_entries = descent_.entries();
   c.descent_bytes = descent_.bytes();
   return c;
@@ -1091,25 +1024,20 @@ int64_t FprasEngine::SampleAcceptedInto(int level, int64_t max_attempts,
   WorkerScratch& lead = draws_[0];
   int64_t appended = 0;
   int64_t attempts_left = max_attempts;
-  // Scans one finished batch in attempt order. It stops at the accept that
+  // Scans one finished batch in attempt order up to the accept that
   // satisfies the request; the cursor and budget advance only through it,
   // so the walks after it are as if they never ran (a later call re-derives
   // them from their per-attempt substreams, bit for bit).
-  const auto consume = [&](const DrawBatchView& batch) {
-    int consumed = batch.count;
-    for (int i = 0; i < batch.num_accepted; ++i) {
-      const int32_t w = batch.accepted[i];
-      const Symbol* word = batch.words + static_cast<size_t>(w) *
-                                             batch.word_stride;
-      out->emplace_back(word, word + level);
-      if (++appended >= min_accepts) {
-        consumed = w + 1;
-        break;
-      }
-    }
+  const auto consume = [&](const WalkBatchView& batch) {
+    const int consumed =
+        ConsumeInAttemptOrder(batch, &lead.diag, [&](int32_t w) {
+          const Symbol* word =
+              batch.words + static_cast<size_t>(w) * batch.word_stride;
+          out->emplace_back(word, word + level);
+          return ++appended >= min_accepts;
+        });
     post_attempt_counter_ += consumed;
     attempts_left -= consumed;
-    ConsumeWalkDiagnostics(batch.outcomes, consumed, &lead.diag);
   };
   while (attempts_left > 0 && appended < min_accepts) {
     const int64_t batches =
@@ -1120,7 +1048,7 @@ int64_t FprasEngine::SampleAcceptedInto(int level, int64_t max_attempts,
       RunWalkBatch(level, alive, gamma0, kDrawStreamTag,
                    post_attempt_counter_, count, lead);
       const SampleArena& ar = lead.arena;
-      consume(DrawBatchView{count, ar.outcome_of.data(), ar.accepted.data(),
+      consume(WalkBatchView{count, ar.outcome_of.data(), ar.accepted.data(),
                             static_cast<int>(ar.accepted.size()),
                             ar.WordOf(0), ar.word_stride()});
       continue;
@@ -1129,7 +1057,7 @@ int64_t FprasEngine::SampleAcceptedInto(int level, int64_t max_attempts,
     const size_t width = static_cast<size_t>(batch_width_);
     for (int64_t k = 0; k < batches && appended < min_accepts; ++k) {
       const size_t slot = static_cast<size_t>(k) * width;
-      consume(DrawBatchView{window_.counts[static_cast<size_t>(k)],
+      consume(WalkBatchView{window_.counts[static_cast<size_t>(k)],
                             window_.outcomes.data() + slot,
                             window_.accepted.data() + slot,
                             window_.num_accepted[static_cast<size_t>(k)],

@@ -87,7 +87,6 @@
 #include "fpras/params.hpp"
 #include "fpras/plane.hpp"
 #include "util/rng.hpp"
-#include "util/simd.hpp"
 #include "util/status.hpp"
 #include "util/thread_pool.hpp"
 
@@ -128,8 +127,8 @@ struct FprasDiagnostics {
   /// union-memo (level, Pred set) entries (they share the budget).
   int64_t descent_entries = 0;
   /// Approximate descent-cache footprint: keys, sizes, rows and child
-  /// links, and the union memo's records, counted when an entry is
-  /// admitted.
+  /// links, and the union memo's keys and estimates, counted when an entry
+  /// is admitted.
   int64_t descent_bytes = 0;
   /// Candidate walks launched (Algorithm 2 attempts), counted exactly per
   /// consumed attempt: a lockstep batch may execute speculative walks past
@@ -250,9 +249,9 @@ struct DescentEntry {
 ///    each class's set up here before it runs AppUnion. The class weight is
 ///    applied by the caller: two classes may share a set, not a weight.
 ///
-/// The two kinds live in separate tables of the same shards, so a frontier
+/// The two kinds live in separate maps of the same shards, so a frontier
 /// entry and a union entry with the same (level, words) never see each
-/// other; the union hash is also tagged apart.
+/// other.
 ///
 /// Purity argument (why this never changes a result): a sample-path AppUnion
 /// draws from a substream keyed by (purpose, level, P-set content) — never
@@ -275,10 +274,10 @@ struct DescentEntry {
 /// Capacity discipline: both kinds of entry are admitted under the shard
 /// lock against one shared budget (a CAS reservation on entries_ — no
 /// overshoot under concurrency). Entries are never mutated or evicted, and
-/// frontier map nodes never move, so a returned DescentEntry pointer stays
-/// valid — and may be read without the lock — until Reset, which only
+/// map nodes never move, so a returned DescentEntry pointer stays valid —
+/// and may be read without the lock — until Reset, which only
 /// FprasEngine::Prepare calls. Union estimates are copied out under the
-/// lock, so their table may rehash.
+/// lock.
 ///
 /// Walk groups reach most frontier entries through a parent entry's child
 /// link rather than through Find: a batch hashes its root step and the steps
@@ -295,7 +294,7 @@ class DescentCache {
   bool enabled() const { return capacity_ > 0; }
 
   /// The entry of (level, set) — `set` is row_words words — or nullptr.
-  /// Counts one hit or miss.
+  /// Counts one hit or miss when the cache is enabled.
   const DescentEntry* Find(int level, const uint64_t* set);
 
   /// Counts `n` hits that followed a child link instead of calling Find:
@@ -334,8 +333,16 @@ class DescentCache {
   /// Admitted union-memo entries, one shard lock at a time (inspection).
   int64_t union_entries() const;
   /// Footprint of the admitted entries: frontier keys, sizes, rows and child
-  /// links, and union records with their share of the slot table.
+  /// links, and union keys with their estimates.
   int64_t bytes() const { return bytes_.load(std::memory_order_relaxed); }
+
+  /// One union-memo entry: the unweighted sample-path AppUnion estimate of
+  /// (level, predecessor set).
+  struct UnionEntry {
+    int level = 0;
+    std::vector<uint64_t> set;  ///< the predecessor set's words (the key)
+    double estimate = 0.0;
+  };
 
   /// Calls f(const DescentEntry&) for every admitted frontier entry, one
   /// shard lock at a time (inspection; the walk never enumerates).
@@ -351,25 +358,18 @@ class DescentCache {
   static constexpr int kShardBits = 4;
   static constexpr int kNumShards = 1 << kShardBits;
 
-  /// Keyed by the (level, set) hash, computed once per call: its top bits
-  /// pick the shard and the map buckets it. The entry carries its key, so a
-  /// probe compares words in place and copies nothing. The shard counts its
-  /// own probes on the cache line its mutex already pulled in, so concurrent
-  /// walkers on different shards share no counter line.
-  ///
-  /// The union memo is flat, a few dozen bytes per entry: union_records
-  /// holds one record of UnionStride() words per entry — [hash, level,
-  /// preds...] — and union_values its estimate, in admission order;
-  /// union_slots is a linear-probing table over them (0 empty, else 1 + the
-  /// record index), kept at most half full.
+  /// Both maps are keyed by the (level, set) hash, computed once per call:
+  /// its top bits pick the shard and the map buckets it. An entry carries
+  /// its key, so a probe compares words in place and copies nothing. The
+  /// shard counts its own frontier probes on the cache line its mutex
+  /// already pulled in, so concurrent walkers on different shards share no
+  /// counter line.
   struct alignas(64) Shard {
     mutable std::mutex mu;
     std::unordered_multimap<uint64_t, DescentEntry> map;
+    std::unordered_multimap<uint64_t, UnionEntry> unions;
     std::atomic<int64_t> hits{0};
     std::atomic<int64_t> misses{0};
-    std::vector<uint32_t> union_slots;
-    std::vector<uint64_t> union_records;
-    std::vector<double> union_values;
   };
 
   uint64_t KeyHash(int level, const uint64_t* set) const;
@@ -379,24 +379,14 @@ class DescentCache {
   const Shard& ShardFor(uint64_t hash) const {
     return shards_[hash >> (64 - kShardBits)];
   }
-  /// The entry of (level, set) in `shard` (lock held), or nullptr.
-  const DescentEntry* FindLocked(const Shard& shard, uint64_t hash, int level,
-                                 const uint64_t* set) const;
-  static bool Matches(const DescentEntry& entry, int level,
-                      const uint64_t* set);
+  /// The entry of (level, set) in one of a shard's maps (lock held), or
+  /// nullptr; serves both kinds of entry.
+  template <typename Entry>
+  static const Entry* FindLocked(
+      const std::unordered_multimap<uint64_t, Entry>& map, uint64_t hash,
+      int level, const uint64_t* set);
   /// Takes one entry of the shared budget; false when it is spent.
   bool ReserveEntry();
-
-  uint64_t UnionKeyHash(int level, const uint64_t* preds) const;
-  size_t UnionStride() const { return 2 + row_words_; }
-  /// The slot of (level, preds) in `shard`'s non-empty slot table (lock
-  /// held): the slot holding its record, or the empty slot that ends the
-  /// probe.
-  size_t UnionSlotLocked(const Shard& shard, uint64_t hash, int level,
-                         const uint64_t* preds) const;
-  /// Doubles `shard`'s slot table (16 slots at first) when one more record
-  /// would fill it past half, re-placing the records by their stored hash.
-  void GrowUnionSlotsLocked(Shard& shard);
 
   std::array<Shard, kNumShards> shards_;
   int64_t capacity_ = 0;
@@ -569,9 +559,6 @@ class FprasEngine {
   /// keeps the hot path allocation-free and race-free under concurrency.
   struct WorkerScratch {
     Bitset pred_scratch;          ///< PredSetInto target (UnionSizes)
-    /// UnionSizesInto's per-class predecessor rows on a descent-cache miss,
-    /// copied into the entry the cache admits.
-    std::vector<uint64_t> pred_rows;
     Bitset target_scratch;        ///< singleton {q} for RefillSamples
     AppUnionScratch union_scratch;///< batched-membership + draw-table scratch
     /// AppUnion input adapters, rebuilt per estimation but never reallocated
@@ -603,13 +590,13 @@ class FprasEngine {
   /// randomness). On the sample path with the descent cache on, a class
   /// whose (level, predecessor set) is in the union memo takes the memoized
   /// estimate instead of running AppUnion, and a fresh estimate is offered
-  /// to the memo. When `rows` is non-null it receives every class's
-  /// expansion Pred(P, c) — num_classes × row_words words in class order,
-  /// bit-identical to PredSetWordsInto — for the descent cache.
+  /// to the memo. When `rows` is non-null (the sample path) it receives
+  /// every class's expansion Pred(P, c) — num_classes × row_words words in
+  /// class order — the rows the walk step reads and the descent cache
+  /// admits.
   void UnionSizesInto(int level, const Bitset& state_set, double delta_param,
                       UnionPurpose purpose, WorkerScratch& ws,
-                      std::vector<double>* out,
-                      std::vector<uint64_t>* rows);
+                      std::vector<double>* out, uint64_t* rows);
 
   /// One AppUnion (Algorithm 1) over the (S, N) pairs of `set`'s cells in
   /// `cells`, drawing from the substream keyed by (family, set content,
@@ -638,19 +625,11 @@ class FprasEngine {
   void AppendAcceptedWalk(int level, int walk, WorkerScratch& ws,
                           SampleBlock* block);
 
-  /// Folds the first `consumed` per-walk outcomes of a finished batch
-  /// (SampleArena::kOutcome* codes) into `diag` (sample_calls,
-  /// sample_success, fail_*). Callers pass exactly the attempts a
-  /// sequential batch_width = 1 run would have executed, which is what
-  /// makes the per-walk counters exact at every batch width (see
-  /// FprasDiagnostics::sample_calls).
-  static void ConsumeWalkDiagnostics(const uint8_t* outcomes, int consumed,
-                                     FprasDiagnostics* diag);
-
-  /// One finished walk batch as the draw scan reads it: walk w's outcome
-  /// is outcomes[w], its word starts at words + w·word_stride, and
-  /// accepted lists the accepted walk ids in attempt order.
-  struct DrawBatchView {
+  /// One finished walk batch as an attempt-order scan reads it: walk w's
+  /// outcome is outcomes[w] (SampleArena::kOutcome* codes), accepted lists
+  /// the accepted walk ids in attempt order, and — on the draw path — walk
+  /// w's word starts at words + w·word_stride.
+  struct WalkBatchView {
     int count = 0;
     const uint8_t* outcomes = nullptr;
     const int32_t* accepted = nullptr;
@@ -658,6 +637,18 @@ class FprasEngine {
     const Symbol* words = nullptr;
     size_t word_stride = 0;
   };
+
+  /// Consumes a finished batch in attempt order: calls take(w) for each
+  /// accepted walk w until it returns true (the accept that meets the
+  /// caller's target), then folds the outcomes of every attempt through
+  /// that one — all `count` when none does — into `diag` (sample_calls,
+  /// sample_success, fail_*). Returns the attempts consumed. The later
+  /// walks are as if they never ran, so the per-walk counters count exactly
+  /// the attempts a sequential batch_width = 1 run executes (see
+  /// FprasDiagnostics::sample_calls).
+  template <typename Take>
+  static int ConsumeInAttemptOrder(const WalkBatchView& batch,
+                                   FprasDiagnostics* diag, Take&& take);
 
   /// Results of one parallel draw window, kept for the attempt-order scan:
   /// batch k's walks own slot k (strided by the batch width) of each slab.
@@ -709,9 +700,6 @@ class FprasEngine {
   /// sequence depends only on how many attempts ran before — not on batch
   /// width, thread count, or kernel table.
   int64_t post_attempt_counter_ = 0;
-  /// Kernel table the sampling plane uses: the process-wide dispatched
-  /// table (simd::ActiveKernels) as of Prepare().
-  const simd::BitsetKernels* kernels_ = nullptr;
   int batch_width_ = FprasParams::kDefaultBatchWidth;  ///< resolved by Run()
   /// Worker slot scratch; workers_[i] is owned by pool worker slot i during
   /// AdvanceLevel's fan-out, and workers_[0] runs each level's

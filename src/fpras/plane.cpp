@@ -4,19 +4,17 @@
 
 namespace nfacount {
 
-void SampleArena::EnsureGroupSizes(int rows, int num_classes) {
-  if (static_cast<size_t>(rows) > group_sizes.capacity()) {
-    ++vector_alloc_events_;
-  }
-  if (group_sizes.size() < static_cast<size_t>(rows)) {
-    group_sizes.resize(static_cast<size_t>(rows));
-  }
+void SampleArena::EnsureGroupSlabs(int groups, int num_classes,
+                                   size_t bits) {
+  Ensure(group_sizes, static_cast<size_t>(groups));
   for (auto& sizes : group_sizes) {
     if (static_cast<size_t>(num_classes) > sizes.capacity()) {
       ++vector_alloc_events_;
       sizes.reserve(static_cast<size_t>(num_classes));
     }
   }
+  group_rows_stride_ = static_cast<size_t>(num_classes) * ((bits + 63) / 64);
+  Ensure(group_rows, static_cast<size_t>(groups) * group_rows_stride_);
 }
 
 void SampleArena::PrepareRun(int max_batch, int max_word_len, size_t bits,
@@ -33,13 +31,11 @@ void SampleArena::PrepareRun(int max_batch, int max_word_len, size_t bits,
   Ensure(next_group_of, static_cast<size_t>(b));
   Ensure(state_of, static_cast<size_t>(b));
   Ensure(outcome_of, static_cast<size_t>(b));
-  Ensure(group_total, static_cast<size_t>(b));
-  Ensure(group_ready, static_cast<size_t>(b));
-  Ensure(group_entry, static_cast<size_t>(b));
+  Ensure(group_step, static_cast<size_t>(b));
   Ensure(group_link, static_cast<size_t>(b));
   Ensure(next_group_link, static_cast<size_t>(b));
   Ensure(child_of, static_cast<size_t>(b) * num_classes);
-  EnsureGroupSizes(b, num_classes);
+  EnsureGroupSlabs(b, num_classes, bits);
   accepted.reserve(static_cast<size_t>(b));
   if (frontier_scratch.size() != bits) {
     frontier_scratch = Bitset(bits);
@@ -62,13 +58,11 @@ void SampleArena::BeginBatch(int batch, int word_len, size_t bits,
   Ensure(next_group_of, static_cast<size_t>(batch));
   Ensure(state_of, static_cast<size_t>(batch));
   Ensure(outcome_of, static_cast<size_t>(batch));
-  Ensure(group_total, static_cast<size_t>(batch));
-  Ensure(group_ready, static_cast<size_t>(batch));
-  Ensure(group_entry, static_cast<size_t>(batch));
+  Ensure(group_step, static_cast<size_t>(batch));
   Ensure(group_link, static_cast<size_t>(batch));
   Ensure(next_group_link, static_cast<size_t>(batch));
   Ensure(child_of, static_cast<size_t>(batch) * num_classes);
-  EnsureGroupSizes(batch, num_classes);
+  EnsureGroupSlabs(batch, num_classes, bits);
   accepted.clear();
 }
 
@@ -82,11 +76,9 @@ int64_t SampleArena::bytes_reserved() const {
                                  child_of.capacity() + accepted.capacity()) *
                                 sizeof(int32_t));
   total += static_cast<int64_t>(
-      (state_of.capacity() + outcome_of.capacity() + group_ready.capacity()) *
-      sizeof(uint8_t));
-  total += static_cast<int64_t>(group_total.capacity() * sizeof(double));
-  total += static_cast<int64_t>(group_entry.capacity() *
-                                sizeof(const DescentEntry*));
+      (state_of.capacity() + outcome_of.capacity()) * sizeof(uint8_t));
+  total += static_cast<int64_t>(group_step.capacity() * sizeof(GroupStep));
+  total += static_cast<int64_t>(group_rows.capacity() * sizeof(uint64_t));
   total += static_cast<int64_t>(
       (group_link.capacity() + next_group_link.capacity()) *
       sizeof(std::atomic<const DescentEntry*>*));

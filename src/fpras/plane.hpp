@@ -30,6 +30,19 @@ namespace nfacount {
 
 struct DescentEntry;  // fpras/estimator.hpp
 
+/// One walk group's Algorithm 2 step at the current level, as the walk reads
+/// it: the weighted per-class union sizes and their total, every class's
+/// predecessor row (C rows of row_words words, in class order), and one
+/// child link per class. It points into the group's admitted DescentEntry,
+/// or — when none was admitted (cache off, budget spent) — into the group's
+/// arena slabs, with no links.
+struct GroupStep {
+  const std::vector<double>* sizes = nullptr;  ///< null: not estimated yet
+  const uint64_t* rows = nullptr;
+  std::atomic<const DescentEntry*>* links = nullptr;
+  double total = 0.0;  ///< Σ_c weight_c·sz_c
+};
+
 /// Row-major bit-matrix of walk-group frontiers: `rows` rows of `bits` bits,
 /// each row padded to whole words, all rows in one contiguous buffer.
 /// Reshape() keeps the underlying capacity, so a plane sized once for the
@@ -110,6 +123,11 @@ class SampleArena {
   /// Symbols between consecutive walks' buffers (WordOf(w + 1) − WordOf(w)).
   size_t word_stride() const { return word_stride_; }
 
+  /// Group g's predecessor-row slab (group_rows).
+  uint64_t* GroupRows(int g) {
+    return group_rows.data() + static_cast<size_t>(g) * group_rows_stride_;
+  }
+
   /// Bytes reserved across the planes and slabs (memory diagnostics).
   int64_t bytes_reserved() const;
   /// Capacity-growth events since construction: stays flat after warmup —
@@ -132,13 +150,12 @@ class SampleArena {
   std::vector<int32_t> accepted;    ///< accepted walk ids, attempt order
 
   // Per-group state at the current level, indexed by group id.
-  std::vector<std::vector<double>> group_sizes;  ///< weighted sz_c per group
-  std::vector<double> group_total;               ///< Σ_c weight_c·sz_c
-  std::vector<uint8_t> group_ready;              ///< sizes computed yet?
-  /// The group's descent-cache entry (sizes and every class's predecessor
-  /// row), or nullptr when none was admitted: then group_sizes holds the
-  /// sizes and a drawn class's row is expanded on demand.
-  std::vector<const DescentEntry*> group_entry;
+  std::vector<GroupStep> group_step;  ///< the step every member reads
+  /// A descent miss's slabs: UnionSizesInto writes the group's weighted
+  /// sz_c and its C predecessor rows here, and the cache copies them into
+  /// the entry it admits.
+  std::vector<std::vector<double>> group_sizes;
+  std::vector<uint64_t> group_rows;  ///< C·row_words words per group
   std::vector<int32_t> child_of;  ///< group × C → next-level group id
   /// Per group: the parent entry's child link for the class the group's
   /// walks drew — read to skip the group's probe, written to publish its
@@ -160,13 +177,15 @@ class SampleArena {
     if (v.size() < n) v.resize(n);
   }
 
-  /// Single up-front sizing of the per-group sz vectors: `rows` group slots,
-  /// each holding capacity for `num_classes` entries. Shared by PrepareRun
-  /// and BeginBatch so a batch wider than the PrepareRun reservation can
-  /// never index past group_sizes (the old BeginBatch skipped this slab).
-  void EnsureGroupSizes(int rows, int num_classes);
+  /// Sizes the per-group slabs for `groups` groups of `num_classes`
+  /// classes over `bits`-bit rows (group_sizes slots with capacity for
+  /// `num_classes` entries, group_rows). Shared by PrepareRun and
+  /// BeginBatch so a batch wider than the PrepareRun reservation can never
+  /// index past them.
+  void EnsureGroupSlabs(int groups, int num_classes, size_t bits);
 
   size_t word_stride_ = 0;
+  size_t group_rows_stride_ = 0;
   int64_t vector_alloc_events_ = 0;
 };
 

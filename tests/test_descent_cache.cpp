@@ -26,7 +26,6 @@
 #include "test_seed.hpp"
 #include "test_tables.hpp"
 #include "util/rng.hpp"
-#include "util/simd.hpp"
 
 namespace nfacount {
 namespace {
@@ -61,11 +60,11 @@ int64_t EntryBytes(int num_classes, size_t row_words) {
           (sizeof(double) + sizeof(DescentEntry::ChildLink)));
 }
 
-/// The footprint InsertUnion charges for one union-memo entry: its record
-/// (hash, level, set words), its estimate and two slots.
+/// The footprint InsertUnion charges for one union-memo entry: the entry
+/// (level, key vector, estimate) and its key's words.
 int64_t UnionEntryBytes(size_t row_words) {
-  return static_cast<int64_t>((2 + row_words) * sizeof(uint64_t) +
-                              sizeof(double) + 2 * sizeof(uint32_t));
+  return static_cast<int64_t>(sizeof(DescentCache::UnionEntry) +
+                              row_words * sizeof(uint64_t));
 }
 
 void ExpectEntryHolds(const DescentEntry* entry, int level,
@@ -129,10 +128,10 @@ TEST(DescentCacheUnit, FindInsertRoundTripAndCounters) {
   EXPECT_EQ(cache.misses(), 3);
 }
 
-TEST(DescentCacheUnit, UnionMemoSurvivesSlotTableGrowth) {
-  // Hundreds of keys per shard grow every shard's slot table several times;
-  // each key must still find its own estimate, and a near-miss key (same
-  // words, other level) none.
+TEST(DescentCacheUnit, UnionMemoRoundTripsThousandsOfKeys) {
+  // Hundreds of keys per shard rehash every shard's union map several
+  // times; each key must still find its own estimate, and a near-miss key
+  // (same words, other level) none.
   constexpr size_t kRowWords = 2;
   DescentCache cache;
   cache.Reset(/*capacity=*/int64_t{1} << 20, kRowWords, /*num_classes=*/2);
@@ -562,7 +561,7 @@ TEST(DescentCacheIdentity, GridBitIdenticalAcrossCapacityThreadsAndWidth) {
 
 TEST(DescentCacheIdentity, EveryAdmittedRowIsThePredecessorExpansion) {
   // The walk copies a drawn class's row straight out of the entry, so each
-  // stored row must be exactly what the uncached path expands on demand.
+  // stored row must be exactly the class's predecessor expansion.
   for (const GridCase& gc : GridCases()) {
     SCOPED_TRACE(gc.name);
     Result<EngineSession> session =
@@ -574,7 +573,7 @@ TEST(DescentCacheIdentity, EveryAdmittedRowIsThePredecessorExpansion) {
     const SymbolClassIndex& classes = unrolled.symbol_classes();
     const size_t row_words =
         (static_cast<size_t>(gc.nfa.num_states()) + 63) / 64;
-    std::vector<uint64_t> expected(row_words);
+    Bitset expected(static_cast<size_t>(gc.nfa.num_states()));
     int64_t checked = 0;
     bool high_word_used = false;  // some row reaches a state id >= 64
     engine.descent_cache().ForEachEntry([&](const DescentEntry& entry) {
@@ -582,13 +581,14 @@ TEST(DescentCacheIdentity, EveryAdmittedRowIsThePredecessorExpansion) {
       ASSERT_EQ(entry.rows.size(),
                 static_cast<size_t>(classes.num_classes()) * row_words);
       for (int c = 0; c < classes.num_classes(); ++c) {
-        unrolled.PredSetWordsInto(entry.set.data(), classes.Representative(c),
-                                  entry.level, expected.data(),
-                                  simd::ActiveKernels());
+        unrolled.PredSetInto(
+            Bitset::FromWords(static_cast<size_t>(gc.nfa.num_states()),
+                              entry.set.data()),
+            classes.Representative(c), entry.level, &expected);
         for (size_t k = 0; k < row_words; ++k) {
-          EXPECT_EQ(entry.Row(c)[k], expected[k])
+          EXPECT_EQ(entry.Row(c)[k], expected.words()[k])
               << "level=" << entry.level << " class=" << c << " word=" << k;
-          if (k > 0 && expected[k] != 0) high_word_used = true;
+          if (k > 0 && expected.words()[k] != 0) high_word_used = true;
         }
       }
       ++checked;

@@ -175,9 +175,11 @@ TEST(SymbolClassPartition, MemberExpansionBitIdenticalAtEveryLevel) {
 // estimates, per-(q,ℓ) tables, and draw streams must not move across
 // num_threads × batch_width × descent-cache capacity. The baseline is a
 // session at each input's first capacity (and the default width); the grid
-// builds engines, since the width is engine-internal. The trivial partition
-// skips the uncached engine, whose capacity invariance test_descent_cache
-// already pins on binary-alphabet families.
+// builds engines, since the width is engine-internal. On the compressed
+// family a 4-entry budget is spent at once, so nearly every group's insert
+// is refused and its step reads every class's sizes and rows from the walk
+// arena. The trivial partition skips the uncached engine, whose capacity
+// invariance test_descent_cache already pins on binary-alphabet families.
 TEST(SymbolClasses, GridBitIdenticalAtFixedClassSetting) {
   struct Input {
     const char* name;
@@ -187,7 +189,7 @@ TEST(SymbolClasses, GridBitIdenticalAtFixedClassSetting) {
   };
   const int64_t kDefault = FprasParams::kDefaultDescentCacheCapacity;
   const Input inputs[] = {
-      {"corpus", CorpusTokenNfa(3, 64, 3), TestSeed(1631), {0, kDefault}},
+      {"corpus", CorpusTokenNfa(3, 64, 3), TestSeed(1631), {0, 4, kDefault}},
       {"divisibility", DivisibilityNfa(7, 4), TestSeed(1621), {kDefault}}};
   const int n = 6;
   for (const Input& input : inputs) {

@@ -266,20 +266,6 @@ TEST(AppUnion, StarvationRecycleStaysAccurate) {
   EXPECT_DOUBLE_EQ(out.estimate, 50.0);
 }
 
-TEST(AppUnion, StarvationScaleByCompletedSingleSet) {
-  Rng rng(TestSeed(9));
-  std::set<int> s;
-  for (int x = 0; x < 50; ++x) s.insert(x);
-  std::vector<IntSetInput> inputs = {MakeInput(s, /*num_samples=*/16, rng)};
-  AppUnionParams p;
-  p.eps = 0.1;
-  p.delta = 0.1;
-  p.starvation = StarvationPolicy::kScaleByCompleted;
-  AppUnionOutcome out = RunAppUnion(inputs, p, rng);
-  // Single set: every completed trial hits, so Y/completed = 1 exactly.
-  EXPECT_DOUBLE_EQ(out.estimate, 50.0);
-}
-
 TEST(AppUnion, MembershipChecksOnlyAgainstEarlierSets) {
   Rng rng(TestSeed(10));
   std::vector<IntSetInput> inputs;
@@ -425,13 +411,10 @@ TEST_P(BatchedEqualsAppUnion, ZeroSizeAndEmptyInputs) {
 
 INSTANTIATE_TEST_SUITE_P(
     Policies, BatchedEqualsAppUnion,
-    ::testing::Values(StarvationPolicy::kBreak,
-                      StarvationPolicy::kScaleByCompleted,
-                      StarvationPolicy::kRecycle),
+    ::testing::Values(StarvationPolicy::kBreak, StarvationPolicy::kRecycle),
     [](const ::testing::TestParamInfo<StarvationPolicy>& info) {
       switch (info.param) {
         case StarvationPolicy::kBreak: return "Break";
-        case StarvationPolicy::kScaleByCompleted: return "ScaleByCompleted";
         case StarvationPolicy::kRecycle: return "Recycle";
       }
       return "Unknown";
