@@ -237,6 +237,7 @@ JsonObject DiagnosticsJson(const FprasDiagnostics& d) {
       .Set("perturbed_counts", d.perturbed_counts)
       .Set("states_processed", d.states_processed)
       .Set("walk_batches", d.walk_batches)
+      .Set("profile_steps", d.profile_steps)
       .Set("arena_bytes_reserved", d.arena_bytes_reserved)
       .Set("arena_alloc_events", d.arena_alloc_events)
       .Set("wall_seconds", d.wall_seconds);

@@ -254,8 +254,8 @@ class UnrolledNfa {
   void PredSetInto(const Bitset& states, Symbol symbol, int level,
                    Bitset* out) const;
 
-  /// One plain successor step over raw word spans (the fused reach-profile
-  /// pass of the batched plane): `from` and `out` are (num_states+63)/64
+  /// One plain successor step over raw word spans (a new node of a
+  /// worker's ReachTrie, fpras/plane.hpp): `from` and `out` are (num_states+63)/64
   /// words (distinct spans). Reads the successor table when present, the
   /// forward CSR rows otherwise; bit-identical to SuccSetInto.
   void SuccSetWordsInto(const uint64_t* from, Symbol symbol,
@@ -264,7 +264,8 @@ class UnrolledNfa {
   /// One forward step clipped to nothing (plain successor image).
   void SuccSetInto(const Bitset& states, Symbol symbol, Bitset* out) const;
 
-  /// The reach profile {q : word ∈ L(q^{|word|})} by forward stepping.
+  /// The reach profile {q : word ∈ L(q^{|word|})} by forward stepping
+  /// (the tests' reference for the engine's ReachTrie).
   Bitset ReachProfile(const Word& word) const;
 
   /// True when the byte-indexed successor table fits kMaskBitBudget and

@@ -66,6 +66,7 @@ void AccumulateDiag(const FprasDiagnostics& from, FprasDiagnostics* into) {
   into->perturbed_counts += from.perturbed_counts;
   into->states_processed += from.states_processed;
   into->walk_batches += from.walk_batches;
+  into->profile_steps += from.profile_steps;
 }
 
 /// NFACOUNT_DESCENT_CACHE must be a whole non-negative decimal entry budget
@@ -260,7 +261,8 @@ const FprasDiagnostics& FprasEngine::diagnostics() const {
   for (const std::vector<WorkerScratch>* bundles : {&workers_, &draws_}) {
     for (const WorkerScratch& ws : *bundles) {
       AccumulateDiag(ws.diag, &diag_);
-      diag_.arena_bytes_reserved += ws.arena.bytes_reserved();
+      diag_.arena_bytes_reserved +=
+          ws.arena.bytes_reserved() + ws.reach.bytes_reserved();
       diag_.arena_alloc_events += ws.arena.alloc_events();
     }
   }
@@ -583,22 +585,6 @@ int FprasEngine::ConsumeInAttemptOrder(const WalkBatchView& batch,
   return consumed;
 }
 
-void FprasEngine::AppendAcceptedWalk(int level, int walk, WorkerScratch& ws,
-                                     SampleBlock* block) {
-  SampleArena& ar = ws.arena;
-  const Symbol* word = ar.WordOf(walk);
-  // Fused profile pass: forward over the arena scratch, no allocation and no
-  // second simulation through MakeSample.
-  ar.profile_cur.Clear();
-  ar.profile_cur.Set(static_cast<size_t>(nfa_->initial()));
-  for (int j = 0; j < level; ++j) {
-    unrolled_.SuccSetWordsInto(ar.profile_cur.words().data(), word[j],
-                               ar.profile_next.mutable_words());
-    std::swap(ar.profile_cur, ar.profile_next);
-  }
-  block->Append(word, ar.profile_cur.words().data());
-}
-
 double FprasEngine::PerturbedCount(int level, Rng& rng) {
   // N(q^ℓ) ← Uniform{0, 1, ..., |Σ|^ℓ} (Alg. 3 line 19). |Σ|^ℓ can exceed any
   // integer type; the estimate is a double throughout, so draw a uniform real
@@ -643,7 +629,9 @@ void FprasEngine::RefillSamples(StateId q, int level, WorkerScratch& ws) {
           WalkBatchView{batch, ar.outcome_of.data(), ar.accepted.data(),
                         static_cast<int>(ar.accepted.size())},
           &ws.diag, [&](int32_t w) {
-            AppendAcceptedWalk(level, w, ws, &slot.samples);
+            const Symbol* word = ar.WordOf(w);
+            slot.samples.Append(word, ws.reach.Profile(unrolled_, word, level,
+                                                       &ws.diag.profile_steps));
             return slot.samples.count() >= params_.ns;
           });
       attempt += batch;
@@ -655,10 +643,12 @@ void FprasEngine::RefillSamples(StateId q, int level, WorkerScratch& ws) {
   if (shortfall > 0) {
     std::optional<Word> witness = unrolled_.WitnessWord(q, level);
     assert(witness.has_value());  // q is reachable at this level
-    const Bitset reach = unrolled_.ReachProfile(*witness);
     ws.diag.padded_words += shortfall;
-    slot.samples.AppendRepeat(witness->data(), reach.words().data(),
-                              shortfall);
+    slot.samples.AppendRepeat(
+        witness->data(),
+        ws.reach.Profile(unrolled_, witness->data(), level,
+                         &ws.diag.profile_steps),
+        shortfall);
   }
 }
 

@@ -28,8 +28,9 @@
 // lookup (or union-size estimation) per group and one predecessor row per
 // (group, drawn class) — not per walk; below the root step the lookup is
 // usually a followed child link rather than a hash probe — and
-// the reach profile of each accepted walk is built by a fused forward pass
-// over the same plane scratch, never by re-simulating the stored word. Each
+// the reach profile of each stored word is read from the worker's prefix
+// trie (ReachTrie, fpras/plane.hpp), which computes each prefix's reach set
+// once while it fits a fixed byte budget. Each
 // candidate walk draws exclusively from its own attempt-indexed RNG
 // substream, which makes every estimate, table, sample, and post-run draw
 // bit-identical for every batch width (B = 1 included), exactly as the
@@ -148,8 +149,14 @@ struct FprasDiagnostics {
   int64_t perturbed_counts = 0; ///< Alg. 3 line 19 events
   int64_t states_processed = 0; ///< reachable (q, ℓ) copies visited
   int64_t walk_batches = 0;     ///< lockstep plane sweeps launched
-  /// Bytes reserved by the per-worker SampleArenas (snapshot at the
-  /// diagnostics() call, summed over sweep workers and draw bundles).
+  /// Forward successor steps computed for the reach profiles of stored
+  /// samples, accepted and padded: the nodes the workers' ReachTries
+  /// created. Each worker keeps its own trie, so like the descent-cache
+  /// counters this is exact at num_threads = 1 and scheduling-dependent
+  /// above it.
+  int64_t profile_steps = 0;
+  /// Bytes reserved by the per-worker SampleArenas and ReachTries (snapshot
+  /// at the diagnostics() call, summed over sweep workers and draw bundles).
   int64_t arena_bytes_reserved = 0;
   /// Arena capacity-growth events since engine construction: flat after the
   /// first batches warm the slabs (the zero-per-sample-allocation contract).
@@ -554,6 +561,10 @@ class FprasEngine {
   int64_t ApproxTableBytes() const;
 
  private:
+  /// Byte budget of each worker's ReachTrie. 1 MiB holds every prefix of a
+  /// build-e3 build (2,046 nodes of 24 B) many times over.
+  static constexpr size_t kReachTrieBytes = size_t{1} << 20;
+
   /// Per-worker scratch bundle: everything a cell computation mutates other
   /// than its own levels_[ℓ].cells[q] slot. One instance per ThreadPool worker slot
   /// keeps the hot path allocation-free and race-free under concurrency.
@@ -566,6 +577,10 @@ class FprasEngine {
     std::vector<PredecessorInput> union_inputs;
     std::vector<const PredecessorInput*> union_ptrs;
     SampleArena arena;            ///< lockstep walk batch slab (plane.hpp)
+    /// Reach profiles of the stored samples' prefixes. Lives as long as the
+    /// bundle: across levels and extensions, emptied when Prepare rebuilds
+    /// the bundles (a Load included).
+    ReachTrie reach{kReachTrieBytes};
     FprasDiagnostics diag;        ///< merged into diagnostics() on demand
   };
 
@@ -617,13 +632,6 @@ class FprasEngine {
   void RunWalkBatch(int level, const Bitset& state_set, double phi0,
                     uint64_t walk_key, int64_t first_attempt, int count,
                     WorkerScratch& ws);
-
-  /// Fused reach-profile pass: computes the profile of accepted walk `w`
-  /// (in ws.arena) forward over the plane scratch — MakeSample never
-  /// re-simulates a word on this path — and appends (word, profile) to
-  /// `block`.
-  void AppendAcceptedWalk(int level, int walk, WorkerScratch& ws,
-                          SampleBlock* block);
 
   /// One finished walk batch as an attempt-order scan reads it: walk w's
   /// outcome is outcomes[w] (SampleArena::kOutcome* codes), accepted lists

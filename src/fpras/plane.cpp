@@ -37,11 +37,7 @@ void SampleArena::PrepareRun(int max_batch, int max_word_len, size_t bits,
   Ensure(child_of, static_cast<size_t>(b) * num_classes);
   EnsureGroupSlabs(b, num_classes, bits);
   accepted.reserve(static_cast<size_t>(b));
-  if (frontier_scratch.size() != bits) {
-    frontier_scratch = Bitset(bits);
-    profile_cur = Bitset(bits);
-    profile_next = Bitset(bits);
-  }
+  if (frontier_scratch.size() != bits) frontier_scratch = Bitset(bits);
 }
 
 void SampleArena::BeginBatch(int batch, int word_len, size_t bits,
@@ -90,6 +86,69 @@ int64_t SampleArena::bytes_reserved() const {
 
 int64_t SampleArena::alloc_events() const {
   return vector_alloc_events_ + cur.alloc_events() + next.alloc_events();
+}
+
+void ReachTrie::Restart(const UnrolledNfa& unrolled) {
+  const int m = unrolled.nfa().num_states();
+  row_words_ = (static_cast<size_t>(m) + 63) / 64;
+  num_classes_ = static_cast<size_t>(unrolled.symbol_classes().num_classes());
+  const size_t node_bytes =
+      row_words_ * sizeof(uint64_t) + num_classes_ * sizeof(int32_t);
+  max_nodes_ = std::max<size_t>(budget_bytes_ / node_bytes, 1);
+  rows_.assign(row_words_, 0);
+  children_.assign(num_classes_, 0);
+  const size_t init = static_cast<size_t>(unrolled.nfa().initial());
+  rows_[init >> 6] |= uint64_t{1} << (init & 63);
+}
+
+const uint64_t* ReachTrie::Profile(const UnrolledNfa& unrolled,
+                                   const Symbol* word, int len,
+                                   int64_t* steps) {
+  if (rows_.empty()) Restart(unrolled);
+  const SymbolClassIndex& classes = unrolled.symbol_classes();
+  size_t node = 0;
+  int j = 0;
+  for (; j < len; ++j) {
+    const int32_t child =
+        children_[node * num_classes_ +
+                  static_cast<size_t>(classes.ClassOf(word[j]))];
+    if (child == 0) break;
+    node = static_cast<size_t>(child);
+  }
+  if (j == len) return Row(node);
+
+  size_t count = nodes();
+  if (count > 1 && count + static_cast<size_t>(len - j) > max_nodes_) {
+    Restart(unrolled);
+    node = 0;
+    j = 0;
+    count = 1;
+  }
+  // Grow by doubling, but never past the budget unless this word needs it.
+  const size_t need = count + static_cast<size_t>(len - j);
+  if (need * row_words_ > rows_.capacity()) {
+    const size_t grown = std::max(
+        need, std::min(2 * rows_.capacity() / row_words_, max_nodes_));
+    rows_.reserve(grown * row_words_);
+    children_.reserve(grown * num_classes_);
+  }
+  *steps += len - j;
+  for (; j < len; ++j) {
+    const size_t child = count++;
+    rows_.resize(count * row_words_);
+    children_.resize(count * num_classes_, 0);
+    unrolled.SuccSetWordsInto(Row(node), word[j], Row(child));
+    children_[node * num_classes_ +
+              static_cast<size_t>(classes.ClassOf(word[j]))] =
+        static_cast<int32_t>(child);
+    node = child;
+  }
+  return Row(node);
+}
+
+int64_t ReachTrie::bytes_reserved() const {
+  return static_cast<int64_t>(rows_.capacity() * sizeof(uint64_t) +
+                              children_.capacity() * sizeof(int32_t));
 }
 
 }  // namespace nfacount

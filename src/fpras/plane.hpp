@@ -10,10 +10,14 @@
 // ping-pong planes with all per-walk and per-group state (symbol staging,
 // acceptance weights, RNG substreams, group maps, size vectors) into one
 // per-worker slab that is reused across cells and batches: after the first
-// few batches warm its capacity, a walk allocates nothing.
+// few batches warm its capacity, a walk allocates nothing. Beside the arena,
+// each worker keeps a ReachTrie: the forward reach profiles of the prefixes
+// its accepted words have used, so a stored sample's profile costs one
+// successor step per prefix the worker has not seen before.
 //
-// Everything here is inert storage plus capacity accounting; the sweep logic
-// lives in FprasEngine::RunWalkBatch (fpras/estimator.cpp).
+// Everything here except ReachTrie::Profile is inert storage plus capacity
+// accounting; the sweep logic lives in FprasEngine::RunWalkBatch
+// (fpras/estimator.cpp).
 
 #ifndef NFACOUNT_FPRAS_PLANE_HPP_
 #define NFACOUNT_FPRAS_PLANE_HPP_
@@ -23,6 +27,7 @@
 #include <vector>
 
 #include "automata/alphabet.hpp"
+#include "automata/unrolled.hpp"
 #include "util/bitset.hpp"
 #include "util/rng.hpp"
 
@@ -165,10 +170,8 @@ class SampleArena {
   std::vector<std::atomic<const DescentEntry*>*> group_link;
   std::vector<std::atomic<const DescentEntry*>*> next_group_link;
 
-  // Scratch bitsets bridging plane rows into Bitset-taking APIs.
-  Bitset frontier_scratch;  ///< group frontier view (UnionSizes)
-  Bitset profile_cur;       ///< fused forward reach-profile pass
-  Bitset profile_next;
+  /// Bridges a plane row into Bitset-taking APIs (UnionSizes).
+  Bitset frontier_scratch;
 
  private:
   template <typename T>
@@ -187,6 +190,50 @@ class SampleArena {
   size_t word_stride_ = 0;
   size_t group_rows_stride_ = 0;
   int64_t vector_alloc_events_ = 0;
+};
+
+/// Forward reach profiles of word prefixes, as a trie: a lazy subset
+/// construction over only the prefixes that were asked for. Node 0 holds
+/// {initial}. Child slot c of node u holds the node whose row is
+/// Succ(row(u), b) for the symbols b of class c (class members step
+/// identically), so a word of length ℓ follows ℓ slots and its profile
+/// {q : word ∈ L(q^ℓ)} is the last node's row. A missing slot costs one
+/// UnrolledNfa::SuccSetWordsInto step, taken with the word's own symbol,
+/// plus an append. A prefix's reach set does not depend on ℓ, so one trie
+/// serves every level of one automaton.
+///
+/// `budget_bytes` bounds the nodes (rows plus child slots): when a word's
+/// missing suffix does not fit, the trie clears and restarts from the root.
+/// A workload whose prefixes never repeat then pays one step plus one append
+/// per symbol, as a plain forward simulation would. A word longer than the
+/// whole budget still gets its path; the next miss clears it.
+class ReachTrie {
+ public:
+  explicit ReachTrie(size_t budget_bytes) : budget_bytes_(budget_bytes) {}
+
+  /// The reach profile of word[0, len): ⌈m/64⌉ words, valid until the next
+  /// call. Every call on one trie must pass the same automaton. Adds the
+  /// successor steps it computes (the nodes it creates) to *steps.
+  const uint64_t* Profile(const UnrolledNfa& unrolled, const Symbol* word,
+                          int len, int64_t* steps);
+
+  /// Nodes held, the root included (0 before the first Profile call).
+  size_t nodes() const { return row_words_ ? rows_.size() / row_words_ : 0; }
+
+  int64_t bytes_reserved() const;
+
+ private:
+  /// Drops every node and installs the root {initial}.
+  void Restart(const UnrolledNfa& unrolled);
+
+  uint64_t* Row(size_t node) { return rows_.data() + node * row_words_; }
+
+  size_t budget_bytes_;
+  size_t row_words_ = 0;
+  size_t num_classes_ = 0;
+  size_t max_nodes_ = 0;  ///< nodes that fit budget_bytes_ (at least 1)
+  std::vector<uint64_t> rows_;       ///< node × row_words_
+  std::vector<int32_t> children_;    ///< node × C; 0 = missing (root never a child)
 };
 
 }  // namespace nfacount

@@ -5,12 +5,15 @@
 // kernel tables, whose operations compute identical bits by construction.
 // The width is engine-internal (FprasParams::batch_width), so these tests
 // build engines at each width directly. Also covers the arena reuse contract
-// (no per-sample allocations once the slabs are warm) and the batch_width
-// validation in FprasEngine::Run.
+// (no per-sample allocations once the slabs are warm), the batch_width
+// validation in FprasEngine::Run, and the per-worker ReachTrie that supplies
+// stored samples' reach profiles.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "automata/generators.hpp"
@@ -242,6 +245,100 @@ TEST(Batch, SampleBlockViewsMatchMaterializedSamples) {
       }
     }
   }
+}
+
+/// Bytes of `nodes` ReachTrie nodes over `unrolled`: one reach row plus one
+/// child slot per symbol class each.
+size_t TrieNodeBytes(const UnrolledNfa& unrolled, size_t nodes) {
+  const size_t row_words =
+      (static_cast<size_t>(unrolled.nfa().num_states()) + 63) / 64;
+  return nodes * (row_words * sizeof(uint64_t) +
+                  static_cast<size_t>(
+                      unrolled.symbol_classes().num_classes()) *
+                      sizeof(int32_t));
+}
+
+// Random words of length 0..n get the profile a plain forward simulation
+// gives, on a two-symbol automaton with two-word rows and on a corpus
+// automaton whose 96 symbols fall into a few classes (slots keyed by class,
+// steps taken with the word's own symbol). An ample budget computes each
+// prefix once; a budget of three nodes clears and restarts on nearly every
+// word, and a word longer than the budget still gets its profile.
+TEST(ReachTrie, MatchesForwardSimulationAtEveryBudget) {
+  Rng nfa_rng(TestSeed(781));
+  const Nfa nfas[] = {RandomNfa(70, 0.05, 0.25, nfa_rng),
+                      CorpusTokenNfa(4, 96, 4)};
+  const int n = 8;
+  for (const Nfa& nfa : nfas) {
+    const UnrolledNfa unrolled(&nfa, n);
+    const int num_classes = unrolled.symbol_classes().num_classes();
+    if (&nfa == &nfas[1]) {
+      EXPECT_LT(num_classes, nfa.alphabet_size());
+    }
+    int64_t prefixes = 0;  // Σ_{j=1..n} C^j
+    for (int64_t j = 1, power = 1; j <= n; ++j) {
+      power *= num_classes;
+      prefixes += power;
+    }
+    for (size_t budget_nodes : {size_t{3}, size_t{1} << 16}) {
+      SCOPED_TRACE("m " + std::to_string(nfa.num_states()) + ", budget " +
+                   std::to_string(budget_nodes) + " nodes");
+      ReachTrie trie(TrieNodeBytes(unrolled, budget_nodes));
+      Rng rng(TestSeed(782));
+      int64_t steps = 0;
+      int64_t simulated_steps = 0;
+      for (int i = 0; i < 2000; ++i) {
+        Word word(static_cast<size_t>(rng.UniformInt(0, n)));
+        for (Symbol& s : word) {
+          s = static_cast<Symbol>(rng.UniformInt(0, nfa.alphabet_size() - 1));
+        }
+        const int len = static_cast<int>(word.size());
+        const Bitset want = unrolled.ReachProfile(word);
+        const uint64_t* got = trie.Profile(unrolled, word.data(), len, &steps);
+        for (size_t w = 0; w < want.words().size(); ++w) {
+          ASSERT_EQ(got[w], want.words()[w]) << "word " << i << ", row word " << w;
+        }
+        EXPECT_LE(trie.nodes(),
+                  std::max(budget_nodes, static_cast<size_t>(n) + 1));
+        simulated_steps += len;
+      }
+      if (budget_nodes == 3) {
+        // Restarts recompute prefixes; the cost stays one step per symbol.
+        EXPECT_LE(steps, simulated_steps);
+      } else {
+        EXPECT_LE(steps, prefixes);
+        EXPECT_LT(steps, simulated_steps);
+        // A word already asked for costs no step at all.
+        const int64_t before = steps;
+        Word again(n, 0);
+        trie.Profile(unrolled, again.data(), n, &steps);
+        const int64_t first = steps;
+        trie.Profile(unrolled, again.data(), n, &steps);
+        EXPECT_EQ(steps, first);
+        EXPECT_LE(first - before, n);
+      }
+    }
+  }
+}
+
+// Prepare rebuilds the worker bundles, and their tries start empty with
+// them: a second build of the same engine computes every profile step
+// again, exactly as many as the first.
+TEST(Batch, ReachTrieStartsEmptyWhenBundlesAreRebuilt) {
+  Rng rng(TestSeed(791));
+  Nfa nfa = RandomNfa(9, 0.3, 0.3, rng);
+  const int n = 6;
+  CountOptions options = SessionTestOptions(TestSeed(792));
+  options.num_threads = 1;
+  std::unique_ptr<FprasEngine> engine = EngineAtWidth(nfa, n, options, 0);
+  ASSERT_NE(engine, nullptr);
+  ASSERT_TRUE(engine->RunToLevel(n).ok());
+  const int64_t first = engine->diagnostics().profile_steps;
+  EXPECT_GT(first, 0);
+  ASSERT_TRUE(engine->Prepare().ok());
+  EXPECT_EQ(engine->diagnostics().profile_steps, 0);
+  ASSERT_TRUE(engine->RunToLevel(n).ok());
+  EXPECT_EQ(engine->diagnostics().profile_steps, first);
 }
 
 }  // namespace

@@ -22,6 +22,11 @@
 // have made. A change that moves work on purpose regenerates that file and
 // says why.
 //
+// The 1-thread session's profile_steps is not pinned but bounded: each
+// worker's ReachTrie computes a prefix's reach set once, so the build takes
+// at most Σ_{j=1..N} C^j forward steps (C symbol classes), and fewer than
+// the Σ ℓ steps of simulating every stored word from the initial state.
+//
 // To regenerate, from a build with examples:
 //
 //   example_nfa_cli sample tests/data/<name>.nfa N 64 424242 > FILE
@@ -86,6 +91,27 @@ std::string RenderCounters(const FprasDiagnostics& d) {
   return out;
 }
 
+/// The profile_steps bound above, on a built 1-thread session.
+void ExpectProfileStepsBounded(const EngineSession& session, int horizon) {
+  const FprasEngine& engine = session.engine();
+  const int64_t num_classes =
+      engine.unrolled().symbol_classes().num_classes();
+  int64_t prefixes = 0;  // Σ_{j=1..N} C^j
+  int64_t simulated = 0;  // Σ ℓ over the stored samples
+  for (int64_t level = 1, power = 1; level <= horizon; ++level) {
+    power *= num_classes;
+    prefixes += power;
+    for (const StateLevelData& cell :
+         engine.LevelStateAt(static_cast<int>(level)).cells) {
+      simulated += level * cell.samples.count();
+    }
+  }
+  const int64_t steps = session.diagnostics().profile_steps;
+  EXPECT_GT(steps, 0);
+  EXPECT_LE(steps, prefixes);
+  EXPECT_LT(steps, simulated);
+}
+
 /// Draws, counts and work counters of the pinned session over `nfa_file`
 /// at `horizon` and `threads` (and a descent-cache budget of
 /// `descent_capacity` entries), rendered as the fixtures store them.
@@ -106,6 +132,7 @@ void RenderStream(const std::string& nfa_file, int horizon, int threads,
   Result<std::vector<Word>> drawn = session->SampleWords(horizon, kWords);
   ASSERT_TRUE(drawn.ok()) << drawn.status().ToString();
   *counters = RenderCounters(session->diagnostics());
+  if (threads == 1) ExpectProfileStepsBounded(*session, horizon);
   for (const Word& w : *drawn) *words += WordToString(w) + "\n";
   for (int length = 0; length <= horizon; ++length) {
     Result<double> c = session->CountAtLength(length);
