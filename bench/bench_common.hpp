@@ -91,7 +91,8 @@ using nfacount::JsonObject;
 
 /// Where a report's numbers come from: the commit (as of the build; a
 /// "-dirty" suffix marks uncommitted changes), build type, compiler, the
-/// SIMD kernel table in use, the core count, and the UTC time of rendering.
+/// bit-operation path (util/simd.hpp), the core count, and the UTC time of
+/// rendering.
 inline JsonObject Provenance() {
   char date[32];
   const std::time_t now = std::time(nullptr);

@@ -1,5 +1,5 @@
 // E13 — Batched sampling plane: post-run draw throughput across lockstep
-// batch widths, plus the bitset-kernel microbench.
+// batch widths.
 //
 // Claim measured: advancing B candidate walks in lockstep on the
 // FrontierPlane amortizes the per-call union estimate and group-shares the
@@ -13,13 +13,8 @@
 // 0.3, accept 0.25) at m = 64..128.
 // `build_seconds` is the median of kBuildRepeats table builds per (m, B)
 // cell: one build on a shared host moves ±50% between back-to-back runs.
-//
-// The kernel section times the dispatched SIMD table against the scalar
-// reference on the three frontier-row widths the engine actually touches.
 
 #include <algorithm>
-#include <cinttypes>
-#include <cstring>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -27,7 +22,6 @@
 #include "automata/generators.hpp"
 #include "bench_common.hpp"
 #include "fpras/fpras.hpp"
-#include "util/simd.hpp"
 #include "util/timer.hpp"
 
 using namespace nfacount;
@@ -174,56 +168,6 @@ double SweepFamily(int m, BenchReport* report) {
   return best_speedup;
 }
 
-void KernelMicrobench(BenchReport* report) {
-  Section("E13k: bitset kernel microbench (ns/op, dispatched vs scalar)");
-  const simd::BitsetKernels& active = simd::ActiveKernels();
-  const simd::BitsetKernels& scalar = simd::ScalarKernels();
-  std::printf("active kernel table: %s\n", active.name);
-  Row({"words", "kernel", "or_masked", "intersects", "popcount"});
-
-  Rng rng(99);
-  for (size_t words : {size_t{2}, size_t{16}, size_t{64}}) {
-    std::vector<uint64_t> dst(words), src(words), mask(words);
-    for (size_t i = 0; i < words; ++i) {
-      dst[i] = rng.NextU64();
-      src[i] = rng.NextU64();
-      mask[i] = rng.NextU64();
-    }
-    for (const simd::BitsetKernels* k : {&active, &scalar}) {
-      const int64_t iters = 2000000 / static_cast<int64_t>(words);
-      WallTimer t1;
-      for (int64_t i = 0; i < iters; ++i) {
-        k->or_masked_into(dst.data(), src.data(), mask.data(), words);
-      }
-      const double or_masked_ns = t1.ElapsedSeconds() * 1e9 / iters;
-      volatile bool sink = false;
-      WallTimer t2;
-      for (int64_t i = 0; i < iters; ++i) {
-        sink = k->intersects(dst.data(), src.data(), words);
-      }
-      const double intersects_ns = t2.ElapsedSeconds() * 1e9 / iters;
-      volatile size_t psink = 0;
-      WallTimer t3;
-      for (int64_t i = 0; i < iters; ++i) {
-        psink = k->popcount(dst.data(), words);
-      }
-      const double popcount_ns = t3.ElapsedSeconds() * 1e9 / iters;
-      (void)sink;
-      (void)psink;
-      Row({FmtInt(static_cast<int64_t>(words)), k->name,
-           Fmt(or_masked_ns, "%.2f"), Fmt(intersects_ns, "%.2f"),
-           Fmt(popcount_ns, "%.2f")});
-      JsonObject row;
-      row.Set("words", static_cast<int64_t>(words))
-          .Set("kernel", k->name)
-          .Set("or_masked_ns", or_masked_ns)
-          .Set("intersects_ns", intersects_ns)
-          .Set("popcount_ns", popcount_ns);
-      report->AddRow("kernel_microbench", std::move(row));
-    }
-  }
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -239,14 +183,12 @@ int main(int argc, char** argv) {
       .Set("draw_chunk", kDrawChunk)
       .Set("build_repeats", static_cast<int64_t>(kBuildRepeats))
       .Set("hardware_threads",
-           static_cast<int64_t>(std::thread::hardware_concurrency()))
-      .Set("active_kernels", simd::ActiveKernels().name);
+           static_cast<int64_t>(std::thread::hardware_concurrency()));
 
   double best = 0.0;
   for (int m : {64, 96, 128}) {
     best = std::max(best, SweepFamily(m, &report));
   }
-  KernelMicrobench(&report);
   report.metrics().Set("best_speedup_overall", best);
 
   std::printf("\nOverall best draws/sec speedup vs B=1: %.2fx\n", best);

@@ -13,8 +13,6 @@
 //   --threads <k>      level-sweep worker threads for count/lengths/sample
 //                      (1 = sequential default, 0 = all hardware threads;
 //                      results are bit-identical for every value)
-//   --no-simd          force the scalar bitset kernels (process-wide);
-//                      identical results
 //   --descent-cache <e> cross-batch descent-cache entry budget for
 //                      count/lengths/sample (0 disables: the uncached
 //                      engine, roughly 100x slower; default = engine
@@ -64,7 +62,6 @@
 #include "counting/exact.hpp"
 #include "fpras/fpras.hpp"
 #include "util/json.hpp"
-#include "util/simd.hpp"
 #include "util/timer.hpp"
 
 using namespace nfacount;
@@ -86,7 +83,6 @@ int Usage() {
                "  nfa_cli regex   '<pattern>' <alphabet_size>\n"
                "  nfa_cli dot     <file|->\n"
                "flags: --threads <k>      (0 = all hardware threads)\n"
-               "       --no-simd          force scalar bitset kernels\n"
                "       --descent-cache <e> descent-cache entries (0 = off)\n"
                "       --json <path>      machine-readable run report\n"
                "session flags (count only):\n"
@@ -96,15 +92,14 @@ int Usage() {
                "       --extend-to <n'>   extend a resumed session to n'\n"
                "       --                 end of flags (later args positional)\n"
                "results are bit-identical for every --threads /\n"
-               "--descent-cache value, with or without --no-simd, and across\n"
-               "checkpoint save/resume boundaries\n");
+               "--descent-cache value and across checkpoint save/resume\n"
+               "boundaries\n");
   return 2;
 }
 
 /// Engine knobs extracted from the flag section of the command line.
 struct CliFlags {
   int num_threads = 1;
-  bool no_simd = false;
   int descent_cache = -1;  ///< -1 = engine default, 0 = disabled
   int horizon = -1;     ///< -1 = not a session (unless other session flags)
   int extend_to = -1;   ///< -1 = answer at the natural length
@@ -151,8 +146,6 @@ std::vector<std::string> ExtractFlags(int argc, char** argv, CliFlags* flags) {
     }
     if (!flags_ended && arg == "--threads") {
       parse_int(&i, &flags->num_threads, 1 << 20);
-    } else if (!flags_ended && arg == "--no-simd") {
-      flags->no_simd = true;
     } else if (!flags_ended && arg == "--descent-cache") {
       parse_int(&i, &flags->descent_cache, 1 << 30);
     } else if (!flags_ended && arg == "--horizon") {
@@ -337,7 +330,6 @@ int RunSessionCount(const CliFlags& flags,
       .Set("delta", session->params().delta)
       .Set("seed", session->seed())
       .Set("threads", flags.num_threads)
-      .Set("simd", !flags.no_simd)
       .Set("wall_seconds", timer.ElapsedSeconds())
       .SetRaw("diagnostics", DiagnosticsJson(diag).Render());
   return WriteJsonReport(flags.json_path, report);
@@ -365,7 +357,6 @@ int main(int argc, char** argv) {
     }
     return Usage();
   }
-  if (flags.no_simd) simd::SetForceScalar(true);
   const std::string& command = args[0];
 
   // Only `count --load-state` may omit the positional <file> argument (the
@@ -432,9 +423,8 @@ int main(int argc, char** argv) {
                    options.num_threads, r->diagnostics.wall_seconds * 1e3,
                    static_cast<long long>(r->diagnostics.appunion_calls));
       std::fprintf(stderr,
-                   "# simd=%s memo_hits=%lld memo_misses=%lld "
+                   "# memo_hits=%lld memo_misses=%lld "
                    "arena_bytes=%lld arena_allocs=%lld\n",
-                   flags.no_simd ? "off" : "on",
                    static_cast<long long>(r->diagnostics.memo_hits),
                    static_cast<long long>(r->diagnostics.memo_misses),
                    static_cast<long long>(r->diagnostics.arena_bytes_reserved),
@@ -448,7 +438,6 @@ int main(int argc, char** argv) {
           .Set("delta", options.delta)
           .Set("seed", options.seed)
           .Set("threads", options.num_threads)
-          .Set("simd", !flags.no_simd)
           .Set("wall_seconds", r->diagnostics.wall_seconds)
           .SetRaw("diagnostics", DiagnosticsJson(r->diagnostics).Render());
       return WriteJsonReport(flags.json_path, report);

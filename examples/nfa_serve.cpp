@@ -4,7 +4,7 @@
 //
 // Usage:
 //   nfa_serve [--port <p>] [--spill-dir <dir>] [--budget-bytes <b>]
-//             [--threads <k>] [--no-simd]
+//             [--threads <k>]
 //             [--read-timeout-ms <t>] [--drain-timeout-ms <t>]
 //             [--max-connections <n>] [--workers <k>]
 //             [--max-inflight <n>] [--legacy-threads]
@@ -17,8 +17,6 @@
 //                         (-1 = unlimited, the default)
 //   --threads <k>         worker threads of every session's level sweeps
 //                         (bit-identical results at every setting)
-//   --no-simd             force the scalar bitset kernels process-wide
-//                         (identical results)
 //   --read-timeout-ms <t> per-connection receive timeout (slow-loris guard)
 //   --drain-timeout-ms <t>
 //                         how long graceful shutdown lets in-flight
@@ -57,7 +55,6 @@
 #include "cli_args.hpp"
 #include "serve/registry.hpp"
 #include "serve/server.hpp"
-#include "util/simd.hpp"
 
 namespace {
 
@@ -71,7 +68,6 @@ int Usage() {
   std::fprintf(stderr,
                "usage: nfa_serve [--port <p>] [--spill-dir <dir>]\n"
                "                 [--budget-bytes <b>] [--threads <k>]\n"
-               "                 [--no-simd]\n"
                "                 [--read-timeout-ms <t>]\n"
                "                 [--drain-timeout-ms <t>]\n"
                "                 [--max-connections <n>] [--workers <k>]\n"
@@ -125,8 +121,6 @@ int main(int argc, char** argv) {
     } else if (arg == "--threads") {
       registry_options.knobs.num_threads =
           int_flag("--threads", 0, FprasParams::kMaxThreads);
-    } else if (arg == "--no-simd") {
-      nfacount::simd::SetForceScalar(true);
     } else if (arg == "--read-timeout-ms") {
       server_options.read_timeout_ms = int_flag("--read-timeout-ms");
     } else if (arg == "--drain-timeout-ms") {

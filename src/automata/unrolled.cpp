@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cassert>
 
-#include "util/simd.hpp"
-
 namespace nfacount {
 
 namespace {
@@ -184,19 +182,16 @@ void UnrolledNfa::PredSetInto(const Bitset& states, Symbol symbol, int level,
   if (reverse_.has_masks()) {
     // Fused OR-and-clip: every mask word is ANDed against the previous
     // level's reachable set as it lands, so `out` never holds dead states.
-    // Kernel table fetched once for the whole frontier.
-    const simd::BitsetKernels& kern = simd::ActiveKernels();
     uint64_t* dst = out->mutable_words();
     const uint64_t* clip_words = clip.words().data();
     const size_t nwords = out->words().size();
     out->Clear();
     states.ForEachSet([&](int q) {
-      kern.or_masked_into(
-          dst,
+      const uint64_t* row =
           reverse_.row_masks[reverse_.Row(static_cast<StateId>(q), symbol)]
               .words()
-              .data(),
-          clip_words, nwords);
+              .data();
+      for (size_t w = 0; w < nwords; ++w) dst[w] |= row[w] & clip_words[w];
     });
   } else {
     reverse_.StepInto(states, symbol, out);

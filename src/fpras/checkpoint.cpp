@@ -27,15 +27,6 @@ constexpr uint32_t kEndianMarker = 0x01020304u;
 constexpr size_t kPreambleBytes = 12;
 constexpr size_t kChecksumBytes = 8;
 
-uint64_t Fnv1a64(const char* data, size_t size) {
-  uint64_t h = 14695981039346656037ULL;
-  for (size_t i = 0; i < size; ++i) {
-    h ^= static_cast<unsigned char>(data[i]);
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
 /// The envelope both readers check before trusting a byte of the body:
 /// size, magic, supported version, canonical byte order, then the FNV-1a
 /// trailer. `where` ends every message (": <path>" for the file probe).
@@ -351,20 +342,13 @@ Status SaveSessionCheckpoint(const EngineSession& session,
 namespace {
 
 Status ReadCheckpointBytes(const std::string& path, std::string* bytes) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    return Status::NotFound("cannot open checkpoint file: " + path);
-  }
-  bytes->clear();
-  char buf[1 << 16];
-  size_t got = 0;
-  while ((got = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-    bytes->append(buf, got);
-  }
-  const bool read_error = std::ferror(f) != 0;
-  std::fclose(f);
-  if (read_error) {
-    return Status::DataLoss("read error while loading checkpoint: " + path);
+  switch (ReadFileBytes(path, bytes)) {
+    case FileRead::kCannotOpen:
+      return Status::NotFound("cannot open checkpoint file: " + path);
+    case FileRead::kReadError:
+      return Status::DataLoss("read error while loading checkpoint: " + path);
+    case FileRead::kOk:
+      break;
   }
   return Status::Ok();
 }

@@ -719,10 +719,10 @@ Status FprasEngine::Prepare() {
     return Status::Invalid("descent_cache_capacity must be >= 0");
   }
   // Descent cache: process-wide env override first (CI runs the whole tier-1
-  // suite with NFACOUNT_DESCENT_CACHE=0 to keep the uncached engine covered,
-  // same idiom as NFACOUNT_FORCE_SCALAR), then the params knob. Results are
-  // bit-identical at every capacity, so the override can never change what a
-  // test asserts about estimates, tables, or draws. A malformed value is an
+  // suite with NFACOUNT_DESCENT_CACHE=0 to keep the uncached engine
+  // covered), then the params knob. Results are bit-identical at every
+  // capacity, so the override can never change what a test asserts about
+  // estimates, tables, or draws. A malformed value is an
   // error rather than silently ignored: a typo must not run the cached
   // engine under a leg that claims to test the uncached one.
   int64_t descent_capacity = params_.descent_cache_capacity;

@@ -20,11 +20,11 @@
 // returns the built word with probability φ (γ0·Π pr_b⁻¹ telescopes to the
 // uniform γ0 per word — Theorem 2(1)).
 //
-// Batched sampling plane (docs/ARCHITECTURE.md "Memory layout & SIMD
-// dispatch"): instead of one rejection walk at a time, the engine advances
-// batch_width candidate walks in lockstep down the levels on a per-worker
-// FrontierPlane (fpras/plane.hpp). Walks with identical symbol histories
-// share one frontier row ("group"), so each level costs one descent-cache
+// Batched sampling plane (docs/ARCHITECTURE.md "Memory layout"): instead of
+// one rejection walk at a time, the engine advances batch_width candidate
+// walks in lockstep down the levels on a per-worker FrontierPlane
+// (fpras/plane.hpp). Walks with identical symbol histories share one
+// frontier row ("group"), so each level costs one descent-cache
 // lookup (or union-size estimation) per group and one predecessor row per
 // (group, drawn class) — not per walk; below the root step the lookup is
 // usually a followed child link rather than a hash probe — and
@@ -53,10 +53,10 @@
 // only the frozen LevelState below it. Because every random draw is keyed by
 // content or by (q, ℓ) coordinates, the sweep can stop after any level and
 // resume later (RunToLevel), in another process (checkpoint restore via
-// RestoreComputedState), or with different num_threads / batch_width / SIMD
-// knobs, and still produce bit-identical tables, estimates, and post-run
-// draws to one uninterrupted Run(). EngineSession (fpras/session.hpp) is the
-// user-facing wrapper over this contract.
+// RestoreComputedState), or with different num_threads / batch_width /
+// descent-cache knobs, and still produce bit-identical tables, estimates,
+// and post-run draws to one uninterrupted Run(). EngineSession
+// (fpras/session.hpp) is the user-facing wrapper over this contract.
 //
 // Serve-mode seam (docs/ARCHITECTURE.md "Serve mode"): the post-run draw
 // path owns its scratch bundles (draws_, one per draw worker) and its own
@@ -137,9 +137,8 @@ struct FprasDiagnostics {
   /// draw request), but those surplus walks are discarded unseen and are
   /// NOT counted. Table-building refills and the post-run draw path
   /// (SampleAcceptedInto) therefore match what a sequential batch_width = 1
-  /// run reports for every batch width, thread count, and kernel table
-  /// (asserted by tests/test_batch.cpp). Only walk_batches is inherently
-  /// batch-shaped.
+  /// run reports for every batch width and thread count (asserted by
+  /// tests/test_batch.cpp). Only walk_batches is inherently batch-shaped.
   int64_t sample_calls = 0;
   int64_t sample_success = 0;
   int64_t fail_phi_gt_1 = 0;    ///< Fail1: φ > 1 at the base (Alg. 2 line 5)
@@ -511,9 +510,9 @@ class FprasEngine {
   /// With T = 1, or a small request, each window is one batch run inline.
   ///
   /// Because each attempt draws from its own counter-keyed substream, the
-  /// appended sequence is bit-identical for every batch width, thread
-  /// count, and kernel table. Consumption is exact: appending stops at the
-  /// accept that satisfies `min_accepts`, and the cursor, the attempt
+  /// appended sequence is bit-identical for every batch width and thread
+  /// count. Consumption is exact: appending stops at the accept that
+  /// satisfies `min_accepts`, and the cursor, the attempt
   /// budget, and the per-walk diagnostics advance only through that
   /// attempt — exactly a sequential batch_width = 1 run. Later walks of the
   /// final batch (or window) are discarded unseen and are re-derived
@@ -706,7 +705,7 @@ class FprasEngine {
   /// Next post-run attempt id: every SampleAcceptedInto attempt
   /// draws from Rng::ForSubstream(seed, draw-tag, counter++), so the draw
   /// sequence depends only on how many attempts ran before — not on batch
-  /// width, thread count, or kernel table.
+  /// width or thread count.
   int64_t post_attempt_counter_ = 0;
   int batch_width_ = FprasParams::kDefaultBatchWidth;  ///< resolved by Run()
   /// Worker slot scratch; workers_[i] is owned by pool worker slot i during

@@ -4,46 +4,19 @@
 
 namespace nfacount {
 
-void SampleArena::EnsureGroupSlabs(int groups, int num_classes,
-                                   size_t bits) {
-  Ensure(group_sizes, static_cast<size_t>(groups));
-  for (auto& sizes : group_sizes) {
-    if (static_cast<size_t>(num_classes) > sizes.capacity()) {
-      ++vector_alloc_events_;
-      sizes.reserve(static_cast<size_t>(num_classes));
-    }
-  }
-  group_rows_stride_ = static_cast<size_t>(num_classes) * ((bits + 63) / 64);
-  Ensure(group_rows, static_cast<size_t>(groups) * group_rows_stride_);
-}
-
 void SampleArena::PrepareRun(int max_batch, int max_word_len, size_t bits,
                              int num_classes) {
   const int b = std::max(max_batch, 1);
-  const int len = std::max(max_word_len, 1);
-  cur.Reshape(b, bits);
-  next.Reshape(b, bits);
-  word_stride_ = static_cast<size_t>(len);
-  Ensure(symbols, static_cast<size_t>(b) * word_stride_);
-  Ensure(phi, static_cast<size_t>(b));
-  Ensure(rng, static_cast<size_t>(b));
-  Ensure(group_of, static_cast<size_t>(b));
-  Ensure(next_group_of, static_cast<size_t>(b));
-  Ensure(state_of, static_cast<size_t>(b));
-  Ensure(outcome_of, static_cast<size_t>(b));
-  Ensure(group_step, static_cast<size_t>(b));
-  Ensure(group_link, static_cast<size_t>(b));
-  Ensure(next_group_link, static_cast<size_t>(b));
-  Ensure(child_of, static_cast<size_t>(b) * num_classes);
-  EnsureGroupSlabs(b, num_classes, bits);
+  BeginBatch(b, max_word_len, bits, num_classes);
   accepted.reserve(static_cast<size_t>(b));
   if (frontier_scratch.size() != bits) frontier_scratch = Bitset(bits);
 }
 
 void SampleArena::BeginBatch(int batch, int word_len, size_t bits,
                              int num_classes) {
-  // PrepareRun reserved for the widest batch; reshaping within that capacity
-  // never allocates.
+  // PrepareRun sized every slab for the widest batch through this same
+  // call; reshaping within that capacity never allocates, and a wider batch
+  // grows the slabs instead of indexing past them.
   cur.Reshape(batch, bits);
   next.Reshape(batch, bits);
   word_stride_ = static_cast<size_t>(std::max(word_len, 1));
@@ -58,7 +31,15 @@ void SampleArena::BeginBatch(int batch, int word_len, size_t bits,
   Ensure(group_link, static_cast<size_t>(batch));
   Ensure(next_group_link, static_cast<size_t>(batch));
   Ensure(child_of, static_cast<size_t>(batch) * num_classes);
-  EnsureGroupSlabs(batch, num_classes, bits);
+  Ensure(group_sizes, static_cast<size_t>(batch));
+  for (auto& sizes : group_sizes) {
+    if (static_cast<size_t>(num_classes) > sizes.capacity()) {
+      ++vector_alloc_events_;
+      sizes.reserve(static_cast<size_t>(num_classes));
+    }
+  }
+  group_rows_stride_ = static_cast<size_t>(num_classes) * ((bits + 63) / 64);
+  Ensure(group_rows, static_cast<size_t>(batch) * group_rows_stride_);
   accepted.clear();
 }
 

@@ -115,7 +115,8 @@ class SampleArena {
                   int num_classes);
 
   /// Rewinds the arena for one batch of `batch` walks of word length
-  /// `word_len` (≥ 0). Does not touch plane row contents.
+  /// `word_len` (≥ 0), growing any slab the batch outgrows. Does not touch
+  /// plane row contents.
   void BeginBatch(int batch, int word_len, size_t bits, int num_classes);
 
   /// Walk w's staged symbol buffer (stride = the batch's word length).
@@ -179,13 +180,6 @@ class SampleArena {
     if (n > v.capacity()) ++vector_alloc_events_;
     if (v.size() < n) v.resize(n);
   }
-
-  /// Sizes the per-group slabs for `groups` groups of `num_classes`
-  /// classes over `bits`-bit rows (group_sizes slots with capacity for
-  /// `num_classes` entries, group_rows). Shared by PrepareRun and
-  /// BeginBatch so a batch wider than the PrepareRun reservation can never
-  /// index past them.
-  void EnsureGroupSlabs(int groups, int num_classes, size_t bits);
 
   size_t word_stride_ = 0;
   size_t group_rows_stride_ = 0;

@@ -21,9 +21,9 @@
 //
 // Determinism contract (inherited from the engine's content-keyed RNG
 // substreams): a session extended incrementally, resumed from a checkpoint —
-// even on different num_threads / descent-cache knobs or
-// kernel table — and a fresh uninterrupted run at the same (nfa, horizon,
-// eps, delta, schedule, calibration, seed) produce bit-identical estimates,
+// even on different num_threads / descent-cache knobs — and a fresh
+// uninterrupted run at the same (nfa, horizon, eps, delta, schedule,
+// calibration, seed) produce bit-identical estimates,
 // per-(q,ℓ) tables, and draw sequences (tests/test_session.cpp,
 // tests/test_checkpoint.cpp).
 //
@@ -55,9 +55,8 @@ namespace nfacount {
 
 /// Runtime knobs that may be changed when resuming a session: worker
 /// threads and descent-cache budget. Neither can change a result — only
-/// wall-clock time or memory. The kernel table is process-wide
-/// (simd::SetForceScalar / NFACOUNT_FORCE_SCALAR), not a knob, and
-/// symbol-class compression (automata/symbol_classes.hpp) is always on.
+/// wall-clock time or memory. Symbol-class compression
+/// (automata/symbol_classes.hpp) is always on, not a knob.
 struct SessionKnobs {
   int num_threads = 1;  ///< see FprasParams::num_threads
   /// Descent-cache entry budget for the resumed session (-1 keeps the

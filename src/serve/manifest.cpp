@@ -25,17 +25,6 @@ constexpr size_t kEntryOverheadBytes = 12;
 // text + scalars, and NFA text is itself bounded by the wire payload cap.
 constexpr uint32_t kMaxEntryBodyBytes = 128u << 20;
 
-// Same hash as the checkpoint trailer (fpras/checkpoint.cpp): one integrity
-// primitive across every on-disk format this repo writes.
-uint64_t Fnv1a64(const char* data, size_t size) {
-  uint64_t h = 14695981039346656037ULL;
-  for (size_t i = 0; i < size; ++i) {
-    h ^= static_cast<unsigned char>(data[i]);
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
 std::string HeaderBytes() {
   ByteWriter w;
   w.Bytes(kManifestMagic, sizeof(kManifestMagic));
@@ -104,24 +93,6 @@ Status DecodeBody(const std::string& body,
   return Status::DataLoss("manifest: unknown record type");
 }
 
-Status ReadWholeFile(const std::string& path, std::string* bytes,
-                     bool* exists) {
-  *exists = false;
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return Status::Ok();  // absent: a fresh journal
-  *exists = true;
-  bytes->clear();
-  char buf[1 << 16];
-  size_t got = 0;
-  while ((got = std::fread(buf, 1, sizeof(buf), f)) > 0) bytes->append(buf, got);
-  const bool read_error = std::ferror(f) != 0;
-  std::fclose(f);
-  if (read_error) {
-    return Status::DataLoss("manifest: read error: " + path);
-  }
-  return Status::Ok();
-}
-
 Status WriteFileSynced(const std::string& path, const std::string& bytes) {
   std::FILE* f = std::fopen(path.c_str(), "wb");
   if (f == nullptr) {
@@ -187,8 +158,11 @@ Result<ManifestJournal> ManifestJournal::Open(const std::string& dir) {
   std::remove((journal.path_ + ".tmp").c_str());
 
   std::string bytes;
-  bool exists = false;
-  NFA_RETURN_NOT_OK(ReadWholeFile(journal.path_, &bytes, &exists));
+  const FileRead read = ReadFileBytes(journal.path_, &bytes);
+  if (read == FileRead::kReadError) {
+    return Status::DataLoss("manifest: read error: " + journal.path_);
+  }
+  const bool exists = read == FileRead::kOk;  // unopenable: a fresh journal
 
   bool needs_compaction = false;
   if (!exists || bytes.empty()) {

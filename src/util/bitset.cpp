@@ -32,13 +32,19 @@ bool Bitset::Any() const {
 }
 
 size_t Bitset::Count() const {
-  return simd::ActiveKernels().popcount(words_.data(), words_.size());
+  size_t total = 0;
+  for (uint64_t w : words_) {
+    total += static_cast<size_t>(__builtin_popcountll(w));
+  }
+  return total;
 }
 
 bool Bitset::Intersects(const Bitset& other) const {
   assert(size_ == other.size_);
-  return simd::ActiveKernels().intersects(words_.data(), other.words_.data(),
-                                          words_.size());
+  for (size_t i = 0; i < words_.size(); ++i) {
+    if (words_[i] & other.words_[i]) return true;
+  }
+  return false;
 }
 
 bool Bitset::IsSubsetOf(const Bitset& other) const {
@@ -51,29 +57,27 @@ bool Bitset::IsSubsetOf(const Bitset& other) const {
 
 Bitset& Bitset::operator|=(const Bitset& other) {
   assert(size_ == other.size_);
-  simd::ActiveKernels().or_into(words_.data(), other.words_.data(),
-                                words_.size());
+  for (size_t i = 0; i < words_.size(); ++i) words_[i] |= other.words_[i];
   return *this;
 }
 
 Bitset& Bitset::operator&=(const Bitset& other) {
   assert(size_ == other.size_);
-  simd::ActiveKernels().and_into(words_.data(), other.words_.data(),
-                                 words_.size());
+  for (size_t i = 0; i < words_.size(); ++i) words_[i] &= other.words_[i];
   return *this;
 }
 
 Bitset& Bitset::AndNot(const Bitset& other) {
   assert(size_ == other.size_);
-  simd::ActiveKernels().andnot_into(words_.data(), other.words_.data(),
-                                    words_.size());
+  for (size_t i = 0; i < words_.size(); ++i) words_[i] &= ~other.words_[i];
   return *this;
 }
 
 Bitset& Bitset::OrMasked(const Bitset& other, const Bitset& mask) {
   assert(size_ == other.size_ && size_ == mask.size_);
-  simd::ActiveKernels().or_masked_into(words_.data(), other.words_.data(),
-                                       mask.words_.data(), words_.size());
+  for (size_t i = 0; i < words_.size(); ++i) {
+    words_[i] |= other.words_[i] & mask.words_[i];
+  }
   return *this;
 }
 

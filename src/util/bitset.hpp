@@ -11,8 +11,6 @@
 #include <string>
 #include <vector>
 
-#include "util/simd.hpp"
-
 namespace nfacount {
 
 /// Fixed-size (chosen at construction) bitset over indices [0, size).
@@ -61,7 +59,7 @@ class Bitset {
   Bitset& operator|=(const Bitset& other);
   Bitset& operator&=(const Bitset& other);
 
-  /// this &= ~other (set difference), one kernel pass.
+  /// this &= ~other (set difference), one pass over the word arrays.
   Bitset& AndNot(const Bitset& other);
 
   /// Fused frontier-propagation step: this |= (other & mask), one pass over

@@ -1,13 +1,16 @@
 // Little-endian byte codec shared by every binary surface of the project:
-// session checkpoints (fpras/checkpoint.cpp) and the serve-mode wire
-// protocol (serve/protocol.cpp). One codec, one byte order, one failure
-// model — a truncated or corrupt buffer surfaces as Status::DataLoss from
-// the bounds-checked reader before any semantic check runs.
+// session checkpoints (fpras/checkpoint.cpp), the serve-mode wire protocol
+// (serve/protocol.cpp) and the serve MANIFEST journal (serve/manifest.cpp).
+// One codec, one byte order, one failure model — a truncated or corrupt
+// buffer surfaces as Status::DataLoss from the bounds-checked reader before
+// any semantic check runs. The two on-disk formats also share the file
+// reader and the FNV-1a integrity hash defined below.
 
 #ifndef NFACOUNT_UTIL_WIRE_HPP_
 #define NFACOUNT_UTIL_WIRE_HPP_
 
 #include <cstdint>
+#include <cstdio>
 #include <cstring>
 #include <string>
 
@@ -172,6 +175,35 @@ class ByteReader {
   size_t size_;
   size_t pos_ = 0;
 };
+
+/// 64-bit FNV-1a over [data, data + size): the integrity trailer of every
+/// on-disk format (checkpoint files, MANIFEST entries).
+inline uint64_t Fnv1a64(const char* data, size_t size) {
+  uint64_t h = 14695981039346656037ULL;
+  for (size_t i = 0; i < size; ++i) {
+    h ^= static_cast<unsigned char>(data[i]);
+    h *= 1099511628211ULL;
+  }
+  return h;
+}
+
+/// How ReadFileBytes ended; each caller maps it onto its own Status.
+enum class FileRead { kOk, kCannotOpen, kReadError };
+
+/// Reads the whole file at `path` into *bytes (replacing its contents).
+inline FileRead ReadFileBytes(const std::string& path, std::string* bytes) {
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  if (f == nullptr) return FileRead::kCannotOpen;
+  bytes->clear();
+  char buf[1 << 16];
+  size_t got = 0;
+  while ((got = std::fread(buf, 1, sizeof(buf), f)) > 0) {
+    bytes->append(buf, got);
+  }
+  const bool read_error = std::ferror(f) != 0;
+  std::fclose(f);
+  return read_error ? FileRead::kReadError : FileRead::kOk;
+}
 
 }  // namespace nfacount
 

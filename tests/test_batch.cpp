@@ -1,10 +1,9 @@
 // Batch-width invariance of the lockstep sampling plane: because every
 // candidate walk draws from its own attempt-indexed RNG substream, the same
 // (nfa, n, seed) must produce bit-identical estimates, per-(q,ℓ) tables, and
-// post-run draw sequences for every batch_width — and for the SIMD vs scalar
-// kernel tables, whose operations compute identical bits by construction.
-// The width is engine-internal (FprasParams::batch_width), so these tests
-// build engines at each width directly. Also covers the arena reuse contract
+// post-run draw sequences for every batch_width. The width is
+// engine-internal (FprasParams::batch_width), so these tests build engines
+// at each width directly. Also covers the arena reuse contract
 // (no per-sample allocations once the slabs are warm), the batch_width
 // validation in FprasEngine::Run, and the per-worker ReachTrie that supplies
 // stored samples' reach profiles.
@@ -21,7 +20,6 @@
 #include "test_seed.hpp"
 #include "test_tables.hpp"
 #include "util/rng.hpp"
-#include "util/simd.hpp"
 
 namespace nfacount {
 namespace {
@@ -29,7 +27,6 @@ namespace {
 using testing_support::DrawWords;
 using testing_support::EngineAtWidth;
 using testing_support::ExpectTablesIdentical;
-using testing_support::ScopedForceScalar;
 using testing_support::SessionTestOptions;
 using testing_support::TestSeed;
 
@@ -126,9 +123,9 @@ std::vector<Word> ChunkedDraws(const Nfa& nfa, const CountOptions& options,
   return words;
 }
 
-TEST(Batch, ChunkedDrawsIdenticalAcrossBatchWidthsAndKernels) {
-  // The draw stream must not depend on the lockstep width, the kernel table,
-  // or how the requests are chunked (estimates: the tests above and below);
+TEST(Batch, ChunkedDrawsIdenticalAcrossBatchWidths) {
+  // The draw stream must not depend on the lockstep width or how the
+  // requests are chunked (estimates: the tests above and below);
   // a session, at the default width, draws the same stream.
   Rng rng(TestSeed(721));
   Nfa nfa = RandomNfa(6, 0.3, 0.3, rng);
@@ -137,35 +134,13 @@ TEST(Batch, ChunkedDrawsIdenticalAcrossBatchWidthsAndKernels) {
 
   const std::vector<Word> a = ChunkedDraws(nfa, options, 1);
   const std::vector<Word> b = ChunkedDraws(nfa, options, 64);
-  std::vector<Word> c;
-  {
-    ScopedForceScalar scalar;
-    c = ChunkedDraws(nfa, options, 64);
-  }
   Result<EngineSession> session = EngineSession::Create(nfa, 6, options);
   ASSERT_TRUE(session.ok());
-  Result<std::vector<Word>> d = session->SampleWords(6, 20);
-  ASSERT_TRUE(d.ok());
+  Result<std::vector<Word>> c = session->SampleWords(6, 20);
+  ASSERT_TRUE(c.ok());
   ASSERT_EQ(a.size(), 20u);
   EXPECT_EQ(a, b);
-  EXPECT_EQ(a, c);
-  EXPECT_EQ(a, *d);
-}
-
-TEST(Batch, ForcedScalarDispatchIdenticalEstimates) {
-  // Process-wide kernel redirection (the NFACOUNT_FORCE_SCALAR / --no-simd
-  // path) must be invisible in every estimate.
-  Rng rng(TestSeed(731));
-  Nfa nfa = RandomNfa(7, 0.3, 0.3, rng);
-  const CountOptions options = SessionTestOptions(TestSeed(732));
-  Result<CountEstimate> active = ApproxCount(nfa, 6, options);
-  Result<CountEstimate> scalar = Status::Internal("unset");
-  {
-    ScopedForceScalar force;
-    scalar = ApproxCount(nfa, 6, options);
-  }
-  ASSERT_TRUE(active.ok() && scalar.ok());
-  EXPECT_EQ(active->estimate, scalar->estimate);
+  EXPECT_EQ(a, *c);
 }
 
 TEST(Batch, BatchWidthComposesWithThreads) {

@@ -1,11 +1,14 @@
 // Unit tests for the dynamic bitset, including the word-boundary edge cases
-// (sizes 63/64/65) the state-set operations rely on.
+// (sizes 63/64/65) the state-set operations rely on, and a per-bit naive
+// check of every word-loop operation at 1 to 18 words.
 
 #include <gtest/gtest.h>
 
 #include <unordered_set>
 
+#include "test_seed.hpp"
 #include "util/bitset.hpp"
+#include "util/rng.hpp"
 
 namespace nfacount {
 namespace {
@@ -133,6 +136,67 @@ TEST(Bitset, FirstSetScansAcrossWords) {
   EXPECT_EQ(b.FirstSet(), 150);
   b.Set(20);
   EXPECT_EQ(b.FirstSet(), 20);
+}
+
+Bitset RandomBitset(size_t bits, double p, Rng& rng) {
+  Bitset b(bits);
+  for (size_t i = 0; i < bits; ++i) {
+    if (rng.Bernoulli(p)) b.Set(i);
+  }
+  return b;
+}
+
+TEST(Bitset, WordOperationsMatchPerBitNaive) {
+  Rng rng(testing_support::TestSeed(601));
+  for (size_t bits : {1, 63, 64, 65, 128, 193, 256, 257, 1100}) {
+    SCOPED_TRACE(::testing::Message() << "bits=" << bits);
+    for (double p : {0.02, 0.5}) {
+      const Bitset a = RandomBitset(bits, p, rng);
+      const Bitset b = RandomBitset(bits, p, rng);
+      const Bitset mask = RandomBitset(bits, 0.5, rng);
+      Bitset want_or(bits), want_and(bits), want_andnot(bits);
+      Bitset want_masked(bits);
+      size_t want_count = 0;
+      bool want_intersects = false;
+      for (size_t i = 0; i < bits; ++i) {
+        const bool x = a.Test(i), y = b.Test(i);
+        if (x || y) want_or.Set(i);
+        if (x && y) want_and.Set(i);
+        if (x && !y) want_andnot.Set(i);
+        if (x || (y && mask.Test(i))) want_masked.Set(i);
+        want_count += x ? 1 : 0;
+        want_intersects = want_intersects || (x && y);
+      }
+      Bitset got = a;
+      got |= b;
+      EXPECT_EQ(got, want_or);
+      got = a;
+      got &= b;
+      EXPECT_EQ(got, want_and);
+      got = a;
+      got.AndNot(b);
+      EXPECT_EQ(got, want_andnot);
+      got = a;
+      got.OrMasked(b, mask);
+      EXPECT_EQ(got, want_masked);
+      EXPECT_EQ(a.Count(), want_count);
+      EXPECT_EQ(a.Intersects(b), want_intersects);
+    }
+  }
+}
+
+TEST(Bitset, IntersectsFindsSingleSharedBit) {
+  // Random sets rarely hit the one-shared-bit case: plant exactly one shared
+  // bit at every position of a 9-word span.
+  const size_t bits = 9 * 64;
+  for (size_t bit = 0; bit < bits; ++bit) {
+    Bitset a(bits), b(bits);
+    a.Set(bit);
+    b.Set(bit);
+    EXPECT_TRUE(a.Intersects(b)) << bit;
+    b.Reset(bit);
+    EXPECT_FALSE(a.Intersects(b)) << bit;
+  }
 }
 
 }  // namespace

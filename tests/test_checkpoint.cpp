@@ -1,6 +1,6 @@
 // Binary session checkpoints: save→load→extend must be bit-identical to an
-// uninterrupted run at the same (seed, knob) point — across every
-// num_threads × kernel-table combination — and every defective file
+// uninterrupted run at the same (seed, knob) point — at every num_threads —
+// and every defective file
 // (truncated, corrupted, wrong magic/version/endianness) must be rejected
 // with a precise Status, never loaded partially. Committed golden files pin
 // the on-disk format against accidental layout changes: a v1 file must
@@ -12,7 +12,6 @@
 #include <cstdio>
 #include <cstring>
 #include <limits>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -37,7 +36,6 @@ namespace nfacount {
 namespace {
 
 using testing_support::ExpectTablesIdentical;
-using testing_support::ScopedForceScalar;
 using testing_support::SessionTestOptions;
 using testing_support::TestSeed;
 
@@ -116,9 +114,9 @@ TEST(Checkpoint, RoundTripRestoresFullState) {
 }
 
 TEST(Checkpoint, SaveLoadExtendBitIdenticalToFreshAcrossKnobGrid) {
-  // The acceptance matrix: a session saved at n/2 and resumed under every
-  // (threads, batch, kernel table) combination, then extended to n, must equal
-  // a fresh uninterrupted run — estimates, tables, and draws.
+  // The acceptance matrix: a session saved at n/2 and resumed at every
+  // thread count, then extended to n, must equal a fresh uninterrupted run —
+  // estimates, tables, and draws.
   Rng rng(TestSeed(911));
   Nfa nfa = RandomNfa(6, 0.3, 0.35, rng);
   const int n = 8;
@@ -139,34 +137,27 @@ TEST(Checkpoint, SaveLoadExtendBitIdenticalToFreshAcrossKnobGrid) {
   ASSERT_TRUE(half_way->Save(path).ok());
 
   const int threads_grid[] = {1, 4};
-  const bool simd_grid[] = {true, false};
   for (int threads : threads_grid) {
-    for (bool simd : simd_grid) {
-      // The kernel table is process-wide: scalar for this whole resume.
-      std::optional<ScopedForceScalar> scalar;
-      if (!simd) scalar.emplace();
-      SessionKnobs knobs;
-      knobs.num_threads = threads;
-      Result<EngineSession> resumed = EngineSession::Load(path, &knobs);
-      ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
-      ASSERT_TRUE(resumed->ExtendTo(n).ok());
-      SCOPED_TRACE(::testing::Message() << "threads=" << threads
-                                        << " simd=" << simd);
-      for (int level = 0; level <= n; ++level) {
-        Result<double> a = fresh->CountAtLength(level);
-        Result<double> b = resumed->CountAtLength(level);
-        ASSERT_TRUE(a.ok() && b.ok());
-        EXPECT_EQ(*a, *b) << "level=" << level;
-      }
-      ExpectTablesIdentical(fresh->engine(), resumed->engine(), nfa, n);
-      // The draw stream must track the fresh session's across repeated
-      // calls — the cursor advances exactly, never batch-rounded.
-      Result<std::vector<Word>> words = resumed->SampleWords(n, 6);
-      Result<std::vector<Word>> words2 = resumed->SampleWords(n, 4);
-      ASSERT_TRUE(words.ok() && words2.ok());
-      EXPECT_EQ(*fresh_words, *words);
-      EXPECT_EQ(*fresh_words2, *words2);
+    SessionKnobs knobs;
+    knobs.num_threads = threads;
+    Result<EngineSession> resumed = EngineSession::Load(path, &knobs);
+    ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
+    ASSERT_TRUE(resumed->ExtendTo(n).ok());
+    SCOPED_TRACE(::testing::Message() << "threads=" << threads);
+    for (int level = 0; level <= n; ++level) {
+      Result<double> a = fresh->CountAtLength(level);
+      Result<double> b = resumed->CountAtLength(level);
+      ASSERT_TRUE(a.ok() && b.ok());
+      EXPECT_EQ(*a, *b) << "level=" << level;
     }
+    ExpectTablesIdentical(fresh->engine(), resumed->engine(), nfa, n);
+    // The draw stream must track the fresh session's across repeated
+    // calls — the cursor advances exactly, never batch-rounded.
+    Result<std::vector<Word>> words = resumed->SampleWords(n, 6);
+    Result<std::vector<Word>> words2 = resumed->SampleWords(n, 4);
+    ASSERT_TRUE(words.ok() && words2.ok());
+    EXPECT_EQ(*fresh_words, *words);
+    EXPECT_EQ(*fresh_words2, *words2);
   }
 }
 

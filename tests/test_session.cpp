@@ -22,7 +22,6 @@ namespace {
 using testing_support::DrawWords;
 using testing_support::EngineAtWidth;
 using testing_support::ExpectTablesIdentical;
-using testing_support::ScopedForceScalar;
 using testing_support::SessionTestOptions;
 using testing_support::TestSeed;
 
@@ -75,7 +74,7 @@ TEST(Session, IncrementalExtensionBitIdenticalToOneShot) {
 
 TEST(Session, ExtensionComposesWithKnobFlips) {
   // The determinism contracts must hold jointly with incrementality:
-  // extend-in-steps on (4 threads, batch 32, scalar kernels) equals one-shot
+  // extend-in-steps on (4 threads, batch 32) equals one-shot
   // on the defaults. The width is engine-internal, so the flipped side is an
   // engine extended level range by level range, as a session extends.
   Nfa nfa = SubstringNfa(Word{1, 0, 1});
@@ -88,15 +87,11 @@ TEST(Session, ExtensionComposesWithKnobFlips) {
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(a->ExtendTo(n).ok());
 
-  std::unique_ptr<FprasEngine> b;
-  {
-    ScopedForceScalar scalar;
-    b = EngineAtWidth(nfa, n, flipped, 32);
-    ASSERT_NE(b, nullptr);
-    ASSERT_TRUE(b->RunToLevel(3).ok());
-    ASSERT_TRUE(b->RunToLevel(5).ok());
-    ASSERT_TRUE(b->RunToLevel(n).ok());
-  }
+  std::unique_ptr<FprasEngine> b = EngineAtWidth(nfa, n, flipped, 32);
+  ASSERT_NE(b, nullptr);
+  ASSERT_TRUE(b->RunToLevel(3).ok());
+  ASSERT_TRUE(b->RunToLevel(5).ok());
+  ASSERT_TRUE(b->RunToLevel(n).ok());
 
   for (int level = 0; level <= n; ++level) {
     Result<double> ca = a->CountAtLength(level);

@@ -2,7 +2,7 @@
 // test_session, test_checkpoint, ...): one definition of "two engines hold
 // bit-identical per-(q,ℓ) state", so every suite asserts the same notion of
 // identical when StateLevelData grows a field, plus the engine-at-a-width
-// builder and the scoped kernel-table switch those suites flip.
+// builder and the draw helper those suites share.
 
 #ifndef NFACOUNT_TESTS_TEST_TABLES_HPP_
 #define NFACOUNT_TESTS_TEST_TABLES_HPP_
@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "fpras/session.hpp"
-#include "util/simd.hpp"
 
 namespace nfacount {
 namespace testing_support {
@@ -80,18 +79,6 @@ inline std::vector<Word> DrawWords(FprasEngine& engine, int level,
                             count, &words);
   return words;
 }
-
-/// Forces the scalar kernel table process-wide for its lifetime, then
-/// restores auto-detection (which still honors NFACOUNT_FORCE_SCALAR). The
-/// kernel table is read when an engine is prepared, so build the engine (or
-/// load the session) inside the scope.
-class ScopedForceScalar {
- public:
-  ScopedForceScalar() { simd::SetForceScalar(true); }
-  ~ScopedForceScalar() { simd::SetForceScalar(false); }
-  ScopedForceScalar(const ScopedForceScalar&) = delete;
-  ScopedForceScalar& operator=(const ScopedForceScalar&) = delete;
-};
 
 }  // namespace testing_support
 }  // namespace nfacount
